@@ -63,7 +63,6 @@ class Job:
     job_id: int
     request: ResourceRequest
     duration: float | Callable[[], float]
-    gang: bool = True
     state: str = PENDING
     submit_t: float | None = None
     start_t: float | None = None
@@ -103,25 +102,17 @@ class SchedMetrics:
 
 
 class Instance:
-    """A scheduler scope bound to one allocation."""
-
-    _next_id = 0
+    """A scheduler scope bound to one allocation; its id comes from the engine."""
 
     def __init__(self, engine: Engine, graph: ResourceGraph, alloc_id: int,
-                 decision_cost_s: float = DEFAULT_DECISION_COST_S,
-                 policy: str = "fcfs_first_fit"):
-        if policy != "fcfs_first_fit":
-            raise ValueError(f"unknown policy {policy!r}")
+                 decision_cost_s: float = DEFAULT_DECISION_COST_S):
         graph.allocation(alloc_id)  # raises for unknown allocations
-        Instance._next_id += 1
-        self.instance_id = Instance._next_id
+        self.instance_id = engine.next_id()
         self.engine = engine
         self.graph = graph
         self.alloc_id = alloc_id
-        self.policy = policy
         self.decision_cost_s = decision_cost_s
         self.queue: deque[Job] = deque()
-        self.children: list[int] = []
         self.placements: list[PlacementRecord] = []
         self.attempts = 0
         self.placed = 0
@@ -181,7 +172,6 @@ class Instance:
         except InsufficientCapacityError:
             return []  # wait for a completion to free capacity
         self.queue.popleft()
-        self.children.append(child.alloc_id)
         job.state = RUNNING
         job.start_t = self.engine.now
         duration = job.resolve_duration()
@@ -204,7 +194,6 @@ class Instance:
 
     def _complete(self, job: Job, child_alloc_id: int, record: PlacementRecord):
         self.graph.release(child_alloc_id)
-        self.children.remove(child_alloc_id)
         job.state = DONE
         job.end_t = self.engine.now
         record.end_t = self.engine.now
@@ -214,11 +203,10 @@ class Instance:
         self._wake()
 
 
-def make_jobs(node_counts: list[int], duration_s: float = 0.0,
-              gang: bool = True) -> list[Job]:
+def make_jobs(node_counts: list[int], duration_s: float = 0.0) -> list[Job]:
     """Convenience constructor for comparator workloads."""
     return [
-        Job(job_id=i + 1, request=ResourceRequest(nodes=n), duration=duration_s, gang=gang)
+        Job(job_id=i + 1, request=ResourceRequest(nodes=n), duration=duration_s)
         for i, n in enumerate(node_counts)
     ]
 
@@ -422,10 +410,7 @@ class _TwoLevelRunner(_EpochRunner):
         self.hoards: list[set[int]] = [set(), set()]
 
     def _holds_partial_resources(self) -> bool:
-        return any(
-            self.hoards[i] and self.queues[i] and self.queues[i][0].gang
-            for i in (0, 1)
-        )
+        return any(self.hoards[i] and self.queues[i] for i in (0, 1))
 
     def round_body(self):
         pending = [i for i in (0, 1) if self.queues[i]]
@@ -446,7 +431,7 @@ class _TwoLevelRunner(_EpochRunner):
             job = self.queues[sched_id][0]
             need = job.request.nodes
             hoard = self.hoards[sched_id]
-            if job.gang and self.hoarding:
+            if self.hoarding:
                 take = set(bundle[: max(0, need - len(hoard))])
                 hoard |= take
                 self.free -= take

@@ -33,7 +33,7 @@ recalibration against new measurements requires no code change.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 OS_BYPASS = "os_bypass"
@@ -204,16 +204,7 @@ def pre_efa_ethernet(tap: NetworkPathParams) -> NetworkPathParams:
     Early measurements on plain ethernet showed better than a 2x slowdown,
     represented here by halving the asymptotic bandwidth of the tap path.
     """
-    return NetworkPathParams(
-        path="tap_relay_ethernet",
-        l0_s=tap.l0_s,
-        bw_inf_Bps=tap.bw_inf_Bps / 2.0,
-        m_half_B=tap.m_half_B,
-        barrier_base_4node_s=tap.barrier_base_4node_s,
-        allreduce_mu=tap.allreduce_mu,
-        allreduce_base_l0_s=tap.allreduce_base_l0_s,
-        allreduce_base_bw_Bps=tap.allreduce_base_bw_Bps,
-    )
+    return replace(tap, path="tap_relay_ethernet", bw_inf_Bps=tap.bw_inf_Bps / 2.0)
 
 
 def p2p_latency(params: NetworkPathParams, m: float) -> float:

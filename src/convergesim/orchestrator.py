@@ -25,12 +25,14 @@ fixed seed.
 """
 
 import configparser
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import hiersched, mlserve, netmodel, podlayer, workloads
 from .hiersched import Instance, Job, run_taxonomy
+from .podlayer import PodSpec
 from .reporting import ReportBundle
 from .resgraph import ClusterSpec, ResourceRequest, build_cluster
 from .simkernel import Engine
@@ -42,8 +44,31 @@ EXPERIMENTS = (SCALING_STUDY, TAXONOMY, HYBRID)
 
 HYBRID_MODELS = ("linear_sgd", "bayesian", "passive_aggressive")
 
-OSU_P2P_SIZES = tuple(4**k for k in range(12))       # 1 B .. 4 MiB
-OSU_ALLREDUCE_SIZES = tuple(4**k for k in range(1, 12))  # 4 B .. 4 MiB
+# (benchmark, message bytes) in report order: latency and bw interleaved
+# per point-to-point size (1 B .. 4 MiB), barrier, allreduce (4 B .. 4 MiB)
+OSU_CASES = (
+    tuple((bench, 4**k) for k in range(12) for bench in ("latency", "bw"))
+    + (("barrier", 0),)
+    + tuple(("allreduce", 4**k) for k in range(1, 12))
+)
+
+# The scenario file's schema. Scalar ScenarioConfig fields name their own
+# [section] and key (see _ini); the tables below cover the rest. Defaults
+# live on the dataclasses and regressor constructors, never here.
+# [cluster] key -> ClusterSpec field of `cluster`
+CLUSTER_KEYS = {"nodes": "node_count", "cores_per_node": "cores_per_node",
+                "bypass_nic": "has_bypass_nic"}
+# [models] key -> (regressor variant, constructor parameter)
+MODEL_KEYS = {
+    "learning_rate": ("linear_sgd", "learning_rate"),
+    "alpha": ("bayesian", "alpha"),
+    "beta": ("bayesian", "beta"),
+    "aggressiveness": ("passive_aggressive", "C"),
+    "epsilon": ("passive_aggressive", "epsilon"),
+}
+# [pod:<name>] keys are the PodSpec fields; a section without `kind` is a
+# deployment, unlike PodSpec's own default
+POD_KEYS = {f.name: f.name for f in fields(PodSpec) if f.name != "name"}
 
 
 class ConfigError(Exception):
@@ -54,32 +79,39 @@ class ScenarioError(Exception):
     pass
 
 
+def _ini(section: str, key: str, default=MISSING, *, report: bool = True):
+    """A scalar ScenarioConfig field read from `key` of INI `[section]`;
+    `report=False` leaves it out of summary()."""
+    return field(default=default, metadata={"ini": (section, key), "report": report})
+
+
 @dataclass
 class ScenarioConfig:
-    experiment: str
-    seed: int
+    experiment: str = _ini("experiment", "kind")
+    seed: int = _ini("experiment", "seed")
     cluster: ClusterSpec = field(default_factory=lambda: ClusterSpec(33, 16))
-    out_dir: str = "out"
-    anchors_path: str | None = None
+    out_dir: str = _ini("output", "directory", "out", report=False)
+    anchors_path: str | None = _ini("experiment", "anchors", None, report=False)
     # scaling study
-    sizes: tuple[int, ...] = (4, 8, 16, 32)
-    iterations: int = 20
+    sizes: tuple[int, ...] = _ini("experiment", "sizes", (4, 8, 16, 32))
+    iterations: int = _ini("experiment", "iterations", 20)
     # taxonomy
-    taxonomy_nodes: int = 16
-    gang_min: int = 1
-    gang_max: int = 8
-    jobs_per_scheduler: int = 200
-    decision_cost_s: float = hiersched.DEFAULT_DECISION_COST_S
-    deadlock_horizon_s: float = hiersched.DEFAULT_DEADLOCK_HORIZON_S
+    taxonomy_nodes: int = _ini("taxonomy", "nodes", 16)
+    gang_min: int = _ini("taxonomy", "gang_min", 1)
+    gang_max: int = _ini("taxonomy", "gang_max", 8)
+    jobs_per_scheduler: int = _ini("taxonomy", "jobs_per_scheduler", 200)
+    decision_cost_s: float = _ini("taxonomy", "decision_cost", hiersched.DEFAULT_DECISION_COST_S)
+    deadlock_horizon_s: float = _ini("taxonomy", "deadlock_horizon",
+                                     hiersched.DEFAULT_DEADLOCK_HORIZON_S, report=False)
     # hybrid
-    train_count: int = 1000
-    test_count: int = 250
-    dim_min: int = 1
-    dim_max: int = 8
-    train_width: int = 1
-    noise_sigma: float = 0.05
-    sim_nodes: int = 4
-    service_nodes: int = 1
+    train_count: int = _ini("hybrid", "train_count", 1000)
+    test_count: int = _ini("hybrid", "test_count", 250)
+    dim_min: int = _ini("hybrid", "dim_min", 1)
+    dim_max: int = _ini("hybrid", "dim_max", 8)
+    train_width: int = _ini("hybrid", "train_width", 1)
+    noise_sigma: float = _ini("hybrid", "noise_sigma", 0.05)
+    sim_nodes: int = _ini("hybrid", "sim_nodes", 4)
+    service_nodes: int = _ini("hybrid", "service_nodes", 1)
     # per-variant regressor hyperparameters, e.g. {"linear_sgd": {"learning_rate": 0.02}}
     model_params: dict = field(default_factory=dict)
     # extra pod sets ([pod:<name>] sections) applied to any pod layer a
@@ -133,119 +165,83 @@ class ScenarioConfig:
                 raise ConfigError(f"bad pod spec {spec.name!r}: {err}") from err
 
     def summary(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "cluster_nodes": self.cluster.node_count,
-            "cores_per_node": self.cluster.cores_per_node,
-            "sizes": list(self.sizes),
-            "iterations": self.iterations,
-            "taxonomy_nodes": self.taxonomy_nodes,
-            "gang_min": self.gang_min,
-            "gang_max": self.gang_max,
-            "jobs_per_scheduler": self.jobs_per_scheduler,
-            "decision_cost_s": self.decision_cost_s,
-            "train_count": self.train_count,
-            "test_count": self.test_count,
-            "dim_min": self.dim_min,
-            "dim_max": self.dim_max,
-            "train_width": self.train_width,
-            "noise_sigma": self.noise_sigma,
-            "sim_nodes": self.sim_nodes,
-            "service_nodes": self.service_nodes,
-            "model_params": self.model_params,
-            "pod_specs": [spec.name for spec in self.pod_specs],
-        }
+        """The config as embedded in every bundle.json: each field declared
+        with report=True, and the cluster as node and core counts."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "cluster":
+                out.update(cluster_nodes=value.node_count, cores_per_node=value.cores_per_node)
+            elif f.name == "pod_specs":
+                out[f.name] = [spec.name for spec in value]
+            elif f.metadata.get("report", True):
+                out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
+
+
+def _parse(sec, key: str, kind):
+    """The value of `key` in section `sec`, parsed as the field type `kind`."""
+    if kind == tuple[int, ...]:
+        return tuple(int(tok) for tok in sec[key].split())
+    kind = next(k for k in typing.get_args(kind) or (kind,) if k is not type(None))
+    getters = {int: sec.getint, float: sec.getfloat, bool: sec.getboolean}
+    return getters.get(kind, sec.get)(key)
+
+
+def _check_keys(sec, keys):
+    unknown = sorted(set(sec) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in [{sec.name}]")
+
+
+def _read(sec, keys: dict, owner) -> dict:
+    """{field: value} for every key of `sec`; `keys` maps an INI key to a
+    field of dataclass `owner`, whose type decides how the value parses."""
+    _check_keys(sec, keys)
+    types = {f.name: f.type for f in fields(owner)}
+    return {keys[key]: _parse(sec, key, types[keys[key]]) for key in sec}
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse the INI-style scenario file (see README for the full grammar)."""
+    """Parse the INI-style scenario file (see README for the full grammar).
+
+    A key left out keeps its default. A key the schema does not know is
+    an error in a section the schema owns; other sections are ignored.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     try:
-        experiment = parser.get("experiment", "kind")
-        seed = parser.getint("experiment", "seed")
-    except (configparser.Error, ValueError) as err:
-        raise ConfigError(f"bad [experiment] section: {err}") from err
-    cfg = ScenarioConfig(experiment=experiment, seed=seed)
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+    except configparser.Error as err:
+        raise ConfigError(f"malformed config file {path}: {err}") from err
+    scalars: dict[str, dict] = {}  # section -> {key: ScenarioConfig field}
+    for f in fields(ScenarioConfig):
+        if "ini" in f.metadata:
+            section, key = f.metadata["ini"]
+            scalars.setdefault(section, {})[key] = f.name
+    values, cluster, model_params, pod_specs = {}, {}, {}, []
     try:
-        if parser.has_section("cluster"):
-            cfg.cluster = ClusterSpec(
-                node_count=parser.getint("cluster", "nodes", fallback=33),
-                cores_per_node=parser.getint("cluster", "cores_per_node", fallback=16),
-                has_bypass_nic=parser.getboolean("cluster", "bypass_nic", fallback=True),
-            )
-        if parser.has_option("experiment", "iterations"):
-            cfg.iterations = parser.getint("experiment", "iterations")
-        if parser.has_option("experiment", "sizes"):
-            cfg.sizes = tuple(
-                int(tok) for tok in parser.get("experiment", "sizes").split()
-            )
-        if parser.has_option("experiment", "anchors"):
-            cfg.anchors_path = parser.get("experiment", "anchors")
-        if parser.has_section("taxonomy"):
-            sec = parser["taxonomy"]
-            cfg.taxonomy_nodes = sec.getint("nodes", cfg.taxonomy_nodes)
-            cfg.gang_min = sec.getint("gang_min", cfg.gang_min)
-            cfg.gang_max = sec.getint("gang_max", cfg.gang_max)
-            cfg.jobs_per_scheduler = sec.getint(
-                "jobs_per_scheduler", cfg.jobs_per_scheduler
-            )
-            cfg.decision_cost_s = sec.getfloat("decision_cost", cfg.decision_cost_s)
-            cfg.deadlock_horizon_s = sec.getfloat(
-                "deadlock_horizon", cfg.deadlock_horizon_s
-            )
-        if parser.has_section("hybrid"):
-            sec = parser["hybrid"]
-            cfg.train_count = sec.getint("train_count", cfg.train_count)
-            cfg.test_count = sec.getint("test_count", cfg.test_count)
-            cfg.dim_min = sec.getint("dim_min", cfg.dim_min)
-            cfg.dim_max = sec.getint("dim_max", cfg.dim_max)
-            cfg.train_width = sec.getint("train_width", cfg.train_width)
-            cfg.noise_sigma = sec.getfloat("noise_sigma", cfg.noise_sigma)
-            cfg.sim_nodes = sec.getint("sim_nodes", cfg.sim_nodes)
-            cfg.service_nodes = sec.getint("service_nodes", cfg.service_nodes)
         for section in parser.sections():
-            if not section.startswith("pod:"):
-                continue
             sec = parser[section]
-            cfg.pod_specs.append(
-                podlayer.PodSpec(
-                    name=section[len("pod:"):],
-                    kind=sec.get("kind", podlayer.DEPLOYMENT),
-                    replicas=sec.getint("replicas", 1),
-                    cpu_request=sec.getfloat("cpu_request", 0.0),
-                    cpu_limit=sec.getfloat("cpu_limit", fallback=None),
-                    requires_bypass_nic=sec.getboolean("requires_bypass_nic", False),
-                    anti_affinity=sec.getboolean("anti_affinity", True),
-                )
-            )
-        if parser.has_section("models"):
-            sec = parser["models"]
-            params: dict = {}
-            if "learning_rate" in sec:
-                params.setdefault("linear_sgd", {})["learning_rate"] = sec.getfloat(
-                    "learning_rate"
-                )
-            if "alpha" in sec:
-                params.setdefault("bayesian", {})["alpha"] = sec.getfloat("alpha")
-            if "beta" in sec:
-                params.setdefault("bayesian", {})["beta"] = sec.getfloat("beta")
-            if "aggressiveness" in sec:
-                params.setdefault("passive_aggressive", {})["C"] = sec.getfloat(
-                    "aggressiveness"
-                )
-            if "epsilon" in sec:
-                params.setdefault("passive_aggressive", {})["epsilon"] = sec.getfloat(
-                    "epsilon"
-                )
-            cfg.model_params = params
-        if parser.has_section("output"):
-            cfg.out_dir = parser.get("output", "directory", fallback=cfg.out_dir)
+            if section in scalars:
+                values.update(_read(sec, scalars[section], ScenarioConfig))
+            elif section == "cluster":
+                cluster = _read(sec, CLUSTER_KEYS, ClusterSpec)
+            elif section == "models":
+                _check_keys(sec, MODEL_KEYS)
+                for key, (variant, param) in MODEL_KEYS.items():
+                    if key in sec:
+                        model_params.setdefault(variant, {})[param] = sec.getfloat(key)
+            elif section.startswith("pod:"):
+                spec = {"kind": podlayer.DEPLOYMENT, **_read(sec, POD_KEYS, PodSpec)}
+                pod_specs.append(PodSpec(name=section[len("pod:"):], **spec))
     except ValueError as err:
         raise ConfigError(f"bad config value: {err}") from err
+    for key in ("kind", "seed"):
+        if not parser.has_option("experiment", key):
+            raise ConfigError(f"bad [experiment] section: {key} is mandatory")
+    cfg = ScenarioConfig(**values, model_params=model_params, pod_specs=pod_specs)
+    cfg.cluster = replace(cfg.cluster, **cluster)
     cfg.validate()
     return cfg
 
@@ -337,53 +333,14 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
                     "cpu_pct": workloads.cpu_utilization(env, size),
                 }
             )
-            bundle.osu_series.extend(_osu_rows(env, size, network))
+            bundle.osu_series.extend(
+                {"environment": env, "nodes": size, "benchmark": bench, "message_bytes": m,
+                 "value": workloads.osu_replay(env, bench, size, m, network)}
+                for bench, m in OSU_CASES
+            )
     if not graph.root_fully_free():
         raise ScenarioError("scaling study leaked allocations")
     return bundle
-
-
-def _osu_rows(env, size, network):
-    rows = []
-    for m in OSU_P2P_SIZES:
-        rows.append(
-            {
-                "environment": env,
-                "nodes": size,
-                "benchmark": "latency",
-                "message_bytes": m,
-                "value": workloads.osu_replay(env, "latency", size, m, network),
-            }
-        )
-        rows.append(
-            {
-                "environment": env,
-                "nodes": size,
-                "benchmark": "bw",
-                "message_bytes": m,
-                "value": workloads.osu_replay(env, "bw", size, m, network),
-            }
-        )
-    rows.append(
-        {
-            "environment": env,
-            "nodes": size,
-            "benchmark": "barrier",
-            "message_bytes": 0,
-            "value": workloads.osu_replay(env, "barrier", size, 0, network),
-        }
-    )
-    for m in OSU_ALLREDUCE_SIZES:
-        rows.append(
-            {
-                "environment": env,
-                "nodes": size,
-                "benchmark": "allreduce",
-                "message_bytes": m,
-                "value": workloads.osu_replay(env, "allreduce", size, m, network),
-            }
-        )
-    return rows
 
 
 # --- taxonomy -----------------------------------------------------------------
@@ -396,42 +353,21 @@ def run_taxonomy_suite(cfg: ScenarioConfig) -> ReportBundle:
     cfg.validate()
     bundle = ReportBundle(kind=TAXONOMY, seed=cfg.seed, config=cfg.summary())
     cluster = ClusterSpec(cfg.taxonomy_nodes, cfg.cluster.cores_per_node)
-    for mode in hiersched.TAXONOMY_MODES:
-        for gang in range(cfg.gang_min, cfg.gang_max + 1):
-            workload = hiersched.make_jobs([gang] * (2 * cfg.jobs_per_scheduler))
-            metrics = run_taxonomy(
-                mode, workload, cluster,
-                decision_cost_s=cfg.decision_cost_s,
-                seed=cfg.seed,
-                deadlock_horizon_s=cfg.deadlock_horizon_s,
-            )
-            bundle.taxonomy_rows.append(_taxonomy_row(metrics, gang))
     oversized = cfg.taxonomy_nodes // 2 + 1
-    workload = hiersched.make_jobs([oversized, oversized], duration_s=300.0)
-    metrics = run_taxonomy(
-        hiersched.TWO_LEVEL, workload, cluster,
-        decision_cost_s=cfg.decision_cost_s,
-        seed=cfg.seed,
-        deadlock_horizon_s=cfg.deadlock_horizon_s,
-    )
-    bundle.taxonomy_rows.append(_taxonomy_row(metrics, oversized))
+    # (mode, gang size, job count, job duration): the sweep, then the hoarding case
+    cases = [(mode, gang, 2 * cfg.jobs_per_scheduler, 0.0)
+             for mode in hiersched.TAXONOMY_MODES
+             for gang in range(cfg.gang_min, cfg.gang_max + 1)]
+    cases.append((hiersched.TWO_LEVEL, oversized, 2, 300.0))
+    for mode, gang, count, duration_s in cases:
+        metrics = run_taxonomy(
+            mode, hiersched.make_jobs([gang] * count, duration_s), cluster,
+            decision_cost_s=cfg.decision_cost_s,
+            seed=cfg.seed,
+            deadlock_horizon_s=cfg.deadlock_horizon_s,
+        )
+        bundle.taxonomy_rows.append({**asdict(metrics), "gang_size": gang})
     return bundle
-
-
-def _taxonomy_row(metrics: hiersched.SchedMetrics, gang: int) -> dict:
-    return {
-        "mode": metrics.mode,
-        "gang_size": gang,
-        "conflict_fraction": metrics.conflict_fraction,
-        "busyness": metrics.busyness,
-        "deadlocked": metrics.deadlocked,
-        "throughput": metrics.throughput,
-        "completed": metrics.completed,
-        "attempts": metrics.attempts,
-        "conflicts": metrics.conflicts,
-        "rejected": metrics.rejected,
-        "makespan_s": metrics.makespan_s,
-    }
 
 
 # --- hybrid -------------------------------------------------------------------

@@ -21,15 +21,13 @@ it is a hypothesis, not a measurement.
 
 from dataclasses import dataclass, field
 
+from .netmodel import OS_BYPASS, TAP_RELAY
 from .resgraph import ResourceGraph
 
 JOB_SET = "job_set"
 DEPLOYMENT = "deployment"
 DAEMONSET = "daemonset"
 POD_KINDS = (JOB_SET, DEPLOYMENT, DAEMONSET)
-
-OS_BYPASS = "os_bypass"
-TAP_RELAY = "tap_relay"
 
 
 class PodLayerError(Exception):

@@ -83,9 +83,7 @@ class Allocation:
     alloc_id: int
     parent: int | None
     node_slices: dict[int, int]  # node_id -> granted core count
-    lifetime: float | None = None
     children: set[int] = field(default_factory=set)
-    released: bool = False
 
     @property
     def node_ids(self) -> list[int]:
@@ -97,7 +95,10 @@ class Allocation:
 
 
 class ResourceGraph:
-    """Nodes plus the live allocation tree rooted at `root_allocation`."""
+    """Nodes plus the live allocation tree rooted at `root_allocation`.
+
+    Only live allocations are kept; a release drops its entry.
+    """
 
     def __init__(self, nodes: list[NodeRecord]):
         self.nodes = {n.node_id: n for n in nodes}
@@ -122,12 +123,12 @@ class ResourceGraph:
 
     def allocation(self, alloc_id: int) -> Allocation:
         alloc = self._allocations.get(alloc_id)
-        if alloc is None or alloc.released:
+        if alloc is None:
             raise UnknownAllocationError(f"allocation {alloc_id} does not exist")
         return alloc
 
     def live_allocations(self) -> list[Allocation]:
-        return [a for a in self._allocations.values() if not a.released]
+        return list(self._allocations.values())
 
     def free_cores(self, alloc_id: int, node_id: int) -> int:
         """Cores of `node_id` granted to `alloc_id` and not re-granted to a child."""
@@ -137,8 +138,7 @@ class ResourceGraph:
             held -= self._allocations[child_id].node_slices.get(node_id, 0)
         return held
 
-    def carve(self, parent_id: int, request: ResourceRequest,
-              lifetime: float | None = None) -> Allocation:
+    def carve(self, parent_id: int, request: ResourceRequest) -> Allocation:
         """Grant a child allocation out of the parent's free capacity.
 
         Node selection is first-fit in ascending node_id order, which keeps
@@ -167,12 +167,7 @@ class ResourceGraph:
                 f"allocation {parent_id} cannot satisfy {request.nodes} node(s) "
                 f"(found {len(chosen)} candidate(s))"
             )
-        child = Allocation(
-            alloc_id=self._take_id(),
-            parent=parent_id,
-            node_slices=chosen,
-            lifetime=lifetime,
-        )
+        child = Allocation(alloc_id=self._take_id(), parent=parent_id, node_slices=chosen)
         self._allocations[child.alloc_id] = child
         parent.children.add(child.alloc_id)
         self.oplog.append(("carve", child.alloc_id, parent_id, dict(chosen)))
@@ -187,7 +182,7 @@ class ResourceGraph:
             raise AllocationInUseError(
                 f"allocation {alloc_id} still has live children {sorted(alloc.children)}"
             )
-        alloc.released = True
+        del self._allocations[alloc_id]
         self._allocations[alloc.parent].children.discard(alloc_id)
         self.oplog.append(("release", alloc_id, alloc.parent, dict(alloc.node_slices)))
 

@@ -55,9 +55,15 @@ class Engine:
         self.dispatched = 0
         # trace of (fire_at, label) for every dispatched event
         self.trace: list[tuple[float, str]] = []
-        self._heap: list[tuple[float, int, int]] = []
-        self._actions: dict[int, tuple[Callable[[], None], str]] = {}
+        # (fire_at, event id, action, label); the unique id breaks ties FIFO
+        self._heap: list[tuple[float, int, Callable[[], None], str]] = []
         self._seq = 0
+
+    def next_id(self) -> int:
+        """Next value of the engine's one id counter, shared by events and
+        scheduler instances, so ids depend only on what ran on this engine."""
+        self._seq += 1
+        return self._seq
 
     def schedule(self, fire_at: SimTime, action: Callable[[], None], label: str = "") -> int:
         """Enqueue `action` to run at virtual time `fire_at`; returns the event id."""
@@ -65,10 +71,8 @@ class Engine:
             raise CausalityError(
                 f"cannot schedule event at t={fire_at} before current time t={self.now}"
             )
-        self._seq += 1
-        event_id = self._seq
-        heapq.heappush(self._heap, (float(fire_at), event_id, event_id))
-        self._actions[event_id] = (action, label)
+        event_id = self.next_id()
+        heapq.heappush(self._heap, (float(fire_at), event_id, action, label))
         return event_id
 
     def queue_size(self) -> int:
@@ -85,8 +89,7 @@ class Engine:
             raise CausalityError(f"run_until({t_end}) is in the past (now={self.now})")
         count = 0
         while self._heap and self._heap[0][0] <= t_end:
-            fire_at, _, event_id = heapq.heappop(self._heap)
-            action, label = self._actions.pop(event_id)
+            fire_at, _, action, label = heapq.heappop(self._heap)
             self.now = fire_at
             self.trace.append((fire_at, label))
             self.dispatched += 1

@@ -1,0 +1,78 @@
+"""The scenario file schema: unknown keys, the [pod:*] kind default, and
+the README's INI block, which must parse and show the defaults."""
+
+import inspect
+import re
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from convergesim import mlcore, podlayer
+from convergesim.orchestrator import ConfigError, ScenarioConfig, load_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BASE = "[experiment]\nkind = taxonomy\nseed = 1\n"
+
+
+@pytest.fixture
+def readme_ini(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    return path
+
+
+def write(tmp_path, text):
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    return path
+
+
+def test_pod_section_without_kind_is_a_deployment(tmp_path):
+    cfg = load_config(write(tmp_path, BASE + "[pod:x]\nreplicas = 2\n"))
+    assert cfg.pod_specs == [
+        podlayer.PodSpec(name="x", kind=podlayer.DEPLOYMENT, replicas=2)
+    ]
+
+
+@pytest.mark.parametrize("section", [
+    "[hybrid]\ntrain_cout = 5\n",
+    "iteration = 3\n",  # still in BASE's [experiment]
+    "[cluster]\nnode = 4\n",
+    "[taxonomy]\ndecision_cost_s = 0.01\n",
+    "[models]\nlearning = 0.1\n",
+    "[output]\ndir = elsewhere\n",
+    "[pod:x]\nreplica = 2\n",
+])
+def test_unknown_key_in_known_section_is_config_error(tmp_path, section):
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(write(tmp_path, BASE + section))
+
+
+def test_malformed_file_is_config_error(tmp_path):
+    with pytest.raises(ConfigError):
+        load_config(write(tmp_path, BASE + "[experiment]\nseed = 2\n"))
+
+
+def test_unknown_section_is_ignored(tmp_path):
+    cfg = load_config(write(tmp_path, BASE + "[notes]\nanything = goes\n"))
+    assert cfg.experiment == "taxonomy"
+
+
+def test_readme_ini_block_is_accepted(readme_ini):
+    cfg = load_config(readme_ini)
+    assert [spec.name for spec in cfg.pod_specs] == ["task-queue"]
+
+
+def test_readme_ini_values_are_the_defaults(readme_ini):
+    cfg = load_config(readme_ini)
+    default = ScenarioConfig(experiment=cfg.experiment, seed=cfg.seed)
+    for f in fields(ScenarioConfig):
+        if f.name not in ("model_params", "pod_specs"):
+            assert getattr(cfg, f.name) == getattr(default, f.name), f.name
+    for variant, params in cfg.model_params.items():
+        signature = inspect.signature(mlcore.MODEL_VARIANTS[variant])
+        for name, value in params.items():
+            assert value == signature.parameters[name].default, (variant, name)

@@ -118,6 +118,25 @@ def test_sibling_instances_never_overlap():
     assert_no_cross_instance_overlap(records)
 
 
+def test_same_workload_twice_in_one_process_gives_identical_traces():
+    def traced_run():
+        engine = Engine(3)
+        graph = build_cluster(ClusterSpec(8, 16))
+        insts = [
+            Instance(engine, graph, graph.carve(graph.root_allocation,
+                                                ResourceRequest(nodes=4)).alloc_id)
+            for _ in range(2)
+        ]
+        for i in range(1, 41):
+            insts[i % 2].submit(job(i, 1 + i % 3, duration=float(i % 5)))
+        engine.drain()
+        return engine.trace
+
+    first, second = traced_run(), traced_run()
+    assert len(first) > 80
+    assert first == second
+
+
 def test_unsatisfiable_core_request_rejected():
     engine, graph, inst = setup_instance(4, cores=8)
     bad = Job(job_id=1, duration=0.0,
@@ -216,7 +235,7 @@ def test_shared_state_matches_exhaustive_oracle_at_toy_scale():
     # the losing scheduler retries once per winning placement: the measured
     # conflict fraction is exactly 1/3
     for gang, p in zip((1, 2, 3, 4), probabilities):
-        workload = make_jobs([gang] * 160, gang=True)
+        workload = make_jobs([gang] * 160)
         metrics = run_taxonomy(SHARED_STATE, workload, ClusterSpec(4, 16), seed=7)
         if p == 1.0:
             assert metrics.conflict_fraction == pytest.approx(1.0 / 3.0, abs=1e-12)
