@@ -1,9 +1,12 @@
 """Streaming learning primitives: a running standardizer, three
 incremental regressors, and the coefficient of determination.
 
-Samples arrive one at a time as {feature_name: value} dicts. A model
-fixes its feature set on the first learn call; later calls must use the
-same keys. Weight updates:
+Samples arrive one at a time as {feature_name: value} dicts. The scaler
+and each model fix their feature set on the first learn call, in sorted
+name order, and hold the scaler statistics and the model weights in that
+order. Every sample must have finite values (else ValueError) and, once
+the set is fixed, exactly those keys (else DimensionMismatchError); a
+rejected sample or target changes no state. Weight updates:
 
   linear_sgd           e = yhat - y;  w -= lr * e * x;  b -= lr * e
   bayesian             A += beta * x x^T;  c += beta * y * x
@@ -24,7 +27,6 @@ than maintaining an explicit inverse; feature counts here are tiny.
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,81 +37,106 @@ class DimensionMismatchError(Exception):
     pass
 
 
-def _as_vector(x: dict, names: tuple[str, ...]) -> np.ndarray:
-    if set(x) != set(names):
-        raise DimensionMismatchError(
-            f"features {sorted(x)} do not match model features {sorted(names)}"
-        )
-    return np.array([float(x[name]) for name in names], dtype=float)
+def _sample_values(x: dict, names: tuple[str, ...]) -> list[float]:
+    """The values of sample x in the order of names.
 
-
-def _check_finite(x: dict):
+    Raises ValueError if a value is not finite, then DimensionMismatchError
+    if the keys of x are not exactly names.
+    """
     for name, value in x.items():
         if not math.isfinite(float(value)):
             raise ValueError(f"non-finite value for feature {name!r}")
+    if x.keys() != set(names):
+        raise DimensionMismatchError(
+            f"features {sorted(x)} do not match model features {sorted(names)}"
+        )
+    return [float(x[name]) for name in names]
 
 
-@dataclass
-class _FeatureStat:
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0  # sum of squared deviations
+class _FixedFeatures:
+    """A feature set fixed, in sorted order, by the first learned sample.
 
-    @property
-    def variance(self) -> float:
-        # population variance, the single-pass streaming convention
-        return self.m2 / self.n if self.n >= 1 else 0.0
+    Subclasses keep every per-feature quantity in that order and create
+    it in `_init_state`.
+    """
+
+    feature_names: tuple[str, ...] | None = None
+
+    def _values(self, x: dict) -> list[float]:
+        # before the first learn, any key set is the fixed one
+        return _sample_values(x, self.feature_names or tuple(sorted(x)))
+
+    def _learn_values(self, x: dict) -> list[float]:
+        values = self._values(x)
+        if self.feature_names is None:
+            self.feature_names = tuple(sorted(x))
+            self._init_state(len(values))
+        return values
 
 
-class RunningScaler:
+class RunningScaler(_FixedFeatures):
     """Single-pass standardizer: zero mean, unit (population) variance.
 
-    Uses the numerically stable one-pass recurrence
+    Uses Welford's numerically stable one-pass recurrence
     delta = x - mean; mean += delta / n; m2 += delta * (x - mean).
-    Zero-variance features transform to 0.
+    Zero-variance features transform to 0. A sample whose update would
+    overflow the statistics raises ValueError and is not learned.
     """
 
     def __init__(self):
-        self._stats: dict[str, _FeatureStat] = {}
+        self.count = 0
+        self._mean: list[float] = []
+        self._m2: list[float] = []  # sums of squared deviations
 
-    @property
-    def count(self) -> int:
-        return max((s.n for s in self._stats.values()), default=0)
+    def _init_state(self, dim: int):
+        self._mean = [0.0] * dim
+        self._m2 = [0.0] * dim
 
     def learn_transform(self, x: dict) -> dict:
         """Update the running statistics with x, then return the scaled x."""
-        _check_finite(x)
-        for name, value in x.items():
-            stat = self._stats.setdefault(name, _FeatureStat())
-            stat.n += 1
-            delta = float(value) - stat.mean
-            stat.mean += delta / stat.n
-            stat.m2 += delta * (float(value) - stat.mean)
-        return self.transform(x)
+        values = self._learn_values(x)
+        n = self.count + 1
+        means, m2s, out = [], [], {}
+        for name, value, mean, m2 in zip(self.feature_names, values, self._mean, self._m2):
+            delta = value - mean
+            mean += delta / n
+            m2 += delta * (value - mean)
+            # a first sample cannot overflow (its m2 is 0), so no raise
+            # follows the fixing of the feature set
+            if not math.isfinite(m2):
+                raise ValueError(f"statistics of feature {name!r} overflow")
+            std = math.sqrt(m2 / n)
+            out[name] = (value - mean) / std if std > 0.0 else 0.0
+            means.append(mean)
+            m2s.append(m2)
+        self.count, self._mean, self._m2 = n, means, m2s
+        return out
 
     def transform(self, x: dict) -> dict:
         """Scale x with the current statistics, without learning from it."""
-        _check_finite(x)
+        values = self._values(x)
+        if self.feature_names is None:
+            return dict.fromkeys(sorted(x), 0.0)
         out = {}
-        for name, value in x.items():
-            stat = self._stats.get(name, _FeatureStat())
-            std = math.sqrt(stat.variance)
-            out[name] = (float(value) - stat.mean) / std if std > 0.0 else 0.0
+        for name, value, mean, m2 in zip(self.feature_names, values, self._mean, self._m2):
+            std = math.sqrt(m2 / self.count)
+            out[name] = (value - mean) / std if std > 0.0 else 0.0
         return out
 
     def mean(self, name: str) -> float:
-        return self._stats[name].mean
+        return dict(zip(self.feature_names or (), self._mean))[name]
 
     def variance(self, name: str) -> float:
-        return self._stats[name].variance
+        # population variance, the single-pass streaming convention
+        return dict(zip(self.feature_names or (), self._m2))[name] / self.count
 
     def to_state(self) -> dict:
         return {
             "format": MODEL_FORMAT,
             "kind": "running_scaler",
             "stats": {
-                name: {"n": s.n, "mean": s.mean, "m2": s.m2}
-                for name, s in sorted(self._stats.items())
+                name: {"n": self.count, "mean": mean, "m2": m2}
+                for name, mean, m2 in zip(self.feature_names or (), self._mean, self._m2)
             },
         }
 
@@ -117,61 +144,91 @@ class RunningScaler:
     def from_state(cls, state: dict) -> "RunningScaler":
         _check_format(state, "running_scaler")
         scaler = cls()
-        for name, s in state["stats"].items():
-            scaler._stats[name] = _FeatureStat(n=int(s["n"]), mean=float(s["mean"]),
-                                               m2=float(s["m2"]))
+        stats = state["stats"]
+        counts = {int(s["n"]) for s in stats.values()}
+        if len(counts) > 1:
+            raise ValueError(f"per-feature sample counts differ: {sorted(counts)}")
+        if stats:
+            scaler.feature_names = tuple(sorted(stats))
+            scaler.count = counts.pop()
+            scaler._mean = [float(stats[name]["mean"]) for name in scaler.feature_names]
+            scaler._m2 = [float(stats[name]["m2"]) for name in scaler.feature_names]
         return scaler
 
 
-class _RegressorBase:
-    variant = "base"
+class _RegressorBase(_FixedFeatures):
+    """Shared learn/predict and the state codec.
 
-    def __init__(self):
-        self.feature_names: tuple[str, ...] | None = None
-        self.samples_seen = 0
+    A subclass declares its state once: `params` are its constructor
+    parameters, `arrays` its numpy state (None until the feature set is
+    fixed) and `scalars` its float state.
+    """
+
+    variant = "base"
+    params: tuple[str, ...] = ()
+    arrays: tuple[str, ...] = ()
+    scalars: tuple[str, ...] = ()
+    samples_seen = 0
 
     @property
     def cold(self) -> bool:
         return self.samples_seen == 0
 
-    def _vector(self, x: dict) -> np.ndarray:
-        if self.feature_names is None:
-            raise DimensionMismatchError("model has no fixed dimension yet")
-        return _as_vector(x, self.feature_names)
-
-    def _fix_dimension(self, x: dict):
-        if self.feature_names is None:
-            self.feature_names = tuple(sorted(x))
-            self._init_arrays(len(self.feature_names))
-
-    def _init_arrays(self, dim: int):
-        raise NotImplementedError
-
     def learn(self, x: dict, y: float) -> None:
-        _check_finite(x)
-        self._fix_dimension(x)
-        self._update(self._vector(x), float(y))
+        y = float(y)
+        if not math.isfinite(y):
+            raise ValueError("non-finite target")
+        self._update(np.array(self._learn_values(x)), y)
         self.samples_seen += 1
 
     def predict(self, x: dict) -> float:
         """Point prediction; an untrained model answers 0 (see `cold`)."""
         if self.cold:
             return 0.0
-        return float(self._predict_vec(self._vector(x)))
+        return float(self._predict_vec(np.array(self._values(x))))
+
+    def to_state(self) -> dict:
+        state = {
+            "format": MODEL_FORMAT,
+            "kind": self.variant,
+            "features": list(self.feature_names or ()),
+            "samples_seen": self.samples_seen,
+        }
+        for name in self.params + self.scalars:
+            state[name] = getattr(self, name)
+        for name in self.arrays:
+            array = getattr(self, name)
+            state[name] = None if array is None else array.tolist()
+        return state
+
+    @classmethod
+    def from_state(cls, state: dict) -> "_RegressorBase":
+        _check_format(state, cls.variant)
+        model = cls(**{name: float(state[name]) for name in cls.params})
+        model.feature_names = tuple(state.get("features") or ()) or None
+        model.samples_seen = int(state["samples_seen"])
+        for name in cls.scalars:
+            setattr(model, name, float(state[name]))
+        for name in cls.arrays:
+            if state[name] is not None:
+                setattr(model, name, np.array(state[name], dtype=float))
+        return model
 
 
 class LinearSGD(_RegressorBase):
     """Least-squares linear regression trained by per-sample gradient steps."""
 
     variant = "linear_sgd"
+    params = ("learning_rate",)
+    arrays = ("w",)
+    scalars = ("b",)
 
     def __init__(self, learning_rate: float = 0.01):
-        super().__init__()
         self.learning_rate = learning_rate
         self.w: np.ndarray | None = None
         self.b = 0.0
 
-    def _init_arrays(self, dim: int):
+    def _init_state(self, dim: int):
         self.w = np.zeros(dim)
 
     def _update(self, x: np.ndarray, y: float):
@@ -182,27 +239,6 @@ class LinearSGD(_RegressorBase):
     def _predict_vec(self, x: np.ndarray) -> float:
         return self.w @ x + self.b
 
-    def to_state(self) -> dict:
-        return {
-            "format": MODEL_FORMAT,
-            "kind": self.variant,
-            "learning_rate": self.learning_rate,
-            "features": list(self.feature_names or ()),
-            "samples_seen": self.samples_seen,
-            "w": list(map(float, self.w)) if self.w is not None else None,
-            "b": self.b,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LinearSGD":
-        _check_format(state, "linear_sgd")
-        model = cls(learning_rate=float(state["learning_rate"]))
-        _restore_base(model, state)
-        if state["w"] is not None:
-            model.w = np.array(state["w"], dtype=float)
-        model.b = float(state["b"])
-        return model
-
 
 class BayesianLinear(_RegressorBase):
     """Bayesian linear regression via the precision matrix A and moment c.
@@ -212,9 +248,10 @@ class BayesianLinear(_RegressorBase):
     """
 
     variant = "bayesian"
+    params = ("alpha", "beta")
+    arrays = ("A", "c")
 
     def __init__(self, alpha: float = 1.0, beta: float = 1.0):
-        super().__init__()
         if alpha <= 0 or beta <= 0:
             raise ValueError("alpha and beta must be positive")
         self.alpha = alpha
@@ -222,7 +259,7 @@ class BayesianLinear(_RegressorBase):
         self.A: np.ndarray | None = None
         self.c: np.ndarray | None = None
 
-    def _init_arrays(self, dim: int):
+    def _init_state(self, dim: int):
         self.A = self.alpha * np.eye(dim)
         self.c = np.zeros(dim)
 
@@ -236,43 +273,23 @@ class BayesianLinear(_RegressorBase):
     def _predict_vec(self, x: np.ndarray) -> float:
         return self.weights() @ x
 
-    def to_state(self) -> dict:
-        return {
-            "format": MODEL_FORMAT,
-            "kind": self.variant,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "features": list(self.feature_names or ()),
-            "samples_seen": self.samples_seen,
-            "A": [list(map(float, row)) for row in self.A] if self.A is not None else None,
-            "c": list(map(float, self.c)) if self.c is not None else None,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "BayesianLinear":
-        _check_format(state, "bayesian")
-        model = cls(alpha=float(state["alpha"]), beta=float(state["beta"]))
-        _restore_base(model, state)
-        if state["A"] is not None:
-            model.A = np.array(state["A"], dtype=float)
-            model.c = np.array(state["c"], dtype=float)
-        return model
-
 
 class PassiveAggressive(_RegressorBase):
     """PA-I regression: updates only outside the epsilon-insensitive band,
     with step size clipped at the aggressiveness parameter C."""
 
     variant = "passive_aggressive"
+    params = ("C", "epsilon")
+    arrays = ("w",)
+    scalars = ("b",)
 
     def __init__(self, C: float = 1.0, epsilon: float = 0.1):
-        super().__init__()
         self.C = C
         self.epsilon = epsilon
         self.w: np.ndarray | None = None
         self.b = 0.0
 
-    def _init_arrays(self, dim: int):
+    def _init_state(self, dim: int):
         self.w = np.zeros(dim)
 
     def _update(self, x: np.ndarray, y: float):
@@ -290,28 +307,6 @@ class PassiveAggressive(_RegressorBase):
 
     def _predict_vec(self, x: np.ndarray) -> float:
         return self.w @ x + self.b
-
-    def to_state(self) -> dict:
-        return {
-            "format": MODEL_FORMAT,
-            "kind": self.variant,
-            "C": self.C,
-            "epsilon": self.epsilon,
-            "features": list(self.feature_names or ()),
-            "samples_seen": self.samples_seen,
-            "w": list(map(float, self.w)) if self.w is not None else None,
-            "b": self.b,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "PassiveAggressive":
-        _check_format(state, "passive_aggressive")
-        model = cls(C=float(state["C"]), epsilon=float(state["epsilon"]))
-        _restore_base(model, state)
-        if state["w"] is not None:
-            model.w = np.array(state["w"], dtype=float)
-        model.b = float(state["b"])
-        return model
 
 
 MODEL_VARIANTS = {
@@ -334,12 +329,6 @@ def _check_format(state: dict, kind: str):
         raise ValueError(f"state kind {state.get('kind')!r} does not match {kind!r}")
 
 
-def _restore_base(model: _RegressorBase, state: dict):
-    features = state.get("features") or []
-    model.feature_names = tuple(features) if features else None
-    model.samples_seen = int(state["samples_seen"])
-
-
 def model_to_json(model) -> str:
     """Serialize model state as decimal text (shortest round-trip floats)."""
     return json.dumps(model.to_state(), sort_keys=True)
@@ -356,13 +345,14 @@ def model_from_json(text: str):
 
 
 def r_squared(pairs: list[tuple[float, float]]) -> float | None:
-    """1 - SS_res/SS_tot over (y_true, y_pred) pairs; None when SS_tot is 0."""
+    """1 - SS_res/SS_tot over (y_true, y_pred) pairs; None when SS_tot is 0
+    or overflows."""
     if len(pairs) < 2:
         raise ValueError("r_squared needs at least 2 pairs")
     y_true = np.array([p[0] for p in pairs], dtype=float)
     y_pred = np.array([p[1] for p in pairs], dtype=float)
     ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
-    if ss_tot == 0.0:
+    if ss_tot == 0.0 or not math.isfinite(ss_tot):
         return None
     ss_res = float(np.sum((y_true - y_pred) ** 2))
     return 1.0 - ss_res / ss_tot

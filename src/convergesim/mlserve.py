@@ -23,20 +23,21 @@ items. Model names are restricted to [A-Za-z0-9_.-]+ so no quoting is
 needed anywhere.
 
 Every mutating verb bumps the model's sequence counter and echoes it, so
-a response trace makes interleaved partial updates detectable: train is
-atomic per model.
+a response trace makes interleaved partial updates detectable. A request
+is checked in full before it changes anything, so a rejected request
+leaves the model unchanged; a socket mount serves one request at a time.
 """
 
+import math
 import re
 import socket
 import socketserver
+import threading
 from dataclasses import dataclass, field
 
 from . import mlcore
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-
-VERBS = ("create", "train", "predict", "record_truth", "metrics", "stats", "list_models")
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,6 @@ class MLService:
         self._models: dict[str, _ModelEntry] = {}
         self._model_defaults = model_defaults or {}
 
-    def model_names(self) -> list[str]:
-        return list(self._models)
-
     def entry(self, name: str) -> _ModelEntry:
         return self._models[name]
 
@@ -128,6 +126,8 @@ class MLService:
     def _train(self, entry: _ModelEntry, req: ServiceRequest) -> ServiceResponse:
         if not req.features or req.y is None:
             return _bad_request("missing_training_sample")
+        if not math.isfinite(req.y):  # checked before the scaler learns from the sample
+            return _bad_request("ValueError")
         try:
             scaled = entry.scaler.learn_transform(req.features)
             entry.model.learn(scaled, req.y)
@@ -152,6 +152,8 @@ class MLService:
     def _record_truth(self, entry: _ModelEntry, req: ServiceRequest) -> ServiceResponse:
         if req.y_true is None or req.y_pred is None:
             return _bad_request("missing_pair")
+        if not (math.isfinite(req.y_true) and math.isfinite(req.y_pred)):
+            return _bad_request("non_finite_pair")
         entry.truths.append((req.y_true, req.y_pred))
         entry.seq += 1
         return _ok(pairs=len(entry.truths), seq=entry.seq)
@@ -283,25 +285,29 @@ class _LineHandler(socketserver.StreamRequestHandler):
             line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            reply = handle_line(self.server.service, line)
+            with self.server.lock:
+                reply = handle_line(self.server.service, line)
             self.wfile.write((reply + "\n").encode("utf-8"))
 
 
-class ServiceServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
+class _Mount:
+    """A threaded socket server for one MLService. Its lock serves one
+    request at a time, so no request sees another half done."""
+
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], service: MLService):
+    def __init__(self, address, service: MLService):
         super().__init__(address, _LineHandler)
         self.service = service
+        self.lock = threading.Lock()
 
 
-class UnixServiceServer(socketserver.ThreadingUnixStreamServer):
-    daemon_threads = True
+class ServiceServer(_Mount, socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
 
-    def __init__(self, path: str, service: MLService):
-        super().__init__(path, _LineHandler)
-        self.service = service
+
+class UnixServiceServer(_Mount, socketserver.ThreadingUnixStreamServer):
+    pass
 
 
 def serve_tcp(host: str, port: int, service: MLService | None = None) -> ServiceServer:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -64,6 +65,40 @@ def test_scaler_transform_does_not_learn():
 def test_scaler_rejects_non_finite():
     with pytest.raises(ValueError):
         RunningScaler().learn_transform({"v": float("nan")})
+
+
+def test_scaler_rejects_a_new_key_set_and_keeps_its_state():
+    scaler = RunningScaler()
+    scaler.learn_transform({"a": 1.0, "b": 2.0})
+    scaler.learn_transform({"a": 3.0, "b": 5.0})
+    before = model_to_json(scaler)
+    for sample in ({"a": 1e6}, {"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 1.0, "c": 2.0}):
+        with pytest.raises(DimensionMismatchError):
+            scaler.learn_transform(sample)
+        with pytest.raises(DimensionMismatchError):
+            scaler.transform(sample)
+    assert model_to_json(scaler) == before
+    assert scaler.feature_names == ("a", "b")
+
+
+def test_scaler_rejects_a_sample_that_overflows_its_statistics():
+    scaler = RunningScaler()
+    scaler.learn_transform({"v": -1e308})
+    before = model_to_json(scaler)
+    with pytest.raises(ValueError):
+        scaler.learn_transform({"v": 1e308})  # delta = 2e308 overflows
+    assert model_to_json(scaler) == before
+
+
+def test_scaler_state_with_unequal_feature_counts_is_rejected():
+    state = {
+        "format": "convergesim-model-v1",
+        "kind": "running_scaler",
+        "stats": {"a": {"n": 2, "mean": 1.0, "m2": 0.5},
+                  "b": {"n": 1, "mean": 3.0, "m2": 0.0}},
+    }
+    with pytest.raises(ValueError):
+        RunningScaler.from_state(state)
 
 
 # --- passive aggressive -------------------------------------------------------
@@ -202,6 +237,17 @@ def test_dimension_fixed_by_first_learn():
         model.predict({"a": 1.0, "c": 2.0})
 
 
+def test_non_finite_target_is_rejected_before_any_change():
+    for variant in ("linear_sgd", "bayesian", "passive_aggressive"):
+        model = make_model(variant)
+        model.learn({"a": 1.0}, 2.0)
+        before = model_to_json(model)
+        for y in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                model.learn({"a": 1.0}, y)
+        assert model_to_json(model) == before, variant
+
+
 def test_make_model_rejects_unknown_variant():
     with pytest.raises(ValueError):
         make_model("decision_tree")
@@ -240,6 +286,41 @@ def test_scaler_state_roundtrip_is_exact():
     assert clone.transform({"v": 4.2}) == scaler.transform({"v": 4.2})
 
 
+def _golden_stream():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        a = float(rng.normal(5.0, 2.0))
+        b = float(rng.uniform(0.0, 100.0))
+        c = float(rng.integers(1, 9))
+        yield {"c": c, "a": a, "b": b}, 0.5 * a - 0.02 * b + 1.5 * c + float(rng.normal(0.0, 0.3))
+
+
+# sha256 of model_to_json after _golden_stream, recorded before the scaler
+# moved from per-feature records to fixed-order lists and the regressors
+# to one declared state codec
+GOLDEN_STATE_SHA256 = {
+    "running_scaler": "4fd5927a65b3d429f1f8f54d1acc29f957aa9667998938911bed6aadfa73af9b",
+    "linear_sgd": "a0b1d455f61e0736d261d4338bf0bec1c4f6308a610c2b2398401dfd56f884a4",
+    "bayesian": "2ffe6bcb7d68d5f4613f44cdab6b615a4983de201319e1be76479b31748e0dfa",
+    "passive_aggressive": "b69e2eb610580454163fb8e0432fc8e9e74e5f8e250872ddaafafb8267fef98c",
+}
+
+
+def test_serialized_state_after_a_seeded_stream_is_pinned():
+    scaler = RunningScaler()
+    models = {variant: make_model(variant)
+              for variant in ("linear_sgd", "bayesian", "passive_aggressive")}
+    for x, y in _golden_stream():
+        scaled = scaler.learn_transform(x)
+        for model in models.values():
+            model.learn(scaled, y)
+    digests = {name: hashlib.sha256(model_to_json(obj).encode()).hexdigest()
+               for name, obj in [("running_scaler", scaler), *models.items()]}
+    assert digests == GOLDEN_STATE_SHA256
+    for name, obj in [("running_scaler", scaler), *models.items()]:
+        assert model_to_json(model_from_json(model_to_json(obj))) == model_to_json(obj), name
+
+
 # --- r squared -------------------------------------------------------------------
 
 
@@ -257,6 +338,11 @@ def test_r_squared_hand_arithmetic():
 
 def test_r_squared_undefined_for_constant_truth():
     assert r_squared([(2.0, 1.0), (2.0, 3.0)]) is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_r_squared_undefined_when_the_total_sum_overflows():
+    assert r_squared([(1e308, 0.0), (-1e308, 0.0)]) is None
 
 
 def test_r_squared_needs_two_pairs():

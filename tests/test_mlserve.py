@@ -1,9 +1,12 @@
+import math
 import threading
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from convergesim import mlserve, workloads
-from convergesim.mlcore import r_squared
+from convergesim import mlcore, mlserve, workloads
+from convergesim.mlcore import model_to_json, r_squared
 from convergesim.mlserve import (
     MLService,
     ServiceRequest,
@@ -119,6 +122,99 @@ def test_train_with_wrong_dimension_is_bad_request():
     assert resp.status == "bad_request"
 
 
+@pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+def test_train_with_non_finite_target_changes_nothing(y):
+    service = MLService()
+    handle_line(service, "create name=m type=linear_sgd")
+    handle_line(service, "train name=m x:x=1.0 y=2.0")
+    entry = service.entry("m")
+    before = (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq)
+    assert handle_line(service, f"train name=m x:x=3.0 y={y}") == "bad_request error=ValueError"
+    assert (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq) == before
+    assert math.isfinite(service.handle(
+        ServiceRequest("predict", name="m", features={"x": 3.0})).get("prediction"))
+
+
+def test_non_finite_truth_pair_is_bad_request():
+    service = MLService()
+    handle_line(service, "create name=m type=linear_sgd")
+    pairs = [(1.0, 1.1), (2.0, 1.9)]
+    for y_true, y_pred in pairs:
+        handle_line(service, f"record_truth name=m y_true={y_true} y_pred={y_pred}")
+    for bad in ("y_true=inf y_pred=1.0", "y_true=1.0 y_pred=nan", "y_true=-inf y_pred=inf"):
+        reply = handle_line(service, f"record_truth name=m {bad}")
+        assert reply == "bad_request error=non_finite_pair"
+    assert handle_line(service, "metrics name=m") == f"ok r_squared={r_squared(pairs)!r} pairs=2"
+
+
+MODEL_NAMES = st.sampled_from(["m0", "m1"])
+# every float: nan, +-inf, subnormals and magnitudes up to 1.8e308
+VALUES = st.floats()
+FEATURES = st.dictionaries(st.sampled_from("abc"), VALUES, min_size=1, max_size=3)
+
+
+class ServiceAtomicity(RuleBasedStateMachine):
+    """Mixed valid and invalid requests through the line protocol: a
+    rejected request leaves every model byte-identical, and replaying
+    only the accepted lines into a fresh service rebuilds the same state."""
+
+    def __init__(self):
+        super().__init__()
+        self.service = MLService()
+        self.accepted = []
+
+    @staticmethod
+    def state(service):
+        entries = [(name, service.entry(name))
+                   for name in service.handle(ServiceRequest("list_models")).get("models")]
+        return {name: (model_to_json(e.scaler), model_to_json(e.model), repr(e.truths), e.seq)
+                for name, e in entries}
+
+    def send(self, req):
+        line = format_request(req)
+        before = self.state(self.service)
+        reply = parse_response(handle_line(self.service, line))
+        if reply.status == "ok":
+            self.accepted.append(line)
+        else:
+            assert self.state(self.service) == before, line
+        return reply
+
+    @rule(name=MODEL_NAMES,
+          model_type=st.sampled_from([*mlcore.MODEL_VARIANTS, "forest"]))
+    def create(self, name, model_type):
+        self.send(ServiceRequest("create", name=name, model_type=model_type))
+
+    @rule(name=MODEL_NAMES, features=FEATURES, y=VALUES)
+    def train(self, name, features, y):
+        self.send(ServiceRequest("train", name=name, features=features, y=y))
+
+    @rule(name=MODEL_NAMES, features=FEATURES)
+    def predict(self, name, features):
+        self.send(ServiceRequest("predict", name=name, features=features))
+
+    @rule(name=MODEL_NAMES, y_true=VALUES, y_pred=VALUES)
+    def record_truth(self, name, y_true, y_pred):
+        self.send(ServiceRequest("record_truth", name=name, y_true=y_true, y_pred=y_pred))
+
+    @rule(name=MODEL_NAMES)
+    def metrics(self, name):
+        r2 = self.send(ServiceRequest("metrics", name=name)).get("r_squared")
+        assert r2 is None or not math.isnan(r2)
+
+    def teardown(self):
+        replay = MLService()
+        for line in self.accepted:
+            handle_line(replay, line)
+        assert self.state(replay) == self.state(self.service)
+
+
+TestServiceAtomicity = pytest.mark.filterwarnings("ignore::RuntimeWarning")(
+    ServiceAtomicity.TestCase)
+TestServiceAtomicity.settings = settings(max_examples=100, stateful_step_count=30,
+                                         deadline=None)
+
+
 # --- wire protocol -------------------------------------------------------------
 
 
@@ -208,3 +304,44 @@ def test_unix_socket_mount_agrees_too(tmp_path):
         server.shutdown()
         server.server_close()
     assert got == expected
+
+
+def test_socket_mount_serves_one_request_at_a_time(monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+    learn_transform = mlcore.RunningScaler.learn_transform
+
+    def blocking_learn_transform(self, x):
+        entered.set()
+        release.wait(timeout=10)
+        return learn_transform(self, x)
+
+    monkeypatch.setattr(mlcore.RunningScaler, "learn_transform", blocking_learn_transform)
+    server = serve_tcp("127.0.0.1", 0)
+    host, port = server.server_address
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    a = mlserve.ServiceClient(host, port)
+    b = mlserve.ServiceClient(host, port)
+    replies = {}
+    train = threading.Thread(
+        target=lambda: replies.update(a=a.call_line("train name=m x:x=1.0 y=1.0")))
+    stats = threading.Thread(target=lambda: replies.update(b=b.call_line("stats name=m")))
+    try:
+        a.call_line("create name=m type=linear_sgd")
+        train.start()
+        assert entered.wait(timeout=10)
+        stats.start()
+        stats.join(timeout=0.5)
+        assert "b" not in replies  # connection B waits while A's train is half done
+        release.set()
+        train.join(timeout=10)
+        stats.join(timeout=10)
+        assert not train.is_alive() and not stats.is_alive()
+        assert replies == {"a": "ok samples_seen=1 seq=1",
+                           "b": "ok model_type=linear_sgd samples_seen=1 seq=1 features=x"}
+    finally:
+        release.set()
+        a.close()
+        b.close()
+        server.shutdown()
+        server.server_close()
