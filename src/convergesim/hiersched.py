@@ -40,10 +40,6 @@ from .resgraph import (
 )
 from .simkernel import Engine
 
-PENDING = "pending"
-RUNNING = "running"
-DONE = "done"
-
 HIERARCHICAL = "hierarchical"
 MONOLITHIC_PARTITION = "monolithic_partition"
 TWO_LEVEL = "two_level"
@@ -63,8 +59,6 @@ class Job:
     job_id: int
     request: ResourceRequest
     duration: float | Callable[[], float]
-    state: str = PENDING
-    submit_t: float | None = None
     start_t: float | None = None
     end_t: float | None = None
     realized_duration: float | None = None
@@ -76,15 +70,6 @@ class Job:
         else:
             self.realized_duration = float(self.duration)
         return self.realized_duration
-
-
-@dataclass
-class PlacementRecord:
-    job_id: int
-    instance_id: int
-    node_ids: tuple[int, ...]
-    start_t: float
-    end_t: float | None = None
 
 
 @dataclass
@@ -113,7 +98,6 @@ class Instance:
         self.alloc_id = alloc_id
         self.decision_cost_s = decision_cost_s
         self.queue: deque[Job] = deque()
-        self.placements: list[PlacementRecord] = []
         self.attempts = 0
         self.placed = 0
         self.completed = 0
@@ -139,8 +123,6 @@ class Instance:
                 raise UnsatisfiableRequestError(
                     f"job {job.job_id} wants {job.request.cores_per_node} cores/node"
                 )
-        job.state = PENDING
-        job.submit_t = self.engine.now
         self.queue.append(job)
         self._wake()
         return job.job_id
@@ -155,48 +137,38 @@ class Instance:
             label=f"sched.decide:{self.instance_id}",
         )
 
-    def step_schedule(self) -> list[PlacementRecord]:
+    def step_schedule(self) -> Job | None:
         """One FCFS first-fit pass: place the head job iff capacity suffices.
 
-        A blocked head stalls the queue until a completion frees capacity;
-        there is no backfill past it.
+        Returns the placed job or None. A blocked head stalls the queue
+        until a completion frees capacity; there is no backfill past it.
         """
         self._armed = False
         if not self.queue:
-            return []
+            return None
         self.attempts += 1
         self.busy_s += self.decision_cost_s
         job = self.queue[0]
         try:
             child = self.graph.carve(self.alloc_id, job.request)
         except InsufficientCapacityError:
-            return []  # wait for a completion to free capacity
+            return None  # wait for a completion to free capacity
         self.queue.popleft()
-        job.state = RUNNING
         job.start_t = self.engine.now
         duration = job.resolve_duration()
-        record = PlacementRecord(
-            job_id=job.job_id,
-            instance_id=self.instance_id,
-            node_ids=tuple(child.node_ids),
-            start_t=self.engine.now,
-        )
-        self.placements.append(record)
         self.placed += 1
         self.engine.schedule(
             self.engine.now + duration,
-            lambda: self._complete(job, child.alloc_id, record),
+            lambda: self._complete(job, child.alloc_id),
             label=f"sched.done:{self.instance_id}:{job.job_id}",
         )
         if self.queue:
             self._wake()
-        return [record]
+        return job
 
-    def _complete(self, job: Job, child_alloc_id: int, record: PlacementRecord):
+    def _complete(self, job: Job, child_alloc_id: int):
         self.graph.release(child_alloc_id)
-        job.state = DONE
         job.end_t = self.engine.now
-        record.end_t = self.engine.now
         self.completed += 1
         if job.on_complete is not None:
             job.on_complete(job)
@@ -347,7 +319,6 @@ class _EpochRunner:
 
     def _launch(self, sched_id: int, nodes: set[int]):
         job = self.queues[sched_id].popleft()
-        job.state = RUNNING
         job.start_t = self.engine.now
         duration = job.resolve_duration()
         self.running += 1
@@ -358,7 +329,6 @@ class _EpochRunner:
             self.running -= 1
             self.completed += 1
             self.last_completion_t = self.engine.now
-            job.state = DONE
             job.end_t = self.engine.now
             if job.on_complete is not None:
                 job.on_complete(job)

@@ -3,10 +3,10 @@ incremental regressors, and the coefficient of determination.
 
 Samples arrive one at a time as {feature_name: value} dicts. The scaler
 and each model fix their feature set on the first learn call, in sorted
-name order, and hold the scaler statistics and the model weights in that
-order. Every sample must have finite values (else ValueError) and, once
-the set is fixed, exactly those keys (else DimensionMismatchError); a
-rejected sample or target changes no state. Weight updates:
+name order, and keep their state in that order. Every sample must have
+finite values (else ValueError) and, once the set is fixed, exactly those
+keys (else DimensionMismatchError); a rejected sample or target, or an
+overflowing update (ValueError), changes no state. Weight updates:
 
   linear_sgd           e = yhat - y;  w -= lr * e * x;  b -= lr * e
   bayesian             A += beta * x x^T;  c += beta * y * x
@@ -51,6 +51,13 @@ def _sample_values(x: dict, names: tuple[str, ...]) -> list[float]:
             f"features {sorted(x)} do not match model features {sorted(names)}"
         )
     return [float(x[name]) for name in names]
+
+
+def _finite(value) -> bool:
+    """Whether a float, or every entry of an array, is finite."""
+    if isinstance(value, np.ndarray):
+        return all(map(math.isfinite, value.flat))
+    return math.isfinite(value)
 
 
 class _FixedFeatures:
@@ -161,7 +168,7 @@ class _RegressorBase(_FixedFeatures):
 
     A subclass declares its state once: `params` are its constructor
     parameters, `arrays` its numpy state (None until the feature set is
-    fixed) and `scalars` its float state.
+    fixed) and `scalars` its float state; `_update` returns new values by name.
     """
 
     variant = "base"
@@ -178,7 +185,12 @@ class _RegressorBase(_FixedFeatures):
         y = float(y)
         if not math.isfinite(y):
             raise ValueError("non-finite target")
-        self._update(np.array(self._learn_values(x)), y)
+        saved = vars(self).copy()  # `_update` stores nothing, so this is a snapshot
+        new = self._update(np.array(self._learn_values(x)), y)
+        if not all(map(_finite, new.values())):
+            self.__dict__ = saved  # also undoes a feature set fixed by this sample
+            raise ValueError("update overflows the model state")
+        vars(self).update(new)
         self.samples_seen += 1
 
     def predict(self, x: dict) -> float:
@@ -233,8 +245,8 @@ class LinearSGD(_RegressorBase):
 
     def _update(self, x: np.ndarray, y: float):
         error = float(self.w @ x + self.b) - y
-        self.w -= self.learning_rate * error * x
-        self.b -= self.learning_rate * error
+        step = self.learning_rate * error
+        return {"w": self.w - step * x, "b": self.b - step}
 
     def _predict_vec(self, x: np.ndarray) -> float:
         return self.w @ x + self.b
@@ -264,8 +276,7 @@ class BayesianLinear(_RegressorBase):
         self.c = np.zeros(dim)
 
     def _update(self, x: np.ndarray, y: float):
-        self.A += self.beta * np.outer(x, x)
-        self.c += self.beta * y * x
+        return {"A": self.A + self.beta * np.outer(x, x), "c": self.c + self.beta * y * x}
 
     def weights(self) -> np.ndarray:
         return np.linalg.solve(self.A, self.c)
@@ -296,14 +307,13 @@ class PassiveAggressive(_RegressorBase):
         y_hat = float(self.w @ x + self.b)
         loss = abs(y_hat - y) - self.epsilon
         if loss <= 0.0:
-            return  # inside the insensitive band: state untouched
+            return {}  # inside the insensitive band: state untouched
         norm_sq = float(x @ x)
         if norm_sq == 0.0:
-            return
+            return {}
         tau = min(self.C, loss / norm_sq)
         step = math.copysign(tau, y - y_hat)
-        self.w += step * x
-        self.b += step
+        return {"w": self.w + step * x, "b": self.b + step}
 
     def _predict_vec(self, x: np.ndarray) -> float:
         return self.w @ x + self.b

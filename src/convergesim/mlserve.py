@@ -23,9 +23,9 @@ items. Model names are restricted to [A-Za-z0-9_.-]+ so no quoting is
 needed anywhere.
 
 Every mutating verb bumps the model's sequence counter and echoes it, so
-a response trace makes interleaved partial updates detectable. A request
-is checked in full before it changes anything, so a rejected request
-leaves the model unchanged; a socket mount serves one request at a time.
+a response trace makes interleaved partial updates detectable. A rejected
+request leaves the model unchanged (a train the model refuses restores
+the scaler it updated); a socket mount serves one request at a time.
 """
 
 import math
@@ -126,12 +126,13 @@ class MLService:
     def _train(self, entry: _ModelEntry, req: ServiceRequest) -> ServiceResponse:
         if not req.features or req.y is None:
             return _bad_request("missing_training_sample")
-        if not math.isfinite(req.y):  # checked before the scaler learns from the sample
-            return _bad_request("ValueError")
+        # learn_transform rebinds, never mutates, what the scaler holds, so a
+        # copy of its attributes is a snapshot to restore if the model refuses
+        saved = vars(entry.scaler).copy()
         try:
-            scaled = entry.scaler.learn_transform(req.features)
-            entry.model.learn(scaled, req.y)
+            entry.model.learn(entry.scaler.learn_transform(req.features), req.y)
         except (mlcore.DimensionMismatchError, ValueError) as err:
+            entry.scaler.__dict__ = saved
             return _bad_request(type(err).__name__)
         entry.seq += 1
         return _ok(samples_seen=entry.model.samples_seen, seq=entry.seq)

@@ -114,8 +114,6 @@ class ResourceGraph:
         )
         self._allocations[root.alloc_id] = root
         self.root_allocation = root.alloc_id
-        # append-only op log, consumed by external accounting audits
-        self.oplog: list[tuple] = []
 
     def _take_id(self) -> int:
         self._next_alloc_id += 1
@@ -170,7 +168,6 @@ class ResourceGraph:
         child = Allocation(alloc_id=self._take_id(), parent=parent_id, node_slices=chosen)
         self._allocations[child.alloc_id] = child
         parent.children.add(child.alloc_id)
-        self.oplog.append(("carve", child.alloc_id, parent_id, dict(chosen)))
         return child
 
     def release(self, alloc_id: int) -> None:
@@ -184,7 +181,6 @@ class ResourceGraph:
             )
         del self._allocations[alloc_id]
         self._allocations[alloc.parent].children.discard(alloc_id)
-        self.oplog.append(("release", alloc_id, alloc.parent, dict(alloc.node_slices)))
 
     def audit(self) -> None:
         """Assert the bounding and conservation invariants on the live tree.

@@ -2,7 +2,7 @@
 
 Provides the virtual clock, an ordered event queue, and named RNG streams
 for every other component. Ties at equal fire times dispatch in insertion
-order (FIFO), so a run has a total event order and the trace is
+order (FIFO), so the sequence of dispatched (fire time, label) pairs is
 reproducible bit for bit for a fixed seed and scenario.
 
 Virtual time is real-valued seconds with no wall-clock coupling. The
@@ -47,14 +47,12 @@ class RngStreams:
 
 
 class Engine:
-    """Single-threaded event loop over virtual seconds."""
+    """Single-threaded event loop over virtual seconds; it keeps no history."""
 
     def __init__(self, seed: int = 0):
         self.now = 0.0
         self.rng = RngStreams(seed)
         self.dispatched = 0
-        # trace of (fire_at, label) for every dispatched event
-        self.trace: list[tuple[float, str]] = []
         # (fire_at, event id, action, label); the unique id breaks ties FIFO
         self._heap: list[tuple[float, int, Callable[[], None], str]] = []
         self._seq = 0
@@ -89,9 +87,8 @@ class Engine:
             raise CausalityError(f"run_until({t_end}) is in the past (now={self.now})")
         count = 0
         while self._heap and self._heap[0][0] <= t_end:
-            fire_at, _, action, label = heapq.heappop(self._heap)
+            fire_at, _, action, _ = heapq.heappop(self._heap)
             self.now = fire_at
-            self.trace.append((fire_at, label))
             self.dispatched += 1
             count += 1
             action()

@@ -4,9 +4,13 @@ These deliberately avoid the library's own code paths: combinatorial
 enumeration for conflict probabilities, a replayed per-node accounting
 mirror for allocation conservation, closed-form batch solutions for the
 incremental learners, and a pairwise interval scan for placement overlap.
+
+The library keeps no history of a run, so the recorders here wrap the
+methods of one live engine or graph and keep what a test checks.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +35,9 @@ def batch_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 
 
 class AccountingMirror:
-    """Brute-force per-node interval accounting driven purely by the resource
-    graph's op log; audits sibling bounding and exact conservation after
-    every event."""
+    """Brute-force per-node interval accounting driven purely by the carve
+    and release ops a `GraphRecorder` saw; audits sibling bounding and
+    exact conservation after every event."""
 
     def __init__(self, node_cores: dict[int, int], root_id: int,
                  root_slices: dict[int, int]):
@@ -85,17 +89,82 @@ class AccountingMirror:
             )
 
 
-def assert_no_cross_instance_overlap(records) -> None:
-    """No two placements from different instances may share a node while
-    overlapping in time."""
-    for r1, r2 in itertools.combinations(records, 2):
-        if r1.instance_id == r2.instance_id:
+def assert_no_cross_instance_overlap(spans) -> None:
+    """No two allocations carved by different instances (different parent
+    allocations) may share a node while overlapping in time."""
+    for s1, s2 in itertools.combinations(spans, 2):
+        if s1.parent == s2.parent:
             continue
-        end1 = r1.end_t if r1.end_t is not None else float("inf")
-        end2 = r2.end_t if r2.end_t is not None else float("inf")
-        if r1.start_t < end2 and r2.start_t < end1:
-            shared = set(r1.node_ids) & set(r2.node_ids)
+        end1 = s1.end_t if s1.end_t is not None else float("inf")
+        end2 = s2.end_t if s2.end_t is not None else float("inf")
+        if s1.start_t < end2 and s2.start_t < end1:
+            shared = set(s1.node_ids) & set(s2.node_ids)
             assert not shared, (
-                f"jobs {r1.job_id} and {r2.job_id} from different instances "
-                f"share nodes {sorted(shared)}"
+                f"allocations {s1.alloc_id} and {s2.alloc_id} from different "
+                f"instances share nodes {sorted(shared)}"
             )
+
+
+def record_dispatches(engine) -> list[tuple[float, str]]:
+    """Wrap `engine.schedule` so that every action, when it runs, first
+    appends (fire time, label) to the returned list: the dispatch order."""
+    dispatched = []
+    schedule = engine.schedule
+
+    def recording_schedule(fire_at, action, label=""):
+        def run():
+            dispatched.append((float(fire_at), label))
+            action()
+        return schedule(fire_at, run, label)
+
+    engine.schedule = recording_schedule
+    return dispatched
+
+
+@dataclass
+class AllocationSpan:
+    alloc_id: int
+    parent: int
+    node_ids: tuple[int, ...]
+    start_t: float | None
+    end_t: float | None = None
+
+
+class GraphRecorder:
+    """Wraps `graph.carve` and `graph.release` of one live graph.
+
+    `ops` holds ("carve"|"release", alloc_id, parent_id, slices) for every
+    successful operation, in order, as `AccountingMirror.apply` takes it.
+    `spans` holds one `AllocationSpan` per carve, in carve order, timed by
+    `engine.now` when an engine is given.
+    """
+
+    def __init__(self, graph, engine=None):
+        self.ops: list[tuple] = []
+        self.spans: list[AllocationSpan] = []
+        live: dict[int, AllocationSpan] = {}
+        carve, release = graph.carve, graph.release
+
+        def now():
+            return None if engine is None else engine.now
+
+        def recording_carve(parent_id, request):
+            child = carve(parent_id, request)
+            self.ops.append(("carve", child.alloc_id, parent_id, dict(child.node_slices)))
+            span = AllocationSpan(child.alloc_id, parent_id, tuple(child.node_ids), now())
+            self.spans.append(span)
+            live[child.alloc_id] = span
+            return child
+
+        def recording_release(alloc_id):
+            alloc = graph.allocation(alloc_id)
+            release(alloc_id)
+            self.ops.append(("release", alloc_id, alloc.parent, dict(alloc.node_slices)))
+            span = live.pop(alloc_id, None)  # None: carved before recording began
+            if span is not None:
+                span.end_t = now()
+
+        graph.carve, graph.release = recording_carve, recording_release
+
+    def children_of(self, parent_id: int) -> list[AllocationSpan]:
+        return [span for span in self.spans if span.parent == parent_id]

@@ -15,6 +15,7 @@ import pytest
 
 from helpers import (
     AccountingMirror,
+    GraphRecorder,
     batch_ridge,
     exhaustive_conflict_probability,
 )
@@ -131,12 +132,13 @@ def test_c05_contention_freedom_oracle():
         graph.root_allocation,
         dict(root.node_slices),
     )
+    recorder = GraphRecorder(graph, engine)
     applied = 0
 
     def sync():
         nonlocal applied
-        while applied < len(graph.oplog):
-            mirror.apply(graph.oplog[applied])
+        while applied < len(recorder.ops):
+            mirror.apply(recorder.ops[applied])
             applied += 1
 
     inst_alloc = graph.carve(graph.root_allocation, ResourceRequest(nodes=4))
@@ -144,7 +146,7 @@ def test_c05_contention_freedom_oracle():
     instance = Instance(engine, graph, inst_alloc.alloc_id, decision_cost_s=1e-4)
     extras = []
     job_id = 0
-    while len(graph.oplog) < 10_000:
+    while len(recorder.ops) < 10_000:
         action = rng.random()
         if action < 0.5:
             job_id += 1

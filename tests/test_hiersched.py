@@ -1,6 +1,16 @@
+import gc
+import os
+import tracemalloc
+
 import pytest
 
-from helpers import assert_no_cross_instance_overlap, exhaustive_conflict_probability
+import convergesim
+from helpers import (
+    GraphRecorder,
+    assert_no_cross_instance_overlap,
+    exhaustive_conflict_probability,
+    record_dispatches,
+)
 from convergesim.hiersched import (
     HIERARCHICAL,
     MONOLITHIC_PARTITION,
@@ -56,14 +66,17 @@ def test_three_level_nest_stays_bounded():
         Instance(engine, graph, inner.alloc_id),
     ]
     allowed = [set(range(16)), set(batch.node_ids), set(inner.node_ids)]
+    recorder = GraphRecorder(graph, engine)
     for i, inst in enumerate(instances):
         for j in range(20):
             inst.submit(job(100 * i + j, nodes=1, duration=0.01))
     engine.drain()
     for inst, bound in zip(instances, allowed):
         assert inst.completed == 20
-        for record in inst.placements:
-            assert set(record.node_ids) <= bound
+        placements = recorder.children_of(inst.alloc_id)
+        assert len(placements) == 20
+        for span in placements:
+            assert set(span.node_ids) <= bound
 
 
 def test_submit_preserves_fifo_order():
@@ -107,20 +120,22 @@ def test_sibling_instances_never_overlap():
     for _ in range(2):
         carve = graph.carve(graph.root_allocation, ResourceRequest(nodes=8))
         insts.append(Instance(engine, graph, carve.alloc_id))
+    recorder = GraphRecorder(graph, engine)
     rng = engine.rng.stream("test.workload")
     for i in range(100):
         for inst in insts:
             inst.submit(job(i, int(rng.integers(1, 5)),
                             duration=float(rng.uniform(0.0, 0.5))))
     engine.drain()
-    records = insts[0].placements + insts[1].placements
-    assert len(records) == 200
-    assert_no_cross_instance_overlap(records)
+    spans = recorder.children_of(insts[0].alloc_id) + recorder.children_of(insts[1].alloc_id)
+    assert len(spans) == 200
+    assert_no_cross_instance_overlap(spans)
 
 
 def test_same_workload_twice_in_one_process_gives_identical_traces():
     def traced_run():
         engine = Engine(3)
+        dispatched = record_dispatches(engine)
         graph = build_cluster(ClusterSpec(8, 16))
         insts = [
             Instance(engine, graph, graph.carve(graph.root_allocation,
@@ -130,11 +145,37 @@ def test_same_workload_twice_in_one_process_gives_identical_traces():
         for i in range(1, 41):
             insts[i % 2].submit(job(i, 1 + i % 3, duration=float(i % 5)))
         engine.drain()
-        return engine.trace
+        return dispatched
 
     first, second = traced_run(), traced_run()
     assert len(first) > 80
     assert first == second
+
+
+def retained_by_library(jobs: int) -> int:
+    """Bytes tracemalloc attributes to convergesim after `jobs` one-node
+    jobs ran through one instance whose engine and graph stay alive."""
+    tracemalloc.start()
+    try:
+        engine, graph, inst = setup_instance(16, cores=16)
+        for i in range(jobs):
+            inst.submit(job(i, 1, duration=1.0))
+        engine.drain()
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert inst.completed == jobs and graph.root_fully_free()
+    package = os.path.join(os.path.dirname(convergesim.__file__), "*")
+    library = snapshot.filter_traces([tracemalloc.Filter(True, package)])
+    return sum(stat.size for stat in library.statistics("filename"))
+
+
+def test_retained_memory_does_not_grow_with_job_count():
+    # both runs queue more than 16 x 64 jobs, so the instance's deque holds
+    # its full cache of 16 freed 64-entry blocks in each
+    small, large = retained_by_library(1200), retained_by_library(4800)
+    assert large - small < 4096, (small, large)
 
 
 def test_unsatisfiable_core_request_rejected():

@@ -1,3 +1,4 @@
+import json
 import math
 import threading
 
@@ -135,6 +136,37 @@ def test_train_with_non_finite_target_changes_nothing(y):
         ServiceRequest("predict", name="m", features={"x": 3.0})).get("prediction"))
 
 
+def state_numbers(model) -> list[float]:
+    """Every number in model_to_json(model), which renders inf and nan as
+    Infinity and NaN."""
+    def walk(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            return [n for item in value for n in walk(item)]
+        return [value] if isinstance(value, (int, float)) else []
+    return walk(json.loads(model_to_json(model)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_that_would_overflow_the_model_changes_nothing():
+    service = MLService()
+    handle_line(service, "create name=m type=bayesian")
+    entry = service.entry("m")
+    replies = []
+    for i in range(6):
+        before = (model_to_json(entry.scaler), model_to_json(entry.model))
+        replies.append(handle_line(service, f"train name=m x:a={i} y=1e308"))
+        if replies[-1].startswith("bad_request"):
+            assert (model_to_json(entry.scaler), model_to_json(entry.model)) == before
+    # the third sample would push c past the largest float
+    assert replies == ["ok samples_seen=1 seq=1", "ok samples_seen=2 seq=2",
+                       *["bad_request error=ValueError"] * 4]
+    assert all(map(math.isfinite, state_numbers(entry.scaler) + state_numbers(entry.model)))
+    assert math.isfinite(service.handle(
+        ServiceRequest("predict", name="m", features={"a": 1.0})).get("prediction"))
+
+
 def test_non_finite_truth_pair_is_bad_request():
     service = MLService()
     handle_line(service, "create name=m type=linear_sgd")
@@ -155,7 +187,8 @@ FEATURES = st.dictionaries(st.sampled_from("abc"), VALUES, min_size=1, max_size=
 
 class ServiceAtomicity(RuleBasedStateMachine):
     """Mixed valid and invalid requests through the line protocol: a
-    rejected request leaves every model byte-identical, and replaying
+    rejected request leaves every model byte-identical, an accepted train
+    leaves every number of the scaler and model state finite, and replaying
     only the accepted lines into a fresh service rebuilds the same state."""
 
     def __init__(self):
@@ -187,7 +220,10 @@ class ServiceAtomicity(RuleBasedStateMachine):
 
     @rule(name=MODEL_NAMES, features=FEATURES, y=VALUES)
     def train(self, name, features, y):
-        self.send(ServiceRequest("train", name=name, features=features, y=y))
+        if self.send(ServiceRequest("train", name=name, features=features, y=y)).status == "ok":
+            entry = self.service.entry(name)
+            numbers = state_numbers(entry.scaler) + state_numbers(entry.model)
+            assert all(map(math.isfinite, numbers)), numbers
 
     @rule(name=MODEL_NAMES, features=FEATURES)
     def predict(self, name, features):

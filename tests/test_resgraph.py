@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import AccountingMirror
+from helpers import AccountingMirror, GraphRecorder
 from convergesim.resgraph import (
     AllocationInUseError,
     ClusterSpec,
@@ -153,6 +153,7 @@ def test_randomized_carve_release_against_accounting_mirror():
     rng = np.random.default_rng(1234)
     graph = build_cluster(ClusterSpec(8, 4))
     mirror = mirror_for(graph)
+    recorder = GraphRecorder(graph)
     live = [graph.root_allocation]
     applied = 0
     for _ in range(2000):
@@ -176,7 +177,7 @@ def test_randomized_carve_release_against_accounting_mirror():
             victim = candidates[int(rng.integers(len(candidates)))]
             graph.release(victim)
             live.remove(victim)
-        mirror.apply(graph.oplog[applied])
+        mirror.apply(recorder.ops[applied])
         applied += 1
         graph.audit()
-    assert applied == len(graph.oplog) and applied > 500
+    assert applied == len(recorder.ops) and applied > 500

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import record_dispatches
 from convergesim.simkernel import CausalityError, Engine, RngStreams
 
 
@@ -75,10 +76,11 @@ def _storm(engine, n=300):
             engine.schedule(engine.now + delay, spawn,
                             label=f"storm:{engine.dispatched}")
 
+    dispatched = record_dispatches(engine)
     for i in range(10):
         engine.schedule(float(rng.uniform(0.0, 1.0)), spawn, label=f"seed:{i}")
     engine.drain()
-    return engine.trace
+    return dispatched
 
 
 def test_trace_is_bit_identical_for_fixed_seed():
