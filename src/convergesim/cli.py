@@ -14,9 +14,7 @@ from pathlib import Path
 
 from . import netmodel
 from .orchestrator import ConfigError, load_config, run_scenario
-from .reporting import CSV_FORMAT, JSON_FORMAT, SVG_FORMAT, ReportBundle, emit_report
-
-FORMAT_ALIASES = {"csv": (CSV_FORMAT,), "json": (JSON_FORMAT,), "svg": (SVG_FORMAT,)}
+from .reporting import FORMATS, ReportBundle, emit_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="re-emit report files from a saved bundle")
     report.add_argument("--bundle", required=True)
-    report.add_argument("--format", required=True, choices=sorted(FORMAT_ALIASES))
+    report.add_argument("--format", required=True, choices=FORMATS)
     report.add_argument("--out", default=None,
                         help="output directory (default: the bundle's directory)")
 
@@ -65,7 +63,7 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"bundle file {bundle_path} does not exist")
     bundle = ReportBundle.from_json(bundle_path.read_text())
     out_dir = Path(args.out) if args.out else bundle_path.parent
-    written = emit_report(bundle, out_dir, FORMAT_ALIASES[args.format])
+    written = emit_report(bundle, out_dir, (args.format,))
     for path in written:
         print(f"  {path}")
     return 0

@@ -104,10 +104,6 @@ class Instance:
         self.busy_s = 0.0
         self._armed = False
 
-    @property
-    def node_count(self) -> int:
-        return len(self.graph.allocation(self.alloc_id).node_ids)
-
     def submit(self, job: Job) -> int:
         """Queue a job; requests that can never fit are rejected here."""
         job.request.validate()

@@ -147,6 +147,8 @@ class MLService:
             value = entry.model.predict(scaled)
         except (mlcore.DimensionMismatchError, ValueError) as err:
             return _bad_request(type(err).__name__)
+        if not math.isfinite(value):
+            return _bad_request("non_finite_prediction")
         return _ok(prediction=value, cold=entry.model.cold,
                    samples_seen=entry.model.samples_seen)
 

@@ -272,7 +272,9 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
     Per environment and size the driver carves an allocation (plus a
     control-plane node and the NIC daemonset for the in-cluster
     environment), samples one walltime per iteration while the virtual
-    clock advances, records the benchmark curves, and releases the carve.
+    clock advances (an in-cluster iteration's job set is removed once its
+    walltime has elapsed), records the benchmark curves, and releases the
+    carve.
     Background-cluster environments toggle the overhead state instead of
     carving a second allocation; the background pods contend for the
     network, not for exclusive cores.
@@ -304,11 +306,12 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
             ranks = size * cfg.cluster.cores_per_node
             values = []
             for it in range(cfg.iterations):
+                job_set = f"lammps-{size}-{it}"
                 if kube is not None:
                     podlayer.apply(
                         graph, kube,
                         podlayer.PodSpec(
-                            name=f"lammps-{size}-{it}",
+                            name=job_set,
                             kind=podlayer.JOB_SET,
                             replicas=size,
                             requires_bypass_nic=True,
@@ -320,6 +323,8 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
                 finish = engine.now + walltime
                 engine.schedule(finish, lambda: None, label=f"scaling:{env}:{size}:{it}")
                 engine.run_until(finish)
+                if kube is not None:
+                    podlayer.remove(kube, job_set)
                 bundle.lammps_samples.append([env, size, ranks, it, walltime])
                 values.append(walltime)
             graph.release(alloc.alloc_id)
@@ -375,8 +380,6 @@ def run_taxonomy_suite(cfg: ScenarioConfig) -> ReportBundle:
 
 def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
     cfg.validate()
-    if cfg.cluster.node_count < 5:
-        raise ConfigError("the hybrid scenario needs a cluster of at least 5 nodes")
     engine = Engine(cfg.seed)
     graph = build_cluster(cfg.cluster)
 

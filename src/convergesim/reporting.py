@@ -11,10 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-CSV_FORMAT = "csv"
-JSON_FORMAT = "json"
-SVG_FORMAT = "svg_plots"
-FORMATS = (CSV_FORMAT, JSON_FORMAT, SVG_FORMAT)
+FORMATS = ("csv", "json", "svg")
 
 TABLE_COLUMNS = ("environment", "nodes", "ranks", "mean_s", "stddev_s", "cpu_pct")
 
@@ -117,9 +114,11 @@ def _ranges(series):
     return x0, x1, y0, y1
 
 
-def _chart(title, xlabel, ylabel, series, scatter, diagonal=False):
+def _chart(title, xlabel, ylabel, series, scatter):
+    """series: list of (label, [(x, y), ...]); a scatter is drawn over the
+    diagonal on square axes, a line chart joins points in x order."""
     x0, x1, y0, y1 = _ranges(series)
-    if diagonal:
+    if scatter:
         lo, hi = min(x0, y0), max(x1, y1)
         x0 = y0 = lo
         x1 = y1 = hi
@@ -160,7 +159,7 @@ def _chart(title, xlabel, ylabel, series, scatter, diagonal=False):
         f'font-family="sans-serif" transform="rotate(-90 18 {_MT + ph / 2:.1f})">'
         f"{ylabel}</text>"
     )
-    if diagonal:
+    if scatter:
         out.append(
             f'<line x1="{sx(x0):.1f}" y1="{sy(y0):.1f}" x2="{sx(x1):.1f}" '
             f'y2="{sy(y1):.1f}" stroke="#999" stroke-dasharray="4,3"/>'
@@ -192,165 +191,76 @@ def _chart(title, xlabel, ylabel, series, scatter, diagonal=False):
     return "\n".join(out) + "\n"
 
 
-def line_chart(title, xlabel, ylabel, series) -> str:
-    """series: list of (label, [(x, y), ...]) with points in x order."""
-    return _chart(title, xlabel, ylabel, series, scatter=False)
-
-
-def scatter_chart(title, xlabel, ylabel, series, diagonal=True) -> str:
-    return _chart(title, xlabel, ylabel, series, scatter=True, diagonal=diagonal)
-
-
 # --- emission -----------------------------------------------------------------
+
+
+def _csv_files(bundle: ReportBundle):
+    """Yield (file name, CSV text) for each table the bundle has rows for;
+    a row is a mapping keyed by column or a sequence in column order."""
+    tables = []
+    if bundle.lammps_cells:
+        tables += [
+            ("lammps_table.csv", TABLE_COLUMNS, bundle.lammps_cells),
+            ("lammps_samples.csv", ("environment", "nodes", "ranks", "iteration", "walltime_s"),
+             bundle.lammps_samples),
+        ]
+    if bundle.osu_series:
+        tables.append(("osu_series.csv",
+                       ("environment", "nodes", "benchmark", "message_bytes", "value"),
+                       bundle.osu_series))
+    if bundle.taxonomy_rows:
+        tables.append(("taxonomy_metrics.csv",
+                       ("mode", "gang_size", "conflict_fraction", "busyness", "deadlocked",
+                        "throughput", "completed", "attempts", "conflicts", "rejected",
+                        "makespan_s"),
+                       bundle.taxonomy_rows))
+    if bundle.hybrid:
+        models = sorted(bundle.hybrid.get("models", {}).items())
+        tables += [(f"hybrid_{name}.csv", ("index", "actual_s", "predicted_s"),
+                    [(i, a, p) for i, (a, p) in enumerate(info["pairs"])])
+                   for name, info in models]
+        tables.append(("hybrid_summary.csv", ("model", "r_squared", "samples_seen", "pairs"),
+                       [(name, info["r_squared"], info["samples_seen"], len(info["pairs"]))
+                        for name, info in models]))
+    for name, columns, rows in tables:
+        rows = (r if isinstance(r, dict) else dict(zip(columns, r)) for r in rows)
+        yield name, _csv_text(columns, rows)
+
+
+def _series(rows, label, x, y):
+    """[(label, points sorted by x)] grouping `rows` by `label`, in first-seen order."""
+    groups: dict[str, list] = {}
+    for row in rows:
+        groups.setdefault(row[label], []).append((float(row[x]), float(row[y])))
+    return [(key, sorted(points)) for key, points in groups.items()]
+
+
+def _svg_files(bundle: ReportBundle):
+    """Yield (file name, SVG text): a line chart per table, a scatter per model."""
+    if bundle.lammps_cells:
+        yield "scaling_walltime.svg", _chart(
+            "Walltime strong scaling", "nodes", "mean walltime (s)",
+            _series(bundle.lammps_cells, "environment", "nodes", "mean_s"), scatter=False)
+    if bundle.taxonomy_rows:
+        yield "taxonomy_conflict.svg", _chart(
+            "Scheduling conflicts by gang size", "gang size", "conflict fraction",
+            sorted(_series(bundle.taxonomy_rows, "mode", "gang_size", "conflict_fraction")),
+            scatter=False)
+    for name, info in sorted(bundle.hybrid.get("models", {}).items()):
+        yield f"hybrid_{name}.svg", _chart(
+            f"Actual vs predicted walltime ({name})", "actual walltime (s)",
+            "predicted walltime (s)", [(name, [(float(a), float(p)) for a, p in info["pairs"]])],
+            scatter=True)
 
 
 def emit_report(bundle: ReportBundle, out_dir, formats=FORMATS) -> list[Path]:
     """Write the bundle's report files; returns the paths written."""
-    out = Path(out_dir)
     unknown = set(formats) - set(FORMATS)
     if unknown:
         raise ReportError(f"unknown report formats {sorted(unknown)}")
-    written = []
-    if JSON_FORMAT in formats:
-        written.append(_write(out / "bundle.json", bundle.to_json() + "\n"))
-    if CSV_FORMAT in formats:
-        written.extend(_emit_csv(bundle, out))
-    if SVG_FORMAT in formats:
-        written.extend(_emit_svg(bundle, out))
-    return written
-
-
-def _emit_csv(bundle: ReportBundle, out: Path) -> list[Path]:
-    written = []
-    if bundle.lammps_cells:
-        written.append(
-            _write(out / "lammps_table.csv", _csv_text(TABLE_COLUMNS, bundle.lammps_cells))
-        )
-        sample_rows = [
-            {
-                "environment": env,
-                "nodes": nodes,
-                "ranks": ranks,
-                "iteration": it,
-                "walltime_s": value,
-            }
-            for env, nodes, ranks, it, value in bundle.lammps_samples
-        ]
-        written.append(
-            _write(
-                out / "lammps_samples.csv",
-                _csv_text(
-                    ("environment", "nodes", "ranks", "iteration", "walltime_s"),
-                    sample_rows,
-                ),
-            )
-        )
-    if bundle.osu_series:
-        written.append(
-            _write(
-                out / "osu_series.csv",
-                _csv_text(
-                    ("environment", "nodes", "benchmark", "message_bytes", "value"),
-                    bundle.osu_series,
-                ),
-            )
-        )
-    if bundle.taxonomy_rows:
-        written.append(
-            _write(
-                out / "taxonomy_metrics.csv",
-                _csv_text(
-                    (
-                        "mode",
-                        "gang_size",
-                        "conflict_fraction",
-                        "busyness",
-                        "deadlocked",
-                        "throughput",
-                        "completed",
-                        "attempts",
-                        "conflicts",
-                        "rejected",
-                        "makespan_s",
-                    ),
-                    bundle.taxonomy_rows,
-                ),
-            )
-        )
-    if bundle.hybrid:
-        summary = []
-        for name in sorted(bundle.hybrid.get("models", {})):
-            info = bundle.hybrid["models"][name]
-            rows = [
-                {"index": i, "actual_s": a, "predicted_s": p}
-                for i, (a, p) in enumerate(info["pairs"])
-            ]
-            written.append(
-                _write(
-                    out / f"hybrid_{name}.csv",
-                    _csv_text(("index", "actual_s", "predicted_s"), rows),
-                )
-            )
-            summary.append(
-                {
-                    "model": name,
-                    "r_squared": info["r_squared"],
-                    "samples_seen": info["samples_seen"],
-                    "pairs": len(info["pairs"]),
-                }
-            )
-        written.append(
-            _write(
-                out / "hybrid_summary.csv",
-                _csv_text(("model", "r_squared", "samples_seen", "pairs"), summary),
-            )
-        )
-    return written
-
-
-def _emit_svg(bundle: ReportBundle, out: Path) -> list[Path]:
-    written = []
-    if bundle.lammps_cells:
-        by_env: dict[str, list] = {}
-        for cell in bundle.lammps_cells:
-            by_env.setdefault(cell["environment"], []).append(
-                (float(cell["nodes"]), float(cell["mean_s"]))
-            )
-        series = [(env, sorted(points)) for env, points in by_env.items()]
-        written.append(
-            _write(
-                out / "scaling_walltime.svg",
-                line_chart("Walltime strong scaling", "nodes", "mean walltime (s)", series),
-            )
-        )
-    if bundle.taxonomy_rows:
-        by_mode: dict[str, list] = {}
-        for row in bundle.taxonomy_rows:
-            by_mode.setdefault(row["mode"], []).append(
-                (float(row["gang_size"]), float(row["conflict_fraction"]))
-            )
-        series = [(mode, sorted(points)) for mode, points in sorted(by_mode.items())]
-        written.append(
-            _write(
-                out / "taxonomy_conflict.svg",
-                line_chart(
-                    "Scheduling conflicts by gang size", "gang size", "conflict fraction",
-                    series,
-                ),
-            )
-        )
-    for name in sorted(bundle.hybrid.get("models", {})):
-        info = bundle.hybrid["models"][name]
-        series = [(name, [(float(a), float(p)) for a, p in info["pairs"]])]
-        written.append(
-            _write(
-                out / f"hybrid_{name}.svg",
-                scatter_chart(
-                    f"Actual vs predicted walltime ({name})",
-                    "actual walltime (s)",
-                    "predicted walltime (s)",
-                    series,
-                ),
-            )
-        )
-    return written
+    generators = {"json": lambda b: [("bundle.json", b.to_json() + "\n")],
+                  "csv": _csv_files, "svg": _svg_files}
+    out = Path(out_dir)
+    return [_write(out / name, text)
+            for fmt, files in generators.items() if fmt in formats
+            for name, text in files(bundle)]

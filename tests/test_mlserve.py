@@ -167,6 +167,21 @@ def test_train_that_would_overflow_the_model_changes_nothing():
         ServiceRequest("predict", name="m", features={"a": 1.0})).get("prediction"))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_prediction_is_bad_request():
+    service = MLService()
+    handle_line(service, "create name=m type=bayesian")
+    for i in range(6):
+        handle_line(service, f"train name=m x:a={i} y=1e308")
+    entry = service.entry("m")
+    before = (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq)
+    # a weight near 5e307 times a scaled feature of 5 overflows
+    reply = handle_line(service, "predict name=m x:a=3")
+    assert reply == "bad_request error=non_finite_prediction"
+    assert (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq) == before
+    assert handle_line(service, "predict name=m x:a=1").startswith("ok prediction=")
+
+
 def test_non_finite_truth_pair_is_bad_request():
     service = MLService()
     handle_line(service, "create name=m type=linear_sgd")
@@ -188,7 +203,8 @@ FEATURES = st.dictionaries(st.sampled_from("abc"), VALUES, min_size=1, max_size=
 class ServiceAtomicity(RuleBasedStateMachine):
     """Mixed valid and invalid requests through the line protocol: a
     rejected request leaves every model byte-identical, an accepted train
-    leaves every number of the scaler and model state finite, and replaying
+    leaves every number of the scaler and model state finite, an accepted
+    predict answers a finite prediction, and replaying
     only the accepted lines into a fresh service rebuilds the same state."""
 
     def __init__(self):
@@ -227,7 +243,9 @@ class ServiceAtomicity(RuleBasedStateMachine):
 
     @rule(name=MODEL_NAMES, features=FEATURES)
     def predict(self, name, features):
-        self.send(ServiceRequest("predict", name=name, features=features))
+        reply = self.send(ServiceRequest("predict", name=name, features=features))
+        if reply.status == "ok":
+            assert math.isfinite(reply.get("prediction")), reply
 
     @rule(name=MODEL_NAMES, y_true=VALUES, y_pred=VALUES)
     def record_truth(self, name, y_true, y_pred):

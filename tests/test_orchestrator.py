@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from convergesim import cli, mlcore, workloads
+from convergesim import cli, mlcore, podlayer, workloads
 from convergesim.orchestrator import (
     HYBRID,
     SCALING_STUDY,
@@ -20,6 +20,8 @@ from convergesim.orchestrator import (
 )
 from convergesim.reporting import ReportBundle, emit_report
 from convergesim.resgraph import ClusterSpec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_scaling(seed=7):
@@ -111,6 +113,21 @@ def test_hybrid_needs_five_nodes():
         cfg.validate()
 
 
+def test_hybrid_size_rule_is_the_config_rule(tmp_path):
+    path = tmp_path / "scenario.ini"
+    path.write_text(
+        "[cluster]\nnodes = 3\n"
+        "[experiment]\nkind = hybrid\nseed = 3\n"
+        "[hybrid]\ntrain_count = 10\ntest_count = 4\nsim_nodes = 2\n"
+    )
+    bundle = run_hybrid(load_config(path))
+    service_nodes = set(bundle.hybrid["service_nodes"])
+    sim_nodes = set(bundle.hybrid["sim_nodes"])
+    assert len(service_nodes) == 1 and len(sim_nodes) == 2
+    assert not service_nodes & sim_nodes
+    assert all(len(info["pairs"]) == 4 for info in bundle.hybrid["models"].values())
+
+
 # --- scaling study ---------------------------------------------------------------
 
 
@@ -144,6 +161,28 @@ def test_scaling_in_cluster_environment_needs_one_extra_node():
     cfg.cluster = ClusterSpec(5, 16)  # 4 workers + 1 control plane: exactly enough
     bundle = run_scaling_study(cfg)
     assert len(bundle.lammps_samples) == 5 * 1 * 3
+
+
+def test_scaling_pod_layers_end_each_cell_with_only_the_daemonset(monkeypatch):
+    # each pod layer lives for one cell, so its state after the run is its
+    # state when the cell's allocation was released
+    clusters = []
+    start_usernetes = podlayer.start_usernetes
+
+    def recording_start(graph, alloc_id, *args, **kwargs):
+        clusters.append(start_usernetes(graph, alloc_id, *args, **kwargs))
+        return clusters[-1]
+
+    monkeypatch.setattr(podlayer, "start_usernetes", recording_start)
+    cfg = default_config(SCALING_STUDY)
+    run_scaling_study(cfg)
+    assert len(clusters) == len(cfg.sizes)
+    for kube in clusters:
+        pods = kube.placements.values()
+        assert {(p.kind, p.spec_name) for p in pods} == {
+            (podlayer.DAEMONSET, f"nic-exposer-{len(kube.worker_nodes)}")}
+        assert sorted(p.node_id for p in pods) == sorted(kube.worker_nodes)
+        assert sorted(kube.hostname_table) == sorted(p.name for p in pods)
 
 
 # --- taxonomy ----------------------------------------------------------------------
@@ -390,6 +429,17 @@ def test_cli_report_reemits_from_bundle(tmp_path, capsys):
                      "--out", str(target)]) == 0
     assert (target / "hybrid_summary.csv").exists()
     assert not (target / "hybrid_linear_sgd.svg").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+@pytest.mark.parametrize("kind", ["scaling", "hybrid"])
+def test_cli_report_reemits_committed_reports(kind, fmt, tmp_path):
+    committed = ROOT / "out" / kind
+    assert cli.main(["report", "--bundle", str(committed / "bundle.json"),
+                     "--format", fmt, "--out", str(tmp_path)]) == 0
+    expected = {p.name: p.read_bytes() for p in committed.glob(f"*.{fmt}")}
+    assert expected
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == expected
 
 
 def test_cli_report_missing_bundle_exits_one(tmp_path):
