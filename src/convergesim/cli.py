@@ -3,7 +3,7 @@
   convergesim run --config FILE [--seed N] [--out DIR]
   convergesim report --bundle FILE --format csv|json|svg [--out DIR]
   convergesim calibrate --anchors FILE
-  convergesim serve [--host HOST] [--port PORT]
+  convergesim serve [--host HOST] [--port PORT] [--socket PATH]
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """

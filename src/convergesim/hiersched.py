@@ -103,22 +103,28 @@ class Instance:
         self.completed = 0
         self.busy_s = 0.0
         self._armed = False
+        self._fitting_nodes: dict[tuple[int, bool], int] = {}  # by (cores, NIC)
 
     def submit(self, job: Job) -> int:
         """Queue a job; requests that can never fit are rejected here."""
-        job.request.validate()
-        alloc = self.graph.allocation(self.alloc_id)
-        if job.request.nodes > len(alloc.node_ids):
-            raise UnsatisfiableRequestError(
-                f"job {job.job_id} wants {job.request.nodes} nodes; instance "
-                f"{self.instance_id} owns {len(alloc.node_ids)}"
+        request, graph = job.request, self.graph
+        request.validate()
+        need = graph.spec.cores_per_node if request.exclusive else request.cores_per_node
+        shape = (need, request.require_bypass_nic)
+        fits = self._fitting_nodes.get(shape)
+        if fits is None:
+            # nodes whose grant could hold the request with no live children
+            # (an exclusive job needs the whole node); grants never change
+            fits = self._fitting_nodes[shape] = sum(
+                1 for node_id, granted in graph.allocation(self.alloc_id).node_slices.items()
+                if granted >= need
+                and (not request.require_bypass_nic or graph.has_bypass_nic(node_id))
             )
-        if not job.request.exclusive:
-            max_cores = max(self.graph.nodes[n].cores for n in alloc.node_ids)
-            if job.request.cores_per_node > max_cores:
-                raise UnsatisfiableRequestError(
-                    f"job {job.job_id} wants {job.request.cores_per_node} cores/node"
-                )
+        if request.nodes > fits:
+            raise UnsatisfiableRequestError(
+                f"job {job.job_id} wants {request.nodes} node(s); instance "
+                f"{self.instance_id} has {fits} that can hold it"
+            )
         self.queue.append(job)
         self._wake()
         return job.job_id

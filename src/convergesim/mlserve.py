@@ -285,11 +285,15 @@ def handle_line(service: MLService, line: str) -> str:
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self):
         for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            with self.server.lock:
-                reply = handle_line(self.server.service, line)
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                reply = format_response(_bad_request("malformed_request"))
+            else:
+                if not line:
+                    continue
+                with self.server.lock:
+                    reply = handle_line(self.server.service, line)
             self.wfile.write((reply + "\n").encode("utf-8"))
 
 

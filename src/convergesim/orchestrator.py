@@ -263,6 +263,17 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     return run_hybrid(cfg)
 
 
+def _start_pod_layer(graph, alloc_id: int, cfg: ScenarioConfig, nic_name: str,
+                     *specs: PodSpec) -> podlayer.KubeCluster:
+    """Bring up a pod layer in `alloc_id` with the NIC daemonset `nic_name`,
+    then `specs`, then the config's extra pod sets."""
+    kube = podlayer.start_usernetes(graph, alloc_id)
+    nic = PodSpec(name=nic_name, kind=podlayer.DAEMONSET, requires_bypass_nic=True)
+    for spec in (nic, *specs, *cfg.pod_specs):
+        podlayer.apply(graph, kube, spec)
+    return kube
+
+
 # --- scaling study ------------------------------------------------------------
 
 
@@ -292,31 +303,14 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
             alloc = graph.carve(graph.root_allocation, ResourceRequest(nodes=need))
             kube = None
             if env == workloads.USERNETES:
-                kube = podlayer.start_usernetes(graph, alloc.alloc_id)
-                podlayer.apply(
-                    graph, kube,
-                    podlayer.PodSpec(
-                        name=f"nic-exposer-{size}",
-                        kind=podlayer.DAEMONSET,
-                        requires_bypass_nic=True,
-                    ),
-                )
-                for spec in cfg.pod_specs:
-                    podlayer.apply(graph, kube, spec)
+                kube = _start_pod_layer(graph, alloc.alloc_id, cfg, f"nic-exposer-{size}")
             ranks = size * cfg.cluster.cores_per_node
             values = []
             for it in range(cfg.iterations):
                 job_set = f"lammps-{size}-{it}"
                 if kube is not None:
-                    podlayer.apply(
-                        graph, kube,
-                        podlayer.PodSpec(
-                            name=job_set,
-                            kind=podlayer.JOB_SET,
-                            replicas=size,
-                            requires_bypass_nic=True,
-                        ),
-                    )
+                    podlayer.apply(graph, kube, PodSpec(name=job_set, kind=podlayer.JOB_SET,
+                                                        replicas=size, requires_bypass_nic=True))
                 walltime = workloads.lammps_walltime(
                     env, size, ranks, problem, rng, mode="table"
                 )
@@ -390,28 +384,20 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
         graph.root_allocation,
         ResourceRequest(nodes=cfg.sim_nodes * cfg.train_width),
     )
-    kube = None
     if cfg.service_nodes >= 2:
-        kube = podlayer.start_usernetes(graph, service_alloc.alloc_id)
-        podlayer.apply(
-            graph, kube,
-            podlayer.PodSpec(name="nic-exposer", kind=podlayer.DAEMONSET,
-                             requires_bypass_nic=True),
-        )
-        podlayer.apply(
-            graph, kube,
-            podlayer.PodSpec(name="ml-server", kind=podlayer.DEPLOYMENT, replicas=1),
-        )
-        for spec in cfg.pod_specs:
-            podlayer.apply(graph, kube, spec)
+        _start_pod_layer(graph, service_alloc.alloc_id, cfg, "nic-exposer",
+                         PodSpec(name="ml-server", kind=podlayer.DEPLOYMENT, replicas=1))
 
     service = mlserve.MLService(model_defaults=cfg.model_params)
-    for variant in HYBRID_MODELS:
-        resp = service.handle(
-            mlserve.ServiceRequest(verb="create", name=variant, model_type=variant)
-        )
+
+    def call(verb: str, **fields) -> mlserve.ServiceResponse:
+        resp = service.handle(mlserve.ServiceRequest(verb=verb, **fields))
         if resp.status != "ok":
-            raise ScenarioError(f"could not create model {variant}: {resp}")
+            raise ScenarioError(f"{verb} failed: {resp}")
+        return resp
+
+    for variant in HYBRID_MODELS:
+        call("create", name=variant, model_type=variant)
 
     instance = Instance(engine, graph, sim_alloc.alloc_id, cfg.decision_cost_s)
     dims_rng = engine.rng.stream("hybrid.dims")
@@ -442,56 +428,32 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
     def train_callback(features):
         def callback(job: Job):
             for variant in HYBRID_MODELS:
-                resp = service.handle(
-                    mlserve.ServiceRequest(
-                        verb="train", name=variant, features=features,
-                        y=job.realized_duration,
-                    )
-                )
-                if resp.status != "ok":
-                    raise ScenarioError(f"train failed: {resp}")
+                call("train", name=variant, features=features, y=job.realized_duration)
         return callback
 
     def test_callback(features):
         def callback(job: Job):
             for variant in HYBRID_MODELS:
-                pred = service.handle(
-                    mlserve.ServiceRequest(verb="predict", name=variant,
-                                           features=features)
-                )
-                if pred.status != "ok":
-                    raise ScenarioError(f"predict failed: {pred}")
-                service.handle(
-                    mlserve.ServiceRequest(
-                        verb="record_truth", name=variant,
-                        y_true=job.realized_duration,
-                        y_pred=pred.get("prediction"),
-                    )
-                )
+                pred = call("predict", name=variant, features=features)
+                call("record_truth", name=variant, y_true=job.realized_duration,
+                     y_pred=pred.get("prediction"))
         return callback
 
     job_id = 0
-    for _ in range(cfg.train_count):
-        job_id += 1
-        job, features = make_job(job_id)
-        job.on_complete = train_callback(features)
-        instance.submit(job)
-    engine.drain()
-
-    for _ in range(cfg.test_count):
-        job_id += 1
-        job, features = make_job(job_id)
-        job.on_complete = test_callback(features)
-        instance.submit(job)
-    engine.drain()
+    for count, phase_callback in ((cfg.train_count, train_callback),
+                                  (cfg.test_count, test_callback)):
+        for _ in range(count):
+            job_id += 1
+            job, features = make_job(job_id)
+            job.on_complete = phase_callback(features)
+            instance.submit(job)
+        engine.drain()
 
     bundle = ReportBundle(kind=HYBRID, seed=cfg.seed, config=cfg.summary())
     models = {}
     for variant in HYBRID_MODELS:
         entry = service.entry(variant)
-        metrics = service.handle(
-            mlserve.ServiceRequest(verb="metrics", name=variant)
-        )
+        metrics = call("metrics", name=variant)
         models[variant] = {
             "pairs": [[float(a), float(p)] for a, p in entry.truths],
             "r_squared": metrics.get("r_squared"),

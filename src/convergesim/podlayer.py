@@ -8,6 +8,11 @@ kernel-bypass NIC to pods. A pod's traffic uses the bypass path only if
 it asked for the device, the node has one, and the exposing daemonset is
 deployed; otherwise it falls back to the user-space TAP relay.
 
+The nodes themselves (cores, NIC) are read from the graph's
+`ClusterSpec`. A cluster keeps only its pods, indexed by pod-set name,
+their hostnames, and whether an exposing daemonset is deployed; since
+that daemonset covers every worker, exposure is all or nothing.
+
 CPU limits are modeled as a hard ceiling on the share of cycles, not a
 CPU-count bound and not burstable: demand above the ceiling inflates
 runtime proportionally. The recommended configuration therefore requests
@@ -59,7 +64,6 @@ class PodSpec:
 
 @dataclass(frozen=True)
 class PodPlacement:
-    pod_id: int
     name: str            # pod hostname
     spec_name: str
     kind: str
@@ -77,11 +81,9 @@ class KubeCluster:
     control_plane_node: int
     worker_nodes: list[int]
     hostname_table: dict[str, int] = field(default_factory=dict)
-    nic_exposed_nodes: set[int] = field(default_factory=set)
-    placements: dict[int, PodPlacement] = field(default_factory=dict)
+    nic_exposed: bool = False
+    pods: dict[str, list[PodPlacement]] = field(default_factory=dict)  # by spec name
     lookup_overhead_s: float = 0.0
-    _next_pod_id: int = 0
-    _pods_by_spec: dict[str, list[int]] = field(default_factory=dict)
 
 
 def start_usernetes(graph: ResourceGraph, alloc_id: int,
@@ -106,10 +108,9 @@ def _resolve_path(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec,
                   node_id: int) -> str:
     if not spec.requires_bypass_nic:
         return TAP_RELAY
-    node = graph.nodes[node_id]
-    if not node.has_bypass_nic:
+    if not graph.has_bypass_nic(node_id):
         raise PodLayerError(f"node {node_id} has no bypass NIC device")
-    if spec.kind == DAEMONSET or node_id in kube.nic_exposed_nodes:
+    if spec.kind == DAEMONSET or kube.nic_exposed:
         return OS_BYPASS
     return TAP_RELAY
 
@@ -134,18 +135,14 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
     else:
         targets = [kube.worker_nodes[i % len(kube.worker_nodes)]
                    for i in range(spec.replicas)]
+    node_cores = graph.spec.cores_per_node
+    fraction, _ = _throttle(node_cores, spec.cpu_limit, max(spec.cpu_request, 1e-9))
     placements = []
     for i, node_id in enumerate(targets):
         hostname = f"{spec.name}-{i}"
         if hostname in kube.hostname_table:
             raise PodLayerError(f"hostname {hostname!r} already registered")
-        path = _resolve_path(graph, kube, spec, node_id)
-        node_cores = graph.nodes[node_id].cores
-        fraction, _ = _throttle(node_cores, spec.cpu_limit,
-                                max(spec.cpu_request, 1e-9))
-        kube._next_pod_id += 1
-        placement = PodPlacement(
-            pod_id=kube._next_pod_id,
+        placements.append(PodPlacement(
             name=hostname,
             spec_name=spec.name,
             kind=spec.kind,
@@ -153,32 +150,27 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
             node_cores=node_cores,
             cpu_request=spec.cpu_request,
             cpu_limit=spec.cpu_limit,
-            network_path=path,
+            network_path=_resolve_path(graph, kube, spec, node_id),
             effective_cpu_fraction=fraction if spec.cpu_request > 0 else 1.0,
-        )
-        placements.append(placement)
-        kube.hostname_table[hostname] = node_id
-        kube.placements[placement.pod_id] = placement
+        ))
+    # register only once every pod has placed, so a failed apply leaves nothing
+    kube.hostname_table.update((p.name, p.node_id) for p in placements)
+    kube.pods[spec.name] = placements
     if spec.kind == DAEMONSET and spec.requires_bypass_nic:
-        kube.nic_exposed_nodes.update(targets)
-    kube._pods_by_spec.setdefault(spec.name, []).extend(p.pod_id for p in placements)
+        kube.nic_exposed = True
     return placements
 
 
 def remove(kube: KubeCluster, spec_name: str) -> int:
     """Tear down a pod set; removing the exposing daemonset disables bypass."""
-    pod_ids = kube._pods_by_spec.pop(spec_name, None)
-    if pod_ids is None:
+    pods = kube.pods.pop(spec_name, None)
+    if pods is None:
         raise PodLayerError(f"no pod set named {spec_name!r}")
-    removed_exposing_daemonset = False
-    for pod_id in pod_ids:
-        placement = kube.placements.pop(pod_id)
+    for placement in pods:
         kube.hostname_table.pop(placement.name, None)
         if placement.kind == DAEMONSET and placement.network_path == OS_BYPASS:
-            removed_exposing_daemonset = True
-    if removed_exposing_daemonset:
-        kube.nic_exposed_nodes.clear()
-    return len(pod_ids)
+            kube.nic_exposed = False
+    return len(pods)
 
 
 def _throttle(node_cores: int, cpu_limit: float | None, demand: float):

@@ -1,7 +1,9 @@
 """Cluster resource graph and nested allocations.
 
-Nodes expose a core count and an optional kernel-bypass NIC device; an
-allocation is a per-node grant of core counts carved out of a parent
+A `ClusterSpec` is the only description of the nodes: every node has
+`cores_per_node` cores, and the kernel-bypass NIC is on every node
+unless the cluster has none or lists the node in `nodes_without_nic`.
+An allocation is a per-node grant of core counts carved out of a parent
 allocation. The carve/release rules enforce hierarchical bounding: a
 child's node set is a subset of its parent's, and on every node the core
 counts granted to children never exceed the parent's own grant.
@@ -13,8 +15,6 @@ shareable by all allocations on a node, not a partitioned resource.
 """
 
 from dataclasses import dataclass, field
-
-BYPASS_NIC = "bypass_nic"
 
 
 class ResourceError(Exception):
@@ -53,18 +53,6 @@ class ClusterSpec:
 
 
 @dataclass(frozen=True)
-class NodeRecord:
-    node_id: int
-    hostname: str
-    cores: int
-    devices: tuple[str, ...] = ()
-
-    @property
-    def has_bypass_nic(self) -> bool:
-        return BYPASS_NIC in self.devices
-
-
-@dataclass(frozen=True)
 class ResourceRequest:
     nodes: int
     cores_per_node: int = 0  # ignored when exclusive
@@ -95,22 +83,21 @@ class Allocation:
 
 
 class ResourceGraph:
-    """Nodes plus the live allocation tree rooted at `root_allocation`.
+    """The cluster's spec plus the live allocation tree rooted at
+    `root_allocation`, which owns every core of every node.
 
     Only live allocations are kept; a release drops its entry.
     """
 
-    def __init__(self, nodes: list[NodeRecord]):
-        self.nodes = {n.node_id: n for n in nodes}
-        hostnames = [n.hostname for n in nodes]
-        if len(set(hostnames)) != len(hostnames):
-            raise ValueError("hostnames must be unique")
+    def __init__(self, spec: ClusterSpec):
+        spec.validate()
+        self.spec = spec
         self._allocations: dict[int, Allocation] = {}
         self._next_alloc_id = 0
         root = Allocation(
             alloc_id=self._take_id(),
             parent=None,
-            node_slices={n.node_id: n.cores for n in nodes},
+            node_slices=dict.fromkeys(range(spec.node_count), spec.cores_per_node),
         )
         self._allocations[root.alloc_id] = root
         self.root_allocation = root.alloc_id
@@ -118,6 +105,9 @@ class ResourceGraph:
     def _take_id(self) -> int:
         self._next_alloc_id += 1
         return self._next_alloc_id
+
+    def has_bypass_nic(self, node_id: int) -> bool:
+        return self.spec.has_bypass_nic and node_id not in self.spec.nodes_without_nic
 
     def allocation(self, alloc_id: int) -> Allocation:
         alloc = self._allocations.get(alloc_id)
@@ -146,17 +136,17 @@ class ResourceGraph:
         """
         request.validate()
         parent = self.allocation(parent_id)
+        cores = self.spec.cores_per_node
         chosen: dict[int, int] = {}
         for node_id in parent.node_ids:
             if len(chosen) == request.nodes:
                 break
-            node = self.nodes[node_id]
-            if request.require_bypass_nic and not node.has_bypass_nic:
+            if request.require_bypass_nic and not self.has_bypass_nic(node_id):
                 continue
             free = self.free_cores(parent_id, node_id)
             if request.exclusive:
-                if free == node.cores and parent.node_slices[node_id] == node.cores:
-                    chosen[node_id] = node.cores
+                if free == cores and parent.node_slices[node_id] == cores:
+                    chosen[node_id] = cores
             else:
                 if free >= request.cores_per_node:
                     chosen[node_id] = request.cores_per_node
@@ -189,9 +179,11 @@ class ResourceGraph:
         allocation's children stay within its grant, and summing each live
         allocation's free cores recovers the node's core count exactly.
         """
+        cores = self.spec.cores_per_node
+        nodes = range(self.spec.node_count)
         root = self._allocations[self.root_allocation]
-        for node_id, node in self.nodes.items():
-            if root.node_slices.get(node_id) != node.cores:
+        for node_id in nodes:
+            if root.node_slices.get(node_id) != cores:
                 raise AssertionError(f"root does not own all cores of node {node_id}")
         for alloc in self.live_allocations():
             for node_id in alloc.node_slices:
@@ -211,16 +203,16 @@ class ResourceGraph:
                         raise AssertionError(
                             f"allocation {alloc.alloc_id} exceeds parent grant on node {node_id}"
                         )
-        for node_id, node in self.nodes.items():
+        for node_id in nodes:
             free_sum = sum(
                 self.free_cores(a.alloc_id, node_id)
                 for a in self.live_allocations()
                 if node_id in a.node_slices
             )
-            if free_sum != node.cores:
+            if free_sum != cores:
                 raise AssertionError(
                     f"conservation broken on node {node_id}: free sum {free_sum} "
-                    f"!= {node.cores}"
+                    f"!= {cores}"
                 )
 
     def root_fully_free(self) -> bool:
@@ -229,15 +221,4 @@ class ResourceGraph:
 
 def build_cluster(spec: ClusterSpec) -> ResourceGraph:
     """Materialize a cluster graph whose root allocation owns every core."""
-    spec.validate()
-    skip = set(spec.nodes_without_nic)
-    nodes = [
-        NodeRecord(
-            node_id=i,
-            hostname=f"node-{i:03d}",
-            cores=spec.cores_per_node,
-            devices=(BYPASS_NIC,) if spec.has_bypass_nic and i not in skip else (),
-        )
-        for i in range(spec.node_count)
-    ]
-    return ResourceGraph(nodes)
+    return ResourceGraph(spec)

@@ -81,12 +81,8 @@ class TableRow:
     cpu_pct: float
 
 
-def load_reference_table(path=None) -> list[TableRow]:
-    if path is None:
-        text = resources.files("convergesim.data").joinpath("lammps_table.csv").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+def load_reference_table() -> list[TableRow]:
+    text = resources.files("convergesim.data").joinpath("lammps_table.csv").read_text()
     rows = []
     for rec in csv.DictReader(text.splitlines()):
         rows.append(

@@ -128,7 +128,7 @@ def test_c05_contention_freedom_oracle():
     graph = build_cluster(ClusterSpec(8, 4))
     root = graph.allocation(graph.root_allocation)
     mirror = AccountingMirror(
-        {n.node_id: n.cores for n in graph.nodes.values()},
+        dict.fromkeys(range(graph.spec.node_count), graph.spec.cores_per_node),
         graph.root_allocation,
         dict(root.node_slices),
     )

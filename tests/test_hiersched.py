@@ -3,6 +3,7 @@ import os
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import convergesim
 from helpers import (
@@ -22,7 +23,12 @@ from convergesim.hiersched import (
     make_jobs,
     run_taxonomy,
 )
-from convergesim.resgraph import ClusterSpec, ResourceRequest, build_cluster
+from convergesim.resgraph import (
+    ClusterSpec,
+    InsufficientCapacityError,
+    ResourceRequest,
+    build_cluster,
+)
 from convergesim.simkernel import Engine
 
 
@@ -178,12 +184,77 @@ def test_retained_memory_does_not_grow_with_job_count():
     assert large - small < 4096, (small, large)
 
 
+def instance_on(spec, parent_request=None):
+    """An instance over the root of a fresh `spec` graph, or over a carve of
+    `parent_request` from that root."""
+    engine = Engine(0)
+    graph = build_cluster(spec)
+    alloc_id = graph.root_allocation
+    if parent_request is not None:
+        alloc_id = graph.carve(alloc_id, parent_request).alloc_id
+    return Instance(engine, graph, alloc_id)
+
+
 def test_unsatisfiable_core_request_rejected():
-    engine, graph, inst = setup_instance(4, cores=8)
-    bad = Job(job_id=1, duration=0.0,
-              request=ResourceRequest(nodes=1, cores_per_node=9, exclusive=False))
-    with pytest.raises(UnsatisfiableRequestError):
-        inst.submit(bad)
+    slices = ResourceRequest(nodes=2, cores_per_node=4, exclusive=False)
+    # (cluster, the instance's carve from the root or None, job request)
+    cases = [
+        (ClusterSpec(4, 8), None,
+         ResourceRequest(nodes=1, cores_per_node=9, exclusive=False)),
+        (ClusterSpec(4, 8, has_bypass_nic=False), None,
+         ResourceRequest(nodes=1, require_bypass_nic=True)),
+        (ClusterSpec(4, 8), slices,
+         ResourceRequest(nodes=1, cores_per_node=8, exclusive=False)),
+        (ClusterSpec(4, 8), slices, ResourceRequest(nodes=1)),
+    ]
+    for spec, parent_request, request in cases:
+        inst = instance_on(spec, parent_request)
+        with pytest.raises(UnsatisfiableRequestError):
+            inst.submit(Job(job_id=1, duration=0.0, request=request))
+        assert not inst.queue
+
+
+requests = st.builds(
+    ResourceRequest,
+    nodes=st.integers(1, 6),
+    cores_per_node=st.integers(1, 9),
+    exclusive=st.booleans(),
+    require_bypass_nic=st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    node_count=st.integers(1, 5),
+    cores=st.integers(1, 8),
+    nic=st.booleans(),
+    without_nic=st.sets(st.integers(0, 4)),
+    parent_request=st.none() | requests,
+    batch=st.lists(requests, min_size=1, max_size=4),
+)
+def test_submit_accepts_iff_a_fresh_carve_succeeds(node_count, cores, nic, without_nic,
+                                                    parent_request, batch):
+    spec = ClusterSpec(node_count, cores, nic,
+                       tuple(sorted(i for i in without_nic if i < node_count)))
+    try:
+        inst = instance_on(spec, parent_request)
+    except InsufficientCapacityError:
+        assume(False)
+    # the oracle: the same carves on a fresh graph, whose allocation has no
+    # live children when each request is carved from it
+    fresh = instance_on(spec, parent_request)
+    for job_id, request in enumerate(batch, 1):
+        try:
+            fresh.graph.release(fresh.graph.carve(fresh.alloc_id, request).alloc_id)
+            fits = True
+        except InsufficientCapacityError:
+            fits = False
+        try:
+            inst.submit(Job(job_id=job_id, duration=0.0, request=request))
+            accepted = True
+        except UnsatisfiableRequestError:
+            accepted = False
+        assert accepted == fits, (job_id, request)
 
 
 # --- taxonomy comparators --------------------------------------------------------

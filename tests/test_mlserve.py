@@ -1,5 +1,6 @@
 import json
 import math
+import socket
 import threading
 
 import pytest
@@ -358,6 +359,30 @@ def test_unix_socket_mount_agrees_too(tmp_path):
         server.shutdown()
         server.server_close()
     assert got == expected
+
+
+def test_unix_mount_answers_a_line_that_is_not_utf8(tmp_path):
+    path = str(tmp_path / "mlserve.sock")
+    server = mlserve.serve_unix(path)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(10)
+    try:
+        sock.connect(path)
+        stream = sock.makefile("rwb")
+        replies = []
+        for line in (b"\xff\n", b"list_models\n"):
+            stream.write(line)
+            stream.flush()
+            replies.append(stream.readline())
+        stream.close()
+    finally:
+        sock.close()
+        server.shutdown()
+        server.server_close()
+    # the connection stays open after the bad line
+    assert replies == [b"bad_request error=malformed_request\n", b"ok models=\n"]
 
 
 def test_socket_mount_serves_one_request_at_a_time(monkeypatch):

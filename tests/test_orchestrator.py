@@ -4,13 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from convergesim import cli, mlcore, podlayer, workloads
+from convergesim import cli, mlcore, mlserve, podlayer, workloads
 from convergesim.orchestrator import (
     HYBRID,
     SCALING_STUDY,
     TAXONOMY,
     ConfigError,
     ScenarioConfig,
+    ScenarioError,
     default_config,
     load_config,
     run_hybrid,
@@ -178,7 +179,7 @@ def test_scaling_pod_layers_end_each_cell_with_only_the_daemonset(monkeypatch):
     run_scaling_study(cfg)
     assert len(clusters) == len(cfg.sizes)
     for kube in clusters:
-        pods = kube.placements.values()
+        pods = [p for placed in kube.pods.values() for p in placed]
         assert {(p.kind, p.spec_name) for p in pods} == {
             (podlayer.DAEMONSET, f"nic-exposer-{len(kube.worker_nodes)}")}
         assert sorted(p.node_id for p in pods) == sorted(kube.worker_nodes)
@@ -217,6 +218,14 @@ def test_hybrid_trains_and_scores_three_models():
         # the reported score matches a recomputation from the emitted pairs
         expected = mlcore.r_squared([tuple(p) for p in info["pairs"]])
         assert info["r_squared"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("verb", ["create", "train", "predict", "record_truth", "metrics"])
+def test_hybrid_stops_on_a_rejected_service_reply(monkeypatch, verb):
+    monkeypatch.setattr(mlserve.MLService, f"_{verb}",
+                        lambda *args: mlserve.ServiceResponse("bad_request"))
+    with pytest.raises(ScenarioError, match=verb):
+        run_hybrid(small_hybrid())
 
 
 def test_hybrid_suballocations_never_share_nodes():

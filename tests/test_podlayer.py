@@ -120,7 +120,7 @@ def test_control_plane_never_hosts_workload_pods():
     apply(graph, kube, PodSpec(name="nic", kind=DAEMONSET, requires_bypass_nic=True))
     apply(graph, kube, PodSpec(name="a", kind=JOB_SET, replicas=5))
     apply(graph, kube, PodSpec(name="b", kind=DEPLOYMENT, replicas=3))
-    for placement in kube.placements.values():
+    for placement in [p for placed in kube.pods.values() for p in placed]:
         assert placement.node_id != kube.control_plane_node
 
 
@@ -130,6 +130,20 @@ def test_duplicate_hostnames_rejected():
     apply(graph, kube, PodSpec(name="app", kind=JOB_SET, replicas=1))
     with pytest.raises(PodLayerError):
         apply(graph, kube, PodSpec(name="app", kind=JOB_SET, replicas=1))
+
+
+def test_failed_apply_registers_nothing():
+    graph = build_cluster(ClusterSpec(4, 16, nodes_without_nic=(2,)))
+    alloc = graph.carve(graph.root_allocation, ResourceRequest(nodes=4))
+    kube = start_usernetes(graph, alloc.alloc_id)
+    # the second of three pods lands on node 2, which has no NIC
+    with pytest.raises(PodLayerError):
+        apply(graph, kube, PodSpec(name="mpi", kind=JOB_SET, replicas=3,
+                                   requires_bypass_nic=True))
+    assert kube.hostname_table == {}
+    pods = apply(graph, kube, PodSpec(name="mpi", kind=JOB_SET, replicas=1,
+                                      requires_bypass_nic=True))
+    assert kube.hostname_table == {"mpi-0": pods[0].node_id}
 
 
 def test_pod_spec_validation():

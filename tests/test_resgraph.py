@@ -15,7 +15,7 @@ from convergesim.resgraph import (
 def mirror_for(graph):
     root = graph.allocation(graph.root_allocation)
     return AccountingMirror(
-        {n.node_id: n.cores for n in graph.nodes.values()},
+        dict.fromkeys(range(graph.spec.node_count), graph.spec.cores_per_node),
         graph.root_allocation,
         dict(root.node_slices),
     )
@@ -23,7 +23,7 @@ def mirror_for(graph):
 
 def test_build_full_cluster():
     graph = build_cluster(ClusterSpec(33, 16))
-    assert len(graph.nodes) == 33
+    assert graph.spec.node_count == 33
     root = graph.allocation(graph.root_allocation)
     assert root.total_cores == 528
     assert sorted(root.node_slices.values()) == [16] * 33
@@ -130,13 +130,13 @@ def test_bypass_nic_requirement():
     nic_graph = build_cluster(ClusterSpec(4, 8, has_bypass_nic=True))
     child = nic_graph.carve(nic_graph.root_allocation,
                             ResourceRequest(nodes=1, require_bypass_nic=True))
-    assert nic_graph.nodes[child.node_ids[0]].has_bypass_nic
+    assert nic_graph.has_bypass_nic(child.node_ids[0])
 
 
 def test_per_node_nic_heterogeneity():
     spec = ClusterSpec(4, 8, has_bypass_nic=True, nodes_without_nic=(0, 2))
     graph = build_cluster(spec)
-    assert [graph.nodes[i].has_bypass_nic for i in range(4)] == [
+    assert [graph.has_bypass_nic(i) for i in range(4)] == [
         False, True, False, True,
     ]
     child = graph.carve(graph.root_allocation,
