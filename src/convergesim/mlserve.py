@@ -25,13 +25,15 @@ needed anywhere.
 Every mutating verb bumps the model's sequence counter and echoes it, so
 a response trace makes interleaved partial updates detectable. A rejected
 request leaves the model unchanged (a train the model refuses restores
-the scaler it updated); a socket mount serves one request at a time.
+the scaler it updated). A socket mount serves every connection from one
+selector loop, one request at a time, and closes a connection whose
+unterminated line passes MAX_LINE_BYTES after answering malformed_request.
 """
 
 import math
 import re
+import selectors
 import socket
-import socketserver
 import threading
 from dataclasses import dataclass, field
 
@@ -225,31 +227,22 @@ def format_request(req: ServiceRequest) -> str:
     return " ".join(parts)
 
 
+# wire key -> ServiceRequest field; feature keys are x:<name>
+_FIELDS = dict(name="name", type="model_type", y="y", y_true="y_true", y_pred="y_pred")
+
+
 def parse_request(line: str) -> ServiceRequest:
     tokens = line.strip().split()
     if not tokens:
         raise ProtocolError("empty request line")
-    verb, fields = tokens[0], {}
-    features: dict = {}
+    fields, features = {}, {}
     for token in tokens[1:]:
-        if "=" not in token:
-            raise ProtocolError(f"malformed token {token!r}")
-        key, raw = token.split("=", 1)
-        if key.startswith("x:"):
-            features[key[2:]] = float(raw)
-        else:
-            fields[key] = raw
-    def fnum(key):
-        return float(fields[key]) if key in fields else None
-    return ServiceRequest(
-        verb=verb,
-        name=fields.get("name"),
-        model_type=fields.get("type"),
-        features=features or None,
-        y=fnum("y"),
-        y_true=fnum("y_true"),
-        y_pred=fnum("y_pred"),
-    )
+        key, eq, raw = token.partition("=")
+        target, field = (features, key[2:]) if key[:2] == "x:" else (fields, _FIELDS.get(key))
+        if not eq or not field or field in target:
+            raise ProtocolError(f"malformed, unknown or repeated key in {token!r}")
+        target[field] = raw if key in ("name", "type") else float(raw)
+    return ServiceRequest(tokens[0], features=features or None, **fields)
 
 
 def format_response(resp: ServiceResponse) -> str:
@@ -276,55 +269,112 @@ def handle_line(service: MLService, line: str) -> str:
     try:
         req = parse_request(line)
     except (ProtocolError, ValueError):
-        return format_response(_bad_request("malformed_request"))
+        return _MALFORMED_LINE
     return format_response(service.handle(req))
 
 
 # --- socket mount (demo mode) ----------------------------------------------
 
-class _LineHandler(socketserver.StreamRequestHandler):
-    def handle(self):
-        for raw in self.rfile:
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                reply = format_response(_bad_request("malformed_request"))
-            else:
-                if not line:
-                    continue
-                with self.server.lock:
-                    reply = handle_line(self.server.service, line)
-            self.wfile.write((reply + "\n").encode("utf-8"))
+MAX_LINE_BYTES = 64 * 1024  # the longest unterminated request a connection may send
+_MALFORMED_LINE = format_response(_bad_request("malformed_request"))
+
+
+@dataclass
+class _Connection:
+    unparsed: bytes = b""  # input after the last newline
+    unsent: bytes = b""  # replies; no more input is read until they are sent
+    closing: bool = False
 
 
 class _Mount:
-    """A threaded socket server for one MLService. Its lock serves one
-    request at a time, so no request sees another half done."""
+    """One selector loop serves every connection to one MLService. It runs
+    one request at a time, so no request sees another half done."""
 
-    daemon_threads = True
+    def __init__(self, listener: socket.socket, service: MLService):
+        self._listener, self.service = listener, service
+        self.server_address = listener.getsockname()
+        self._wake, self._waker = socket.socketpair()  # shutdown() wakes the loop
+        self._selector = selectors.DefaultSelector()
+        for sock in (listener, self._wake):
+            sock.setblocking(False)
+            self._selector.register(sock, selectors.EVENT_READ)
+        self._stop, self._stopped = False, threading.Event()
 
-    def __init__(self, address, service: MLService):
-        super().__init__(address, _LineHandler)
-        self.service = service
-        self.lock = threading.Lock()
+    def serve_forever(self):
+        self._stopped.clear()
+        try:
+            while not self._stop:
+                for key, _ in self._selector.select():
+                    if key.data is not None:
+                        self._serve(key)
+                    elif key.fileobj is self._listener:
+                        self._accept()
+        finally:
+            self._stopped.set()
+
+    def shutdown(self):
+        """Stop serve_forever, running on another thread, and wait for it."""
+        self._stop = True
+        self._waker.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self):
+        """Close the listening socket and every connection."""
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+        self._waker.close()
+
+    def _accept(self):
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the client left first, or no descriptor is free
+            return
+        sock.setblocking(False)
+        self._selector.register(sock, selectors.EVENT_READ, _Connection())
+
+    def _serve(self, key: selectors.SelectorKey):
+        conn, sock = key.data, key.fileobj
+        try:
+            if not conn.unsent:
+                data = sock.recv(MAX_LINE_BYTES)
+                conn.closing = not data  # at the end, answer an unterminated last line
+                *lines, conn.unparsed = (conn.unparsed + (data or b"\n")).split(b"\n")
+                replies = []
+                for raw in lines:
+                    try:
+                        line = raw.decode("utf-8").strip()
+                    except UnicodeDecodeError:
+                        replies.append(_MALFORMED_LINE)
+                        continue
+                    if line:  # handle_line is looked up here, so a tracer can wrap it
+                        replies.append(handle_line(self.service, line))
+                if len(conn.unparsed) > MAX_LINE_BYTES:
+                    replies.append(_MALFORMED_LINE)
+                    conn.unparsed, conn.closing = b"", True
+                conn.unsent = "".join(r + "\n" for r in replies).encode("utf-8")
+            if conn.unsent:
+                conn.unsent = conn.unsent[sock.send(conn.unsent):]
+        except BlockingIOError:
+            pass
+        except OSError:  # the client reset or left with replies unsent
+            conn.unsent, conn.closing = b"", True
+        events = selectors.EVENT_WRITE if conn.unsent else selectors.EVENT_READ
+        if conn.closing and not conn.unsent:
+            self._selector.unregister(sock)
+            sock.close()
+        elif events != key.events:
+            self._selector.modify(sock, events, conn)
 
 
-class ServiceServer(_Mount, socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-
-
-class UnixServiceServer(_Mount, socketserver.ThreadingUnixStreamServer):
-    pass
-
-
-def serve_tcp(host: str, port: int, service: MLService | None = None) -> ServiceServer:
+def serve_tcp(host: str, port: int, service: MLService | None = None) -> _Mount:
     """Bind the TCP mount; the caller runs serve_forever (or a thread)."""
-    return ServiceServer((host, port), service or MLService())
+    return _Mount(socket.create_server((host, port)), service or MLService())
 
 
-def serve_unix(path: str, service: MLService | None = None) -> UnixServiceServer:
+def serve_unix(path: str, service: MLService | None = None) -> _Mount:
     """Bind the unix-domain mount at a filesystem path."""
-    return UnixServiceServer(path, service or MLService())
+    return _Mount(socket.create_server(path, family=socket.AF_UNIX), service or MLService())
 
 
 class ServiceClient:

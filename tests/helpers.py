@@ -7,9 +7,12 @@ incremental learners, and a pairwise interval scan for placement overlap.
 
 The library keeps no history of a run, so the recorders here wrap the
 methods of one live engine or graph and keep what a test checks.
+`serving` runs a socket mount for the length of a with-block.
 """
 
+import contextlib
 import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,3 +171,16 @@ class GraphRecorder:
 
     def children_of(self, parent_id: int) -> list[AllocationSpan]:
         return [span for span in self.spans if span.parent == parent_id]
+
+
+@contextlib.contextmanager
+def serving(server):
+    """Run `server.serve_forever` on a thread inside the with-block, then
+    shut the mount down and close it."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -1,7 +1,9 @@
+import contextlib
 import json
 import math
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -19,6 +21,8 @@ from convergesim.mlserve import (
     parse_response,
     serve_tcp,
 )
+
+from helpers import serving
 
 
 def test_create_then_list():
@@ -306,7 +310,53 @@ def test_malformed_line_is_bad_request():
     assert handle_line(service, "frobnicate name=m").startswith("bad_request")
 
 
+@pytest.mark.parametrize("line", [
+    "create name=a name=b type=linear_sgd",
+    "create name=a type=linear_sgd type=bayesian",
+    "train name=m x:a=2.0 x:a=3.0 y=1.0",
+    "train name=m x:a=2.0 y=1.0 y=2.0",
+    "train name=m x:=2.0 y=1.0",
+    "predict name=m x:a=2.0 bogus=3",
+    "record_truth name=m y_true=1.0 y_pred=1.0 y_true=2.0",
+])
+def test_repeated_unknown_or_empty_key_is_malformed(line):
+    service = MLService()
+    handle_line(service, "create name=m type=linear_sgd")
+    handle_line(service, "train name=m x:a=1.0 y=1.0")
+    probes = ("list_models", "stats name=m", "metrics name=m")
+    before = [handle_line(service, probe) for probe in probes]
+    assert handle_line(service, line) == "bad_request error=malformed_request"
+    assert [handle_line(service, probe) for probe in probes] == before
+
+
+def test_feature_names_may_spell_request_keys():
+    req = parse_request("predict name=m x:name=1.0 x:type=2.0 x:y=3.0")
+    assert req == ServiceRequest("predict", name="m",
+                                 features={"name": 1.0, "type": 2.0, "y": 3.0})
+
+
 # --- socket mount ----------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def connect(path):
+    """A unix-socket connection to `path` on which every call gives up
+    after 10 s."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10)
+        sock.connect(path)
+        yield sock
+
+
+def read_until_closed(sock) -> bytes:
+    """Everything the mount sent before it closed the connection."""
+    chunks = []
+    try:
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    except ConnectionResetError:  # closed with our input unread: a reset after the data
+        pass
+    return b"".join(chunks)
 
 
 SCRIPT = [
@@ -329,17 +379,10 @@ def test_socket_and_inprocess_mounts_agree():
     in_process = MLService()
     expected = [handle_line(in_process, line) for line in SCRIPT]
 
-    server = serve_tcp("127.0.0.1", 0)
-    host, port = server.server_address
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        client = mlserve.ServiceClient(host, port)
+    with serving(serve_tcp("127.0.0.1", 0)) as server:
+        client = mlserve.ServiceClient(*server.server_address)
         got = [client.call_line(line) for line in SCRIPT]
         client.close()
-    finally:
-        server.shutdown()
-        server.server_close()
     assert got == expected
 
 
@@ -348,28 +391,16 @@ def test_unix_socket_mount_agrees_too(tmp_path):
     expected = [handle_line(in_process, line) for line in SCRIPT]
 
     path = str(tmp_path / "mlserve.sock")
-    server = mlserve.serve_unix(path)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(mlserve.serve_unix(path)):
         client = mlserve.ServiceClient(path=path)
         got = [client.call_line(line) for line in SCRIPT]
         client.close()
-    finally:
-        server.shutdown()
-        server.server_close()
     assert got == expected
 
 
 def test_unix_mount_answers_a_line_that_is_not_utf8(tmp_path):
     path = str(tmp_path / "mlserve.sock")
-    server = mlserve.serve_unix(path)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.settimeout(10)
-    try:
-        sock.connect(path)
+    with serving(mlserve.serve_unix(path)), connect(path) as sock:
         stream = sock.makefile("rwb")
         replies = []
         for line in (b"\xff\n", b"list_models\n"):
@@ -377,10 +408,6 @@ def test_unix_mount_answers_a_line_that_is_not_utf8(tmp_path):
             stream.flush()
             replies.append(stream.readline())
         stream.close()
-    finally:
-        sock.close()
-        server.shutdown()
-        server.server_close()
     # the connection stays open after the bad line
     assert replies == [b"bad_request error=malformed_request\n", b"ok models=\n"]
 
@@ -395,32 +422,103 @@ def test_socket_mount_serves_one_request_at_a_time(monkeypatch):
         return learn_transform(self, x)
 
     monkeypatch.setattr(mlcore.RunningScaler, "learn_transform", blocking_learn_transform)
-    server = serve_tcp("127.0.0.1", 0)
-    host, port = server.server_address
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    a = mlserve.ServiceClient(host, port)
-    b = mlserve.ServiceClient(host, port)
-    replies = {}
-    train = threading.Thread(
-        target=lambda: replies.update(a=a.call_line("train name=m x:x=1.0 y=1.0")))
-    stats = threading.Thread(target=lambda: replies.update(b=b.call_line("stats name=m")))
-    try:
-        a.call_line("create name=m type=linear_sgd")
-        train.start()
-        assert entered.wait(timeout=10)
-        stats.start()
-        stats.join(timeout=0.5)
-        assert "b" not in replies  # connection B waits while A's train is half done
-        release.set()
-        train.join(timeout=10)
-        stats.join(timeout=10)
-        assert not train.is_alive() and not stats.is_alive()
-        assert replies == {"a": "ok samples_seen=1 seq=1",
-                           "b": "ok model_type=linear_sgd samples_seen=1 seq=1 features=x"}
-    finally:
-        release.set()
-        a.close()
-        b.close()
-        server.shutdown()
-        server.server_close()
+    with serving(serve_tcp("127.0.0.1", 0)) as server:
+        a = mlserve.ServiceClient(*server.server_address)
+        b = mlserve.ServiceClient(*server.server_address)
+        replies = {}
+        train = threading.Thread(
+            target=lambda: replies.update(a=a.call_line("train name=m x:x=1.0 y=1.0")))
+        stats = threading.Thread(target=lambda: replies.update(b=b.call_line("stats name=m")))
+        try:
+            a.call_line("create name=m type=linear_sgd")
+            train.start()
+            assert entered.wait(timeout=10)
+            stats.start()
+            stats.join(timeout=0.5)
+            assert "b" not in replies  # connection B waits while A's train is half done
+            release.set()
+            train.join(timeout=10)
+            stats.join(timeout=10)
+            assert not train.is_alive() and not stats.is_alive()
+            assert replies == {"a": "ok samples_seen=1 seq=1",
+                               "b": "ok model_type=linear_sgd samples_seen=1 seq=1 features=x"}
+        finally:
+            release.set()
+            a.close()
+            b.close()
+
+
+
+def test_unix_mount_closes_a_connection_whose_line_is_too_long(tmp_path):
+    path = str(tmp_path / "mlserve.sock")
+    with serving(mlserve.serve_unix(path)):
+        with connect(path) as sock:
+            try:
+                sock.sendall(b"x" * 2**20)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the mount closed the connection before it read it all
+            assert read_until_closed(sock) == b"bad_request error=malformed_request\n"
+        with connect(path) as sock:
+            sock.sendall(b"list_models\n")
+            assert sock.makefile("rb").readline() == b"ok models=\n"
+
+
+def test_a_client_that_never_reads_does_not_stall_another(tmp_path):
+    path = str(tmp_path / "mlserve.sock")
+    with serving(mlserve.serve_unix(path)):
+        setup = mlserve.ServiceClient(path=path)
+        for i in range(20):
+            setup.call_line(f"create name=model_{i:02d} type=linear_sgd")
+        listing = (setup.call_line("list_models") + "\n").encode()
+        setup.close()
+        request = b"list_models\n"
+        with connect(path) as a, connect(path) as b:
+            # each reply is about 16 times its request, so the mount soon
+            # holds replies that A's socket cannot take
+            a.setblocking(False)
+            sent = 0
+            with contextlib.suppress(BlockingIOError):
+                while sent < 2**20:
+                    sent += a.send(request * 1024)
+            assert sent < 2**20  # A's input backed up: the mount stopped reading it
+            b.sendall(request)
+            assert b.makefile("rb").readline() == listing
+            a.settimeout(10)
+            stream = a.makefile("rb")
+            for _ in range(sent // len(request)):
+                assert stream.readline() == listing
+
+
+def test_socket_mount_answers_lines_however_they_are_split(tmp_path):
+    chunks = [b"create name=m type=linear_sgd\ntrain name=m x:a=1.0 y=2.0\nstats name=m\n",
+              b"train name=m x:a=2", b".0 y=3.0\nstats name=m\n"]
+    in_process = MLService()
+    expected = [handle_line(in_process, line) + "\n"
+                for line in b"".join(chunks).decode().splitlines()]
+    path = str(tmp_path / "mlserve.sock")
+    with serving(mlserve.serve_unix(path)), connect(path) as sock:
+        stream = sock.makefile("rb")
+        sock.sendall(chunks[0])
+        got = [stream.readline().decode() for _ in range(3)]
+        sock.sendall(chunks[1])
+        time.sleep(0.1)  # let the mount read the half line on its own
+        sock.sendall(chunks[2])
+        got += [stream.readline().decode() for _ in range(2)]
+    assert got == expected
+
+
+def test_a_client_that_leaves_with_replies_pending_drops_only_itself(tmp_path):
+    path = str(tmp_path / "mlserve.sock")
+    with serving(mlserve.serve_unix(path)), connect(path) as b:
+        with connect(path) as a:
+            a.sendall(b"list_models\n" * 1000)
+        stream = b.makefile("rwb")
+        for line, reply in ((b"create name=m type=linear_sgd\n",
+                             b"ok name=m model_type=linear_sgd\n"),
+                            (b"list_models\n", b"ok models=m\n")):
+            stream.write(line)
+            stream.flush()
+            assert stream.readline() == reply
+        with connect(path) as c:
+            c.sendall(b"list_models\n")
+            assert c.makefile("rb").readline() == b"ok models=m\n"
