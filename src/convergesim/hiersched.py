@@ -24,9 +24,14 @@ cluster:
 
 All comparator state advances on the single event loop, so the
 interleaving is virtual-time deterministic and conflict traces are
-reproducible for a fixed seed.
+reproducible for a fixed seed. A comparator round that launches nothing
+and moves no node is a fixed point: every later round repeats it until
+another event fires or the stall check trips, so those rounds are
+accounted in one step and never dispatched. Metrics and job times are
+bit-identical to dispatching every round.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -178,9 +183,11 @@ class Instance:
 
 
 def make_jobs(node_counts: list[int], duration_s: float = 0.0) -> list[Job]:
-    """Convenience constructor for comparator workloads."""
+    """Convenience constructor for comparator workloads; jobs of one node
+    count share one (frozen) request."""
+    requests = {n: ResourceRequest(nodes=n) for n in set(node_counts)}
     return [
-        Job(job_id=i + 1, request=ResourceRequest(nodes=n), duration=duration_s)
+        Job(job_id=i + 1, request=requests[n], duration=duration_s)
         for i, n in enumerate(node_counts)
     ]
 
@@ -243,7 +250,8 @@ def _run_hierarchical(workload, cluster, decision_cost, seed) -> SchedMetrics:
 class _EpochRunner:
     """Shared clockwork for the non-hierarchical comparators: one combined
     decision round every `decision_cost` seconds until the work drains or
-    the no-progress horizon trips."""
+    the no-progress horizon trips. Rounds that repeat a fixed point are
+    counted by `_next_round_t` instead of dispatched."""
 
     def __init__(self, mode, workload, cluster, decision_cost, seed, horizon_s):
         self.mode = mode
@@ -289,14 +297,14 @@ class _EpochRunner:
             deadlocked=self.deadlocked,
         )
 
-    def _arm(self):
+    def _arm(self, fire_at: float | None = None):
         # rounds run only while some queue has work; completions re-arm
         if self.stopped or self._armed or not any(self.queues):
             return
         self._armed = True
         self.engine.schedule(
-            self.engine.now + self.decision_cost, self._round,
-            label=f"taxonomy.round:{self.mode}",
+            self.engine.now + self.decision_cost if fire_at is None else fire_at,
+            self._round, label=f"taxonomy.round:{self.mode}",
         )
 
     def _round(self):
@@ -313,8 +321,43 @@ class _EpochRunner:
             self.stopped = True
             self.deadlocked = self._holds_partial_resources()
             return
+        running, free, attempts = self.running, len(self.free), self.attempts
         self.round_body()
-        self._arm()
+        if self.running == running and len(self.free) == free:
+            # a fixed point: nothing launched and no node changed hands
+            self._arm(self._next_round_t(self.attempts - attempts))
+        else:
+            self._arm()
+
+    def _next_round_t(self, attempts: int) -> float:
+        """Account the rounds that repeat a fixed point, and return the fire
+        time of the first round that may not.
+
+        Until another queued event fires or the stall check trips, each
+        later round sees the same queues, free nodes and hoards, so it makes
+        the same `attempts` attempts, draws nothing and changes nothing else.
+        Those rounds are counted here instead of dispatched: their times
+        follow the same `t + decision_cost` chain, and `busy_s` takes the
+        same additions in the same order. The returned round fires at or
+        after the next queued event (which, queued earlier, fires first at
+        an equal time) or is the round whose stall check trips.
+        """
+        cost = self.decision_cost
+        stuck_since = max(self.last_progress_t, self.last_completion_t)
+        # the stall check can trip only while nothing runs
+        horizon = self.horizon_s if self.running == 0 else math.inf
+        limit = self.engine.next_fire_time()
+        t = self.engine.now + cost
+        rounds = 0
+        while t < limit and t - stuck_since < horizon:
+            t += cost
+            rounds += 1
+        busy_s = self.busy_s
+        for _ in range(rounds * attempts):
+            busy_s += cost
+        self.busy_s = busy_s
+        self.attempts += rounds * attempts
+        return t
 
     def _holds_partial_resources(self) -> bool:
         return False
@@ -441,7 +484,7 @@ class _SharedStateRunner(_EpochRunner):
             self.attempts += 1
             self.busy_s += self.decision_cost
             picks = self.rng.choice(len(snapshot), size=need, replace=False)
-            proposals[sched_id] = {snapshot[i] for i in picks}
+            proposals[sched_id] = {snapshot[i] for i in picks.tolist()}
         if 0 in proposals and 1 in proposals and (proposals[0] & proposals[1]):
             self.conflicts += 1  # scheduler 1 loses and retries
             del proposals[1]
@@ -449,6 +492,19 @@ class _SharedStateRunner(_EpochRunner):
             nodes = proposals[sched_id]
             self.free -= nodes
             self._launch(sched_id, nodes)
+
+
+def _make_runner(mode: str, workload: list[Job], cluster: ClusterSpec,
+                 decision_cost_s: float, seed: int, deadlock_horizon_s: float,
+                 hoarding: bool) -> _EpochRunner:
+    args = (mode, workload, cluster, decision_cost_s, seed, deadlock_horizon_s)
+    if mode == MONOLITHIC_PARTITION:
+        return _MonolithicRunner(*args)
+    if mode == TWO_LEVEL:
+        return _TwoLevelRunner(*args, hoarding)
+    if mode == SHARED_STATE:
+        return _SharedStateRunner(*args)
+    raise ValueError(f"unknown taxonomy mode {mode!r}")
 
 
 def run_taxonomy(mode: str, workload: list[Job], cluster: ClusterSpec,
@@ -459,17 +515,13 @@ def run_taxonomy(mode: str, workload: list[Job], cluster: ClusterSpec,
     """Simulate one comparator architecture over the given workload."""
     if not workload:
         raise ValueError("workload must be non-empty")
+    # finite and positive, so that every run ends: rounds advance the clock
+    # and a stall trips within the horizon
+    for name, value in (("decision_cost_s", decision_cost_s),
+                        ("deadlock_horizon_s", deadlock_horizon_s)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, not {value}")
     if mode == HIERARCHICAL:
         return _run_hierarchical(workload, cluster, decision_cost_s, seed)
-    if mode == MONOLITHIC_PARTITION:
-        runner = _MonolithicRunner(mode, workload, cluster, decision_cost_s,
-                                   seed, deadlock_horizon_s)
-    elif mode == TWO_LEVEL:
-        runner = _TwoLevelRunner(mode, workload, cluster, decision_cost_s,
-                                 seed, deadlock_horizon_s, hoarding)
-    elif mode == SHARED_STATE:
-        runner = _SharedStateRunner(mode, workload, cluster, decision_cost_s,
-                                    seed, deadlock_horizon_s)
-    else:
-        raise ValueError(f"unknown taxonomy mode {mode!r}")
-    return runner.run()
+    return _make_runner(mode, workload, cluster, decision_cost_s, seed,
+                        deadlock_horizon_s, hoarding).run()

@@ -25,6 +25,7 @@ fixed seed.
 """
 
 import configparser
+import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
@@ -153,8 +154,10 @@ class ScenarioConfig:
                 )
         if self.gang_min < 1 or self.gang_max < self.gang_min:
             raise ConfigError("gang range must satisfy 1 <= gang_min <= gang_max")
-        if self.decision_cost_s <= 0:
-            raise ConfigError("decision_cost must be positive")
+        for key, value in (("decision_cost", self.decision_cost_s),
+                           ("deadlock_horizon", self.deadlock_horizon_s)):
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ConfigError(f"{key} must be finite and positive, not {value}")
         unknown_models = set(self.model_params) - set(HYBRID_MODELS)
         if unknown_models:
             raise ConfigError(f"unknown model variants {sorted(unknown_models)}")

@@ -13,6 +13,7 @@ replicas that each own a private engine.
 
 import hashlib
 import heapq
+import math
 from typing import Callable
 
 import numpy as np
@@ -22,7 +23,7 @@ SimTime = float
 
 
 class CausalityError(Exception):
-    """An event was scheduled to fire before the current virtual time."""
+    """An event was scheduled to fire before the current virtual time, or at NaN."""
 
 
 class RngStreams:
@@ -65,16 +66,20 @@ class Engine:
 
     def schedule(self, fire_at: SimTime, action: Callable[[], None], label: str = "") -> int:
         """Enqueue `action` to run at virtual time `fire_at`; returns the event id."""
-        if fire_at < self.now:
+        if not fire_at >= self.now:  # also rejects NaN
             raise CausalityError(
                 f"cannot schedule event at t={fire_at} before current time t={self.now}"
             )
-        event_id = self.next_id()
-        heapq.heappush(self._heap, (float(fire_at), event_id, action, label))
-        return event_id
+        self._seq += 1  # inline `next_id()`: the same counter
+        heapq.heappush(self._heap, (float(fire_at), self._seq, action, label))
+        return self._seq
 
     def queue_size(self) -> int:
         return len(self._heap)
+
+    def next_fire_time(self) -> SimTime:
+        """Fire time of the earliest queued event, or inf when none is queued."""
+        return self._heap[0][0] if self._heap else math.inf
 
     def run_until(self, t_end: SimTime) -> int:
         """Dispatch every event with fire_at <= t_end, in (fire_at, seq) order.
@@ -83,7 +88,7 @@ class Engine:
         Handlers may schedule further events; those at or before t_end are
         dispatched in the same call.
         """
-        if t_end < self.now:
+        if not t_end >= self.now:  # also rejects NaN
             raise CausalityError(f"run_until({t_end}) is in the past (now={self.now})")
         count = 0
         while self._heap and self._heap[0][0] <= t_end:

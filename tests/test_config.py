@@ -51,6 +51,14 @@ def test_unknown_key_in_known_section_is_config_error(tmp_path, section):
         load_config(write(tmp_path, BASE + section))
 
 
+@pytest.mark.parametrize("key", ["decision_cost", "deadlock_horizon"])
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+def test_taxonomy_times_must_be_finite_and_positive(tmp_path, key, value):
+    # an infinite horizon or a NaN decision cost let a taxonomy run go on forever
+    with pytest.raises(ConfigError, match=key):
+        load_config(write(tmp_path, BASE + f"[taxonomy]\n{key} = {value}\n"))
+
+
 def test_malformed_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, BASE + "[experiment]\nseed = 2\n"))

@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import tracemalloc
 
@@ -13,6 +14,8 @@ from helpers import (
     record_dispatches,
 )
 from convergesim.hiersched import (
+    DEFAULT_DECISION_COST_S,
+    DEFAULT_DEADLOCK_HORIZON_S,
     HIERARCHICAL,
     MONOLITHIC_PARTITION,
     SHARED_STATE,
@@ -20,6 +23,7 @@ from convergesim.hiersched import (
     Instance,
     Job,
     UnsatisfiableRequestError,
+    _make_runner,
     make_jobs,
     run_taxonomy,
 )
@@ -29,7 +33,7 @@ from convergesim.resgraph import (
     ResourceRequest,
     build_cluster,
 )
-from convergesim.simkernel import Engine
+from convergesim.simkernel import CausalityError, Engine
 
 
 def setup_instance(node_count=32, cores=16, seed=0):
@@ -374,3 +378,118 @@ def test_empty_workload_rejected():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         run_taxonomy("round_robin", make_jobs([1]), CLUSTER16)
+
+
+@pytest.mark.parametrize("times", [
+    {"deadlock_horizon_s": math.inf},
+    {"deadlock_horizon_s": math.nan},
+    {"deadlock_horizon_s": 0.0},
+    {"decision_cost_s": math.nan},
+    {"decision_cost_s": math.inf},
+    {"decision_cost_s": -1.0},
+])
+def test_run_taxonomy_rejects_unbounded_times(times):
+    # with an infinite horizon the hoarding deadlock below never stops
+    with pytest.raises(ValueError):
+        run_taxonomy(TWO_LEVEL, make_jobs([9, 9], 300.0), CLUSTER16, **times)
+
+
+def test_nan_duration_raises_causality_error():
+    def nan_duration():
+        return math.nan
+
+    engine, graph, inst = setup_instance(4)
+    inst.submit(Job(job_id=1, request=ResourceRequest(nodes=1), duration=nan_duration))
+    with pytest.raises(CausalityError):
+        engine.drain()
+    with pytest.raises(CausalityError):
+        run_taxonomy(TWO_LEVEL, [Job(job_id=1, request=ResourceRequest(nodes=1),
+                                     duration=nan_duration)], CLUSTER16)
+
+
+# --- idle comparator rounds ------------------------------------------------------
+
+
+def epoch_runner(mode, workload, cluster, decision_cost_s=DEFAULT_DECISION_COST_S,
+                 seed=0, deadlock_horizon_s=DEFAULT_DEADLOCK_HORIZON_S,
+                 hoarding=True, skip_idle=True):
+    """The runner `run_taxonomy` uses. With `skip_idle=False` the next round
+    is always one decision cost away, so every round is dispatched: the
+    reference for skipping idle rounds."""
+    runner = _make_runner(mode, workload, cluster, decision_cost_s, seed,
+                          deadlock_horizon_s, hoarding)
+    if not skip_idle:
+        runner._next_round_t = lambda attempts: runner.engine.now + runner.decision_cost
+    return runner
+
+
+@st.composite
+def comparator_runs(draw):
+    nodes = draw(st.integers(1, 10))
+    cost = draw(st.sampled_from([1e-3, DEFAULT_DECISION_COST_S, 0.01, 0.1, 0.125])
+                | st.floats(1e-3, 0.3))
+    # whole multiples of the cost let the chain of round times land exactly
+    # on a completion or on the horizon, where ties decide the order
+    multiple = st.integers(1, 40).map(lambda k: k * cost)
+    horizon = draw(st.floats(0.01, 1.0) | multiple)
+    duration = (st.just(0.0) | st.floats(0.0, cost) | multiple
+                | st.floats(horizon, 2 * horizon) | st.floats(0.0, horizon))
+    jobs = draw(st.lists(st.tuples(st.integers(1, nodes), duration),
+                         min_size=1, max_size=8))
+    mode, hoarding = draw(st.sampled_from([
+        (MONOLITHIC_PARTITION, True), (TWO_LEVEL, True), (TWO_LEVEL, False),
+        (SHARED_STATE, True),
+    ]))
+    return mode, hoarding, ClusterSpec(nodes, 4), cost, horizon, jobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=comparator_runs(), seed=st.integers(0, 2**16))
+def test_skipping_idle_rounds_changes_no_result(run, seed):
+    mode, hoarding, cluster, cost, horizon, jobs = run
+
+    def workload():
+        return [Job(job_id=i, request=ResourceRequest(nodes=n), duration=d)
+                for i, (n, d) in enumerate(jobs, 1)]
+
+    fast_jobs, slow_jobs = workload(), workload()
+    fast = run_taxonomy(mode, fast_jobs, cluster, decision_cost_s=cost, seed=seed,
+                        deadlock_horizon_s=horizon, hoarding=hoarding)
+    slow = epoch_runner(mode, slow_jobs, cluster, cost, seed, horizon, hoarding,
+                        skip_idle=False).run()
+    assert fast == slow
+    assert [(j.start_t, j.end_t) for j in fast_jobs] == \
+        [(j.start_t, j.end_t) for j in slow_jobs]
+
+
+def test_hoarding_deadlock_dispatches_three_rounds():
+    # the suite's oversized case: both schedulers hoard 32 of 64 nodes in
+    # the first round; every later round finds no free node, so the rounds
+    # up to the stall are accounted without being dispatched
+    def run(skip_idle):
+        runner = epoch_runner(TWO_LEVEL, make_jobs([33, 33], 300.0),
+                              ClusterSpec(64, 16), seed=42, skip_idle=skip_idle)
+        dispatched = record_dispatches(runner.engine)
+        return runner.run(), dispatched
+
+    (fast, fast_rounds), (slow, slow_rounds) = run(True), run(False)
+    assert len(fast_rounds) == 3 and len(slow_rounds) == 48_001
+    assert fast_rounds == [slow_rounds[0], slow_rounds[1], slow_rounds[-1]]
+    assert fast == slow
+    assert fast.deadlocked and fast.attempts == 2
+    assert fast.makespan_s == 60.001249999963555
+    assert fast.busyness == 2.083289931461027e-05
+
+
+def test_gang_sweep_has_no_idle_rounds():
+    # zero-length jobs free their nodes before the next round, so the
+    # suite's gang sweep dispatches every round it did before
+    dispatched = 0
+    for mode in (MONOLITHIC_PARTITION, TWO_LEVEL, SHARED_STATE):
+        for gang in range(1, 17):
+            runner = epoch_runner(mode, make_jobs([gang] * 600), ClusterSpec(64, 16),
+                                  seed=42)
+            rounds = record_dispatches(runner.engine)
+            runner.run()
+            dispatched += len(rounds)
+    assert dispatched == 46_175

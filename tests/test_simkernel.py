@@ -28,6 +28,34 @@ def test_scheduling_in_the_past_raises():
         engine.schedule(1.0, lambda: None)
 
 
+def test_nan_fire_time_raises_and_queues_nothing():
+    # NaN compares false with everything, so a `fire_at < now` check let
+    # it in, and drain() then spun forever on run_until(nan)
+    engine = Engine()
+    with pytest.raises(CausalityError):
+        engine.schedule(float("nan"), lambda: None)
+    assert engine.queue_size() == 0
+    assert engine.drain() == 0
+
+
+def test_run_until_nan_raises():
+    engine = Engine()
+    engine.schedule(1.0, lambda: None)
+    with pytest.raises(CausalityError):
+        engine.run_until(float("nan"))
+    assert engine.now == 0.0 and engine.queue_size() == 1
+
+
+def test_next_fire_time_is_the_earliest_queued_time():
+    engine = Engine()
+    assert engine.next_fire_time() == float("inf")
+    engine.schedule(3.0, lambda: None)
+    engine.schedule(2.0, lambda: None)
+    assert engine.next_fire_time() == 2.0
+    engine.run_until(2.5)
+    assert engine.next_fire_time() == 3.0
+
+
 def test_run_until_on_empty_queue_advances_clock():
     engine = Engine()
     assert engine.run_until(10.0) == 0
