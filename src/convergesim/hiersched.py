@@ -92,12 +92,11 @@ class SchedMetrics:
 
 
 class Instance:
-    """A scheduler scope bound to one allocation; its id comes from the engine."""
+    """A scheduler scope bound to one allocation."""
 
     def __init__(self, engine: Engine, graph: ResourceGraph, alloc_id: int,
                  decision_cost_s: float = DEFAULT_DECISION_COST_S):
         graph.allocation(alloc_id)  # raises for unknown allocations
-        self.instance_id = engine.next_id()
         self.engine = engine
         self.graph = graph
         self.alloc_id = alloc_id
@@ -127,8 +126,8 @@ class Instance:
             )
         if request.nodes > fits:
             raise UnsatisfiableRequestError(
-                f"job {job.job_id} wants {request.nodes} node(s); instance "
-                f"{self.instance_id} has {fits} that can hold it"
+                f"job {job.job_id} wants {request.nodes} node(s); the instance on "
+                f"allocation {self.alloc_id} has {fits} that can hold it"
             )
         self.queue.append(job)
         self._wake()
@@ -138,11 +137,7 @@ class Instance:
         if self._armed or not self.queue:
             return
         self._armed = True
-        self.engine.schedule(
-            self.engine.now + self.decision_cost_s,
-            self.step_schedule,
-            label=f"sched.decide:{self.instance_id}",
-        )
+        self.engine.schedule(self.engine.now + self.decision_cost_s, self.step_schedule)
 
     def step_schedule(self) -> Job | None:
         """One FCFS first-fit pass: place the head job iff capacity suffices.
@@ -164,11 +159,8 @@ class Instance:
         job.start_t = self.engine.now
         duration = job.resolve_duration()
         self.placed += 1
-        self.engine.schedule(
-            self.engine.now + duration,
-            lambda: self._complete(job, child.alloc_id),
-            label=f"sched.done:{self.instance_id}:{job.job_id}",
-        )
+        self.engine.schedule(self.engine.now + duration,
+                             lambda: self._complete(job, child.alloc_id))
         if self.queue:
             self._wake()
         return job
@@ -302,10 +294,9 @@ class _EpochRunner:
         if self.stopped or self._armed or not any(self.queues):
             return
         self._armed = True
-        self.engine.schedule(
-            self.engine.now + self.decision_cost if fire_at is None else fire_at,
-            self._round, label=f"taxonomy.round:{self.mode}",
-        )
+        if fire_at is None:
+            fire_at = self.engine.now + self.decision_cost
+        self.engine.schedule(fire_at, self._round)
 
     def _round(self):
         self._armed = False
@@ -379,8 +370,7 @@ class _EpochRunner:
                 job.on_complete(job)
             self._arm()
 
-        self.engine.schedule(self.engine.now + duration, complete,
-                             label=f"taxonomy.done:{self.mode}:{job.job_id}")
+        self.engine.schedule(self.engine.now + duration, complete)
 
 
 class _MonolithicRunner(_EpochRunner):

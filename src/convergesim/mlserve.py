@@ -390,6 +390,9 @@ class ServiceClient:
         self._file = self._sock.makefile("rwb")
 
     def call_line(self, line: str) -> str:
+        """Send one request line and return its reply line."""
+        if "\n" in line or "\r" in line:  # more lines would desync the replies
+            raise ValueError(f"a request is one line, not {line!r}")
         self._file.write((line + "\n").encode("utf-8"))
         self._file.flush()
         reply = self._file.readline()

@@ -125,8 +125,18 @@ class ScenarioConfig:
         if self.seed is None:
             raise ConfigError("a seed is mandatory (runs never self-seed)")
         self.cluster.validate()
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
+        for key, value, low in (
+            ("[experiment] iterations", self.iterations, 1),
+            ("[taxonomy] nodes", self.taxonomy_nodes, 2),  # a node per scheduler
+            ("[taxonomy] jobs_per_scheduler", self.jobs_per_scheduler, 1),
+            ("[hybrid] train_count", self.train_count, 1),
+            ("[hybrid] test_count", self.test_count, 1),
+            ("[hybrid] train_width", self.train_width, 1),
+            ("[hybrid] sim_nodes", self.sim_nodes, 1),
+            ("[hybrid] service_nodes", self.service_nodes, 1),
+        ):
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, not {value}")
         if not self.sizes:
             raise ConfigError("sizes must be non-empty")
         if self.experiment == SCALING_STUDY:
@@ -142,10 +152,9 @@ class ScenarioConfig:
                 )
         if not (1 <= self.dim_min <= self.dim_max):
             raise ConfigError("dim range must satisfy 1 <= dim_min <= dim_max")
-        if self.train_count < 1 or self.test_count < 1:
-            raise ConfigError("train_count and test_count must be >= 1")
-        if self.train_width < 1:
-            raise ConfigError("train_width must be >= 1")
+        if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
+            raise ConfigError(
+                f"[hybrid] noise_sigma must be finite and >= 0, not {self.noise_sigma}")
         if self.experiment == HYBRID:
             need = self.service_nodes + self.sim_nodes * self.train_width
             if need > self.cluster.node_count:
@@ -317,9 +326,7 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
                 walltime = workloads.lammps_walltime(
                     env, size, ranks, problem, rng, mode="table"
                 )
-                finish = engine.now + walltime
-                engine.schedule(finish, lambda: None, label=f"scaling:{env}:{size}:{it}")
-                engine.run_until(finish)
+                engine.run_until(engine.now + walltime)
                 if kube is not None:
                     podlayer.remove(kube, job_set)
                 bundle.lammps_samples.append([env, size, ranks, it, walltime])

@@ -10,8 +10,8 @@ deployed; otherwise it falls back to the user-space TAP relay.
 
 The nodes themselves (cores, NIC) are read from the graph's
 `ClusterSpec`. A cluster keeps only its pods, indexed by pod-set name,
-their hostnames, and whether an exposing daemonset is deployed; since
-that daemonset covers every worker, exposure is all or nothing.
+and their hostnames. Exposure is read from the pods: an exposing
+daemonset covers every worker, so exposure is all or nothing.
 
 CPU limits are modeled as a hard ceiling on the share of cycles, not a
 CPU-count bound and not burstable: demand above the ceiling inflates
@@ -81,7 +81,6 @@ class KubeCluster:
     control_plane_node: int
     worker_nodes: list[int]
     hostname_table: dict[str, int] = field(default_factory=dict)
-    nic_exposed: bool = False
     pods: dict[str, list[PodPlacement]] = field(default_factory=dict)  # by spec name
     lookup_overhead_s: float = 0.0
 
@@ -104,15 +103,13 @@ def start_usernetes(graph: ResourceGraph, alloc_id: int,
     )
 
 
-def _resolve_path(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec,
-                  node_id: int) -> str:
+def _resolve_path(graph: ResourceGraph, spec: PodSpec, node_id: int,
+                  exposed: bool) -> str:
     if not spec.requires_bypass_nic:
         return TAP_RELAY
     if not graph.has_bypass_nic(node_id):
         raise PodLayerError(f"node {node_id} has no bypass NIC device")
-    if spec.kind == DAEMONSET or kube.nic_exposed:
-        return OS_BYPASS
-    return TAP_RELAY
+    return OS_BYPASS if exposed else TAP_RELAY
 
 
 def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPlacement]:
@@ -137,6 +134,11 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
                    for i in range(spec.replicas)]
     node_cores = graph.spec.cores_per_node
     fraction, _ = _throttle(node_cores, spec.cpu_limit, max(spec.cpu_request, 1e-9))
+    # a daemonset asking for the NIC exposes it; later pod sets see it
+    # while any such daemonset is deployed
+    exposed = spec.kind == DAEMONSET or any(
+        pods[0].kind == DAEMONSET and pods[0].network_path == OS_BYPASS
+        for pods in kube.pods.values())
     placements = []
     for i, node_id in enumerate(targets):
         hostname = f"{spec.name}-{i}"
@@ -150,26 +152,22 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
             node_cores=node_cores,
             cpu_request=spec.cpu_request,
             cpu_limit=spec.cpu_limit,
-            network_path=_resolve_path(graph, kube, spec, node_id),
+            network_path=_resolve_path(graph, spec, node_id, exposed),
             effective_cpu_fraction=fraction if spec.cpu_request > 0 else 1.0,
         ))
     # register only once every pod has placed, so a failed apply leaves nothing
     kube.hostname_table.update((p.name, p.node_id) for p in placements)
     kube.pods[spec.name] = placements
-    if spec.kind == DAEMONSET and spec.requires_bypass_nic:
-        kube.nic_exposed = True
     return placements
 
 
 def remove(kube: KubeCluster, spec_name: str) -> int:
-    """Tear down a pod set; removing the exposing daemonset disables bypass."""
+    """Tear down a pod set; bypass ends with the last exposing daemonset."""
     pods = kube.pods.pop(spec_name, None)
     if pods is None:
         raise PodLayerError(f"no pod set named {spec_name!r}")
     for placement in pods:
         kube.hostname_table.pop(placement.name, None)
-        if placement.kind == DAEMONSET and placement.network_path == OS_BYPASS:
-            kube.nic_exposed = False
     return len(pods)
 
 

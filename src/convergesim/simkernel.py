@@ -1,9 +1,10 @@
 """Deterministic discrete-event engine.
 
 Provides the virtual clock, an ordered event queue, and named RNG streams
-for every other component. Ties at equal fire times dispatch in insertion
-order (FIFO), so the sequence of dispatched (fire time, label) pairs is
-reproducible bit for bit for a fixed seed and scenario.
+for every other component. An event is (fire time, event id, action).
+Ids count 1, 2, 3, ... per engine and break ties at equal fire times in
+insertion order (FIFO), so the sequence of dispatched (fire time, event
+id) pairs is reproducible bit for bit for a fixed seed and scenario.
 
 Virtual time is real-valued seconds with no wall-clock coupling. The
 engine is single-threaded and must not be shared across threads during a
@@ -54,24 +55,18 @@ class Engine:
         self.now = 0.0
         self.rng = RngStreams(seed)
         self.dispatched = 0
-        # (fire_at, event id, action, label); the unique id breaks ties FIFO
-        self._heap: list[tuple[float, int, Callable[[], None], str]] = []
+        # (fire_at, event id, action); the unique id breaks ties FIFO
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
 
-    def next_id(self) -> int:
-        """Next value of the engine's one id counter, shared by events and
-        scheduler instances, so ids depend only on what ran on this engine."""
-        self._seq += 1
-        return self._seq
-
-    def schedule(self, fire_at: SimTime, action: Callable[[], None], label: str = "") -> int:
+    def schedule(self, fire_at: SimTime, action: Callable[[], None]) -> int:
         """Enqueue `action` to run at virtual time `fire_at`; returns the event id."""
         if not fire_at >= self.now:  # also rejects NaN
             raise CausalityError(
                 f"cannot schedule event at t={fire_at} before current time t={self.now}"
             )
-        self._seq += 1  # inline `next_id()`: the same counter
-        heapq.heappush(self._heap, (float(fire_at), self._seq, action, label))
+        self._seq += 1
+        heapq.heappush(self._heap, (float(fire_at), self._seq, action))
         return self._seq
 
     def queue_size(self) -> int:
@@ -92,7 +87,7 @@ class Engine:
             raise CausalityError(f"run_until({t_end}) is in the past (now={self.now})")
         count = 0
         while self._heap and self._heap[0][0] <= t_end:
-            fire_at, _, action, _ = heapq.heappop(self._heap)
+            fire_at, _, action = heapq.heappop(self._heap)
             self.now = fire_at
             self.dispatched += 1
             count += 1

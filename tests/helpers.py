@@ -108,17 +108,18 @@ def assert_no_cross_instance_overlap(spans) -> None:
             )
 
 
-def record_dispatches(engine) -> list[tuple[float, str]]:
+def record_dispatches(engine) -> list[tuple[float, int]]:
     """Wrap `engine.schedule` so that every action, when it runs, first
-    appends (fire time, label) to the returned list: the dispatch order."""
+    appends (fire time, event id) to the returned list: the dispatch order."""
     dispatched = []
     schedule = engine.schedule
 
-    def recording_schedule(fire_at, action, label=""):
+    def recording_schedule(fire_at, action):
         def run():
-            dispatched.append((float(fire_at), label))
+            dispatched.append((float(fire_at), event_id))
             action()
-        return schedule(fire_at, run, label)
+        event_id = schedule(fire_at, run)
+        return event_id
 
     engine.schedule = recording_schedule
     return dispatched

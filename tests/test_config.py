@@ -59,6 +59,34 @@ def test_taxonomy_times_must_be_finite_and_positive(tmp_path, key, value):
         load_config(write(tmp_path, BASE + f"[taxonomy]\n{key} = {value}\n"))
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("experiment", "iterations", "0"),
+    ("taxonomy", "nodes", "1"),
+    ("taxonomy", "jobs_per_scheduler", "0"),
+    ("hybrid", "train_count", "0"),
+    ("hybrid", "test_count", "0"),
+    ("hybrid", "train_width", "0"),
+    ("hybrid", "sim_nodes", "0"),
+    ("hybrid", "service_nodes", "0"),
+    ("hybrid", "noise_sigma", "-1"),
+    ("hybrid", "noise_sigma", "nan"),
+    ("hybrid", "noise_sigma", "inf"),
+])
+def test_value_below_its_bound_is_config_error(tmp_path, section, key, value):
+    # such values used to fail only at run time, or (noise_sigma) to be ignored
+    header = "" if section == "experiment" else f"[{section}]\n"  # BASE opens [experiment]
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be")):
+        load_config(write(tmp_path, BASE + f"{header}{key} = {value}\n"))
+
+
+def test_counts_at_their_bounds_are_accepted(tmp_path):
+    cfg = load_config(write(tmp_path, BASE + "iterations = 1\n"
+                            "[taxonomy]\nnodes = 2\njobs_per_scheduler = 1\n"
+                            "[hybrid]\ntrain_count = 1\ntest_count = 1\ntrain_width = 1\n"
+                            "sim_nodes = 1\nservice_nodes = 1\nnoise_sigma = 0\n"))
+    assert (cfg.taxonomy_nodes, cfg.sim_nodes, cfg.noise_sigma) == (2, 1, 0.0)
+
+
 def test_malformed_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, BASE + "[experiment]\nseed = 2\n"))

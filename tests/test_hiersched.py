@@ -61,7 +61,7 @@ def test_child_instance_cannot_exceed_its_carve():
     graph = build_cluster(ClusterSpec(33, 16))
     carve = graph.carve(graph.root_allocation, ResourceRequest(nodes=32))
     inst = Instance(engine, graph, carve.alloc_id)
-    with pytest.raises(UnsatisfiableRequestError):
+    with pytest.raises(UnsatisfiableRequestError, match=f"allocation {carve.alloc_id} "):
         inst.submit(job(1, 33))
 
 
@@ -140,6 +140,14 @@ def test_sibling_instances_never_overlap():
     spans = recorder.children_of(insts[0].alloc_id) + recorder.children_of(insts[1].alloc_id)
     assert len(spans) == 200
     assert_no_cross_instance_overlap(spans)
+
+
+def test_event_ids_count_from_one_however_many_instances_exist():
+    engine = Engine()
+    graph = build_cluster(ClusterSpec(4, 16))
+    for _ in range(3):
+        Instance(engine, graph, graph.root_allocation)
+    assert [engine.schedule(1.0, lambda: None) for _ in range(3)] == [1, 2, 3]
 
 
 def test_same_workload_twice_in_one_process_gives_identical_traces():
@@ -474,7 +482,9 @@ def test_hoarding_deadlock_dispatches_three_rounds():
 
     (fast, fast_rounds), (slow, slow_rounds) = run(True), run(False)
     assert len(fast_rounds) == 3 and len(slow_rounds) == 48_001
-    assert fast_rounds == [slow_rounds[0], slow_rounds[1], slow_rounds[-1]]
+    # event ids differ: the slow run schedules every round it dispatches
+    assert [t for t, _ in fast_rounds] == \
+        [t for t, _ in (slow_rounds[0], slow_rounds[1], slow_rounds[-1])]
     assert fast == slow
     assert fast.deadlocked and fast.attempts == 2
     assert fast.makespan_s == 60.001249999963555

@@ -398,6 +398,18 @@ def test_unix_socket_mount_agrees_too(tmp_path):
     assert got == expected
 
 
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n"])
+def test_client_refuses_a_request_of_more_than_one_line(tmp_path, sep):
+    path = str(tmp_path / "mlserve.sock")
+    with serving(mlserve.serve_unix(path)):
+        client = mlserve.ServiceClient(path=path)
+        with pytest.raises(ValueError):
+            client.call_line(f"create name=a type=linear_sgd{sep}list_models")
+        # nothing was sent, and the next reply still answers the next request
+        assert client.call_line("list_models") == "ok models="
+        client.close()
+
+
 def test_unix_mount_answers_a_line_that_is_not_utf8(tmp_path):
     path = str(tmp_path / "mlserve.sock")
     with serving(mlserve.serve_unix(path)), connect(path) as sock:

@@ -82,6 +82,24 @@ def test_removing_daemonset_flips_placements_back():
     assert "nic-0" not in kube.hostname_table
 
 
+def test_bypass_lasts_while_any_exposing_daemonset_is_deployed():
+    graph, alloc = cluster_with_alloc(5)
+    kube = start_usernetes(graph, alloc.alloc_id)
+    apply(graph, kube, PodSpec(name="logs", kind=DAEMONSET))  # exposes nothing
+    for name in ("nic-a", "nic-b"):
+        apply(graph, kube, PodSpec(name=name, kind=DAEMONSET, requires_bypass_nic=True))
+
+    def paths(name):
+        pods = apply(graph, kube, PodSpec(name=name, kind=JOB_SET, replicas=2,
+                                          requires_bypass_nic=True))
+        return {p.network_path for p in pods}
+
+    remove(kube, "nic-a")
+    assert paths("after-a") == {OS_BYPASS}
+    remove(kube, "nic-b")
+    assert paths("after-b") == {TAP_RELAY}
+
+
 def test_bypass_on_cluster_without_device_errors():
     graph, alloc = cluster_with_alloc(4, nic=False)
     kube = start_usernetes(graph, alloc.alloc_id)

@@ -6,7 +6,7 @@ from convergesim.simkernel import CausalityError, Engine, RngStreams
 
 def test_first_event_gets_id_and_queues():
     engine = Engine()
-    event_id = engine.schedule(5.0, lambda: None, label="a")
+    event_id = engine.schedule(5.0, lambda: None)
     assert event_id == 1
     assert engine.queue_size() == 1
 
@@ -101,12 +101,11 @@ def _storm(engine, n=300):
     def spawn():
         if engine.dispatched < n:
             delay = float(rng.uniform(0.0, 2.0))
-            engine.schedule(engine.now + delay, spawn,
-                            label=f"storm:{engine.dispatched}")
+            engine.schedule(engine.now + delay, spawn)
 
     dispatched = record_dispatches(engine)
-    for i in range(10):
-        engine.schedule(float(rng.uniform(0.0, 1.0)), spawn, label=f"seed:{i}")
+    for _ in range(10):
+        engine.schedule(float(rng.uniform(0.0, 1.0)), spawn)
     engine.drain()
     return dispatched
 
