@@ -6,6 +6,12 @@ mandatory; nothing reads the wall clock), carves its allocations from a
 fresh cluster graph, and returns a ReportBundle. After a run the root
 allocation is fully free again; leaked carves are a bug.
 
+The taxonomy cases are independent (each owns a private engine and
+graph), so they run in forked worker processes, one per usable CPU. With
+one usable CPU, for example under `taskset -c 0`, they run in this
+process. Rows keep case order either way, so the report bytes do not
+depend on the CPU count.
+
 The hybrid scenario mirrors a batch job that creates two sub-allocations:
 a service host (one node by default, where the streaming-ML service is
 mounted) and a simulation partition (four nodes) whose workload manager
@@ -26,6 +32,7 @@ fixed seed.
 
 import configparser
 import math
+import os
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
@@ -355,26 +362,45 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
 # --- taxonomy -----------------------------------------------------------------
 
 
+def _taxonomy_case(case) -> hiersched.SchedMetrics:
+    """Run one taxonomy case: (config, mode, gang size, job count, job duration)."""
+    cfg, mode, gang, count, duration_s = case
+    return run_taxonomy(
+        mode, hiersched.make_jobs([gang] * count, duration_s),
+        ClusterSpec(cfg.taxonomy_nodes, cfg.cluster.cores_per_node),
+        decision_cost_s=cfg.decision_cost_s,
+        seed=cfg.seed,
+        deadlock_horizon_s=cfg.deadlock_horizon_s,
+    )
+
+
 def run_taxonomy_suite(cfg: ScenarioConfig) -> ReportBundle:
     """Sweep gang size across the four comparator architectures, plus the
     oversized-gang hoarding scenario that drives the two-level broker into
-    deadlock."""
+    deadlock. The cases run in forked workers, one per usable CPU (see
+    the module docstring)."""
     cfg.validate()
     bundle = ReportBundle(kind=TAXONOMY, seed=cfg.seed, config=cfg.summary())
-    cluster = ClusterSpec(cfg.taxonomy_nodes, cfg.cluster.cores_per_node)
-    oversized = cfg.taxonomy_nodes // 2 + 1
-    # (mode, gang size, job count, job duration): the sweep, then the hoarding case
-    cases = [(mode, gang, 2 * cfg.jobs_per_scheduler, 0.0)
+    # (config, mode, gang size, job count, job duration): the sweep, then
+    # the hoarding case
+    cases = [(cfg, mode, gang, 2 * cfg.jobs_per_scheduler, 0.0)
              for mode in hiersched.TAXONOMY_MODES
              for gang in range(cfg.gang_min, cfg.gang_max + 1)]
-    cases.append((hiersched.TWO_LEVEL, oversized, 2, 300.0))
-    for mode, gang, count, duration_s in cases:
-        metrics = run_taxonomy(
-            mode, hiersched.make_jobs([gang] * count, duration_s), cluster,
-            decision_cost_s=cfg.decision_cost_s,
-            seed=cfg.seed,
-            deadlock_horizon_s=cfg.deadlock_horizon_s,
-        )
+    cases.append((cfg, hiersched.TWO_LEVEL, cfg.taxonomy_nodes // 2 + 1, 2, 300.0))
+    workers = 1
+    if hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), len(cases))
+    if workers == 1:
+        results = [_taxonomy_case(case) for case in cases]
+    else:
+        # imported here: every other scenario would pay for it at start-up.
+        # fork, not spawn: a worker inherits the imported modules instead
+        # of importing numpy again
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(_taxonomy_case, cases, chunksize=1)
+    for (_, _, gang, *_), metrics in zip(cases, results):
         bundle.taxonomy_rows.append({**asdict(metrics), "gang_size": gang})
     return bundle
 

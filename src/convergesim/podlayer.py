@@ -24,6 +24,7 @@ per-lookup overhead is a sensitivity knob that defaults to zero because
 it is a hypothesis, not a measurement.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .netmodel import OS_BYPASS, TAP_RELAY
@@ -58,8 +59,15 @@ class PodSpec:
             raise ValueError(f"unknown pod kind {self.kind!r}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.cpu_limit is not None and self.cpu_request > self.cpu_limit:
-            raise ValueError("cpu_request must not exceed cpu_limit")
+        if not 0 <= self.cpu_request < math.inf:  # NaN fails too
+            raise ValueError(f"cpu_request must be finite and >= 0, not {self.cpu_request}")
+        if self.cpu_limit is not None:
+            # a zero limit would divide by zero in _throttle
+            if not 0 < self.cpu_limit < math.inf:
+                raise ValueError(
+                    f"cpu_limit must be finite and positive, not {self.cpu_limit}")
+            if self.cpu_request > self.cpu_limit:
+                raise ValueError("cpu_request must not exceed cpu_limit")
 
 
 @dataclass(frozen=True)

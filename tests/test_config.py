@@ -79,6 +79,20 @@ def test_value_below_its_bound_is_config_error(tmp_path, section, key, value):
         load_config(write(tmp_path, BASE + f"{header}{key} = {value}\n"))
 
 
+@pytest.mark.parametrize("values, key", [
+    ("cpu_limit = 0", "cpu_limit"),  # used to divide by zero at run time
+    ("cpu_limit = inf", "cpu_limit"),
+    ("cpu_limit = nan", "cpu_limit"),
+    ("cpu_request = nan", "cpu_request"),  # used to run as no request
+    ("cpu_request = inf", "cpu_request"),
+    ("cpu_request = -1", "cpu_request"),
+    ("cpu_request = -3\ncpu_limit = -2", "cpu_request"),
+])
+def test_pod_cpu_values_must_be_finite(tmp_path, values, key):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config(write(tmp_path, BASE + f"[pod:x]\n{values}\n"))
+
+
 def test_counts_at_their_bounds_are_accepted(tmp_path):
     cfg = load_config(write(tmp_path, BASE + "iterations = 1\n"
                             "[taxonomy]\nnodes = 2\njobs_per_scheduler = 1\n"

@@ -10,6 +10,9 @@ them byte for byte.
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,28 @@ def test_default_reports_match_golden_bytes(kind, tmp_path):
     if committed.is_dir():
         for name, data in emitted.items():
             assert (committed / name).read_bytes() == data, f"out/{subdir}/{name}"
+
+
+def _pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_cli_taxonomy_report_is_the_same_on_one_cpu_and_on_all(tmp_path):
+    # one usable CPU runs the taxonomy cases in-process, more run them in
+    # forked workers; both must write the golden bytes
+    config = tmp_path / "taxonomy.ini"
+    config.write_text("[experiment]\nkind = taxonomy\nseed = 42\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    reports = []
+    for name, preexec_fn in (("pinned", _pin_to_one_cpu), ("unpinned", None)):
+        result = subprocess.run(
+            [sys.executable, "-m", "convergesim.cli", "run", "--config", str(config),
+             "--out", str(tmp_path / name)],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+        assert result.returncode == 0, result.stderr
+        reports.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    pinned, unpinned = reports
+    assert pinned == unpinned
+    _, expected = GOLDEN[TAXONOMY]
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in pinned.items()} == expected

@@ -1,10 +1,15 @@
+import contextlib
 import filecmp
 import json
+import multiprocessing
+import os
+import signal
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from convergesim import cli, mlcore, mlserve, podlayer, workloads
+from convergesim import cli, hiersched, mlcore, mlserve, orchestrator, podlayer, workloads
 from convergesim.orchestrator import (
     HYBRID,
     SCALING_STUDY,
@@ -203,6 +208,89 @@ def test_taxonomy_suite_rows():
     shared = [r for r in bundle.taxonomy_rows if r["mode"] == "shared_state"]
     fractions = [r["conflict_fraction"] for r in shared]
     assert fractions == sorted(fractions)
+
+
+def serial_taxonomy_rows(cfg):
+    """The suite's rows by a plain loop of run_taxonomy in this process:
+    each mode over the gang range, then the oversized two-level case."""
+    cluster = ClusterSpec(cfg.taxonomy_nodes, cfg.cluster.cores_per_node)
+    cases = [(mode, gang, 2 * cfg.jobs_per_scheduler, 0.0)
+             for mode in hiersched.TAXONOMY_MODES
+             for gang in range(cfg.gang_min, cfg.gang_max + 1)]
+    cases.append((hiersched.TWO_LEVEL, cfg.taxonomy_nodes // 2 + 1, 2, 300.0))
+    rows = []
+    for mode, gang, count, duration_s in cases:
+        metrics = hiersched.run_taxonomy(
+            mode, hiersched.make_jobs([gang] * count, duration_s), cluster,
+            decision_cost_s=cfg.decision_cost_s, seed=cfg.seed,
+            deadlock_horizon_s=cfg.deadlock_horizon_s)
+        rows.append({**asdict(metrics), "gang_size": gang})
+    return rows
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the body runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["all_cpus", "one_cpu"])
+@pytest.mark.parametrize("seed, nodes, gang_min, gang_max", [
+    (1, 7, 1, 3),    # odd node count: the oversized gang is 4 of 7
+    (7, 16, 2, 5),
+    (23, 9, 4, 4),   # a single gang size
+    (42, 12, 1, 6),
+])
+def test_taxonomy_suite_rows_equal_a_serial_loop(monkeypatch, one_cpu, seed, nodes,
+                                                 gang_min, gang_max):
+    cfg = default_config(TAXONOMY, seed=seed)
+    cfg.taxonomy_nodes, cfg.gang_min, cfg.gang_max = nodes, gang_min, gang_max
+    cfg.jobs_per_scheduler = 15
+    pools = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: pools.append(method) or get_context(method))
+    parallel = len(os.sched_getaffinity(0)) > 1 and not one_cpu
+    if one_cpu:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with deadline(60):
+        rows = run_taxonomy_suite(cfg).taxonomy_rows
+    assert rows == serial_taxonomy_rows(cfg)
+    # one usable CPU runs the cases in this process and creates no pool
+    assert pools == (["fork"] if parallel else [])
+    assert multiprocessing.active_children() == []
+
+
+def test_taxonomy_case_error_is_raised_and_reported(monkeypatch, tmp_path, capsys):
+    run_taxonomy = orchestrator.run_taxonomy
+
+    def refuse_shared_state(mode, *args, **kwargs):
+        if mode == hiersched.SHARED_STATE:
+            raise ValueError("shared_state refused")
+        return run_taxonomy(mode, *args, **kwargs)
+
+    # forked workers inherit the patch
+    monkeypatch.setattr(orchestrator, "run_taxonomy", refuse_shared_state)
+    with deadline(60), pytest.raises(ValueError, match="shared_state refused"):
+        run_taxonomy_suite(small_taxonomy())
+    assert multiprocessing.active_children() == []
+    config = tmp_path / "taxonomy.ini"
+    config.write_text("[experiment]\nkind = taxonomy\nseed = 3\n"
+                      "[taxonomy]\njobs_per_scheduler = 20\ngang_max = 3\n"
+                      f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    with deadline(60):
+        assert cli.main(["run", "--config", str(config)]) == 2
+    assert "error: shared_state refused" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 # --- hybrid ------------------------------------------------------------------------
