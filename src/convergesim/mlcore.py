@@ -70,8 +70,19 @@ class _FixedFeatures:
     feature_names: tuple[str, ...] | None = None
 
     def _values(self, x: dict) -> list[float]:
+        names = self.feature_names
+        if names is not None and len(x) == len(names):
+            # the common case, without building a key set: with as many keys
+            # as names, finding every name means the key sets are equal
+            try:
+                values = [float(x[name]) for name in names]
+            except (KeyError, TypeError, ValueError, OverflowError):
+                pass  # _sample_values raises the right error
+            else:
+                if all(map(math.isfinite, values)):
+                    return values
         # before the first learn, any key set is the fixed one
-        return _sample_values(x, self.feature_names or tuple(sorted(x)))
+        return _sample_values(x, names or tuple(sorted(x)))
 
     def _learn_values(self, x: dict) -> list[float]:
         values = self._values(x)

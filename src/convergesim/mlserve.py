@@ -19,8 +19,8 @@ Wire grammar, one record per line:
 Feature values are keyed as ``x:<name>=<float>``. Floats are rendered as
 shortest round-trip decimal text (Python ``repr``), booleans as
 ``true``/``false``, missing values as ``null``, lists as comma-joined
-items. Model names are restricted to [A-Za-z0-9_.-]+ so no quoting is
-needed anywhere.
+items. Model and feature names are restricted to [A-Za-z0-9_.-]+ so no
+quoting is needed anywhere.
 
 Every mutating verb bumps the model's sequence counter and echoes it, so
 a response trace makes interleaved partial updates detectable. A rejected
@@ -40,6 +40,11 @@ from dataclasses import dataclass, field
 from . import mlcore
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+
+
+def _sendable(name) -> bool:
+    """Whether the line protocol can carry `name`, a model or feature name."""
+    return isinstance(name, str) and NAME_RE.fullmatch(name) is not None
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ class MLService:
         return _bad_request("unknown_verb")
 
     def _create(self, req: ServiceRequest) -> ServiceResponse:
-        if req.name is None or not NAME_RE.match(req.name):
+        if not _sendable(req.name):
             return _bad_request("bad_name")
         if req.name in self._models:
             return _bad_request("duplicate_model")
@@ -128,6 +133,10 @@ class MLService:
     def _train(self, entry: _ModelEntry, req: ServiceRequest) -> ServiceResponse:
         if not req.features or req.y is None:
             return _bad_request("missing_training_sample")
+        # the first sample fixes the names, and later ones must match them,
+        # so only a fresh model checks that the line protocol can carry them
+        if entry.model.feature_names is None and not all(map(_sendable, req.features)):
+            return _bad_request("bad_feature_name")
         # learn_transform rebinds, never mutates, what the scaler holds, so a
         # copy of its attributes is a snapshot to restore if the model refuses
         saved = vars(entry.scaler).copy()
@@ -219,6 +228,8 @@ def format_request(req: ServiceRequest) -> str:
     if req.model_type is not None:
         parts.append(f"type={req.model_type}")
     for key in sorted(req.features or {}):
+        if not _sendable(key):
+            raise ValueError(f"feature name {key!r} cannot be sent")
         parts.append(f"x:{key}={_render_value(float(req.features[key]))}")
     for attr in ("y", "y_true", "y_pred"):
         value = getattr(req, attr)
@@ -257,7 +268,9 @@ def parse_response(line: str) -> ServiceResponse:
         raise ProtocolError("empty response line")
     body = []
     for token in tokens[1:]:
-        key, raw = token.split("=", 1)
+        key, eq, raw = token.partition("=")
+        if not eq:
+            raise ProtocolError(f"reply token {token!r} is not key=value")
         if key == "models":
             body.append((key, raw.split(",") if raw else []))
         else:

@@ -28,9 +28,17 @@ simulation partition). `train_width` widens the partition to
 `width * sim_nodes` nodes so that many jobs run concurrently; training
 order then follows virtual completion order, still deterministic for a
 fixed seed.
+
+As on the paper's separate service nodes, the ML service runs in its own
+forked process when more than one CPU is usable, fed batches of
+completed-job samples over a pipe while the simulation runs. With one
+usable CPU (`taskset -c 0`) it runs in this process. The simulation never
+reads a service reply, so the requests, their order and the report bytes
+are the same either way.
 """
 
 import configparser
+import functools
 import math
 import os
 import typing
@@ -282,6 +290,11 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     return run_hybrid(cfg)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _start_pod_layer(graph, alloc_id: int, cfg: ScenarioConfig, nic_name: str,
                      *specs: PodSpec) -> podlayer.KubeCluster:
     """Bring up a pod layer in `alloc_id` with the NIC daemonset `nic_name`,
@@ -387,9 +400,7 @@ def run_taxonomy_suite(cfg: ScenarioConfig) -> ReportBundle:
              for mode in hiersched.TAXONOMY_MODES
              for gang in range(cfg.gang_min, cfg.gang_max + 1)]
     cases.append((cfg, hiersched.TWO_LEVEL, cfg.taxonomy_nodes // 2 + 1, 2, 300.0))
-    workers = 1
-    if hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), len(cases))
+    workers = min(_usable_cpus(), len(cases))
     if workers == 1:
         results = [_taxonomy_case(case) for case in cases]
     else:
@@ -407,8 +418,135 @@ def run_taxonomy_suite(cfg: ScenarioConfig) -> ReportBundle:
 
 # --- hybrid -------------------------------------------------------------------
 
+# Completed-job samples per message to the service process. A 6,000 + 600
+# job run took the same time, within noise, at every size from 32 to 1,024:
+# the service is the slower side, so the pipe's per-message cost is off the
+# critical path.
+SAMPLE_BATCH = 256
+
+
+def _call(service: mlserve.MLService, verb: str, **fields) -> mlserve.ServiceResponse:
+    resp = service.handle(mlserve.ServiceRequest(verb=verb, **fields))
+    if resp.status != "ok":
+        raise ScenarioError(f"{verb} failed: {resp}")
+    return resp
+
+
+def _replay(service: mlserve.MLService, phase: str, features: dict, y: float):
+    """The service requests for one completed job: in the train phase a
+    `train` per model; in the test phase a `predict` per model, then a
+    `record_truth` of the realized walltime `y` against that prediction."""
+    for variant in HYBRID_MODELS:
+        if phase == "train":
+            _call(service, "train", name=variant, features=features, y=y)
+        else:
+            pred = _call(service, "predict", name=variant, features=features)
+            _call(service, "record_truth", name=variant, y_true=y,
+                  y_pred=pred.get("prediction"))
+
+
+def _hybrid_models(service: mlserve.MLService) -> dict:
+    """The bundle's per-model results: scored pairs, R-squared and samples seen."""
+    models = {}
+    for variant in HYBRID_MODELS:
+        entry = service.entry(variant)
+        metrics = _call(service, "metrics", name=variant)
+        models[variant] = {
+            "pairs": [[float(a), float(p)] for a, p in entry.truths],
+            "r_squared": metrics.get("r_squared"),
+            "samples_seen": entry.model.samples_seen,
+        }
+    return models
+
+
+def _serve_samples(service: mlserve.MLService, conn, parent_conn):
+    """Service process: replay every batch read from `conn` until the end
+    marker (None), then send back ("ok", models) or ("error", exception).
+    After a failure it still reads to the end marker, so the simulation
+    never writes into a closed pipe."""
+    parent_conn.close()  # else the parent closing its end would not end recv
+    failure = None
+    try:
+        while (batch := conn.recv()) is not None:
+            if failure is None:
+                try:
+                    for sample in batch:
+                        _replay(service, *sample)
+                except Exception as err:  # sent back and raised in the parent
+                    failure = err
+    except EOFError:  # the simulation side stopped; nobody waits for a reply
+        return
+    try:
+        reply = ("error", failure) if failure is not None else ("ok", _hybrid_models(service))
+    except Exception as err:
+        reply = ("error", err)
+    conn.send(reply)
+
+
+class _ServiceProcess:
+    """The hybrid ML service in a forked process, fed batches of samples;
+    its one reply is read in `finish`."""
+
+    def __init__(self, service: mlserve.MLService):
+        # imported here: every other scenario would pay for it at start-up.
+        # fork, not spawn: the child inherits the imported modules and the
+        # service with its models already created
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_conn = ctx.Pipe()
+        self._batch = []
+        self._process = ctx.Process(target=_serve_samples,
+                                    args=(service, child_conn, self._conn))
+        self._process.start()
+        child_conn.close()
+
+    def record(self, phase: str, features: dict, y: float):
+        self._batch.append((phase, features, y))
+        if len(self._batch) == SAMPLE_BATCH:
+            self._send(self._batch)
+            self._batch = []
+
+    def finish(self) -> dict:
+        """Send what is left and the end marker, then return the models
+        dict or raise the service's exception."""
+        if self._batch:
+            self._send(self._batch)
+        self._send(None)
+        try:
+            status, value = self._conn.recv()
+        except (EOFError, OSError):  # the service process is gone
+            raise self._exit_error()
+        if status == "error":
+            raise value
+        return value
+
+    def close(self):
+        self._conn.close()
+        self._process.join()
+
+    def _send(self, batch):
+        try:
+            self._conn.send(batch)
+        except OSError:  # the service process is gone
+            raise self._exit_error()
+
+    def _exit_error(self) -> ScenarioError:
+        self._process.join()
+        return ScenarioError(f"ML service process exited with code {self._process.exitcode}")
+
 
 def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
+    """Stream completed-job samples into the ML service, train phase then
+    test phase, and score the models.
+
+    The simulation never waits on a service reply: with more than one
+    usable CPU the service runs in a forked process (see the module
+    docstring), and the simulation reads its one reply, the models, after
+    the last job. Nothing the simulation does depends on a reply, so the
+    requests, their order and the report bytes do not depend on the CPU
+    count.
+    """
     cfg.validate()
     engine = Engine(cfg.seed)
     graph = build_cluster(cfg.cluster)
@@ -425,15 +563,8 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
                          PodSpec(name="ml-server", kind=podlayer.DEPLOYMENT, replicas=1))
 
     service = mlserve.MLService(model_defaults=cfg.model_params)
-
-    def call(verb: str, **fields) -> mlserve.ServiceResponse:
-        resp = service.handle(mlserve.ServiceRequest(verb=verb, **fields))
-        if resp.status != "ok":
-            raise ScenarioError(f"{verb} failed: {resp}")
-        return resp
-
     for variant in HYBRID_MODELS:
-        call("create", name=variant, model_type=variant)
+        _call(service, "create", name=variant, model_type=variant)
 
     instance = Instance(engine, graph, sim_alloc.alloc_id, cfg.decision_cost_s)
     dims_rng = engine.rng.stream("hybrid.dims")
@@ -461,40 +592,27 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
         )
         return job, features
 
-    def train_callback(features):
-        def callback(job: Job):
-            for variant in HYBRID_MODELS:
-                call("train", name=variant, features=features, y=job.realized_duration)
-        return callback
+    feed = _ServiceProcess(service) if _usable_cpus() > 1 else None
+    try:
+        record = feed.record if feed else functools.partial(_replay, service)
 
-    def test_callback(features):
-        def callback(job: Job):
-            for variant in HYBRID_MODELS:
-                pred = call("predict", name=variant, features=features)
-                call("record_truth", name=variant, y_true=job.realized_duration,
-                     y_pred=pred.get("prediction"))
-        return callback
+        def on_complete(phase: str, features: dict):
+            return lambda job: record(phase, features, job.realized_duration)
 
-    job_id = 0
-    for count, phase_callback in ((cfg.train_count, train_callback),
-                                  (cfg.test_count, test_callback)):
-        for _ in range(count):
-            job_id += 1
-            job, features = make_job(job_id)
-            job.on_complete = phase_callback(features)
-            instance.submit(job)
-        engine.drain()
+        job_id = 0
+        for count, phase in ((cfg.train_count, "train"), (cfg.test_count, "test")):
+            for _ in range(count):
+                job_id += 1
+                job, features = make_job(job_id)
+                job.on_complete = on_complete(phase, features)
+                instance.submit(job)
+            engine.drain()
+        models = feed.finish() if feed else _hybrid_models(service)
+    finally:
+        if feed:
+            feed.close()
 
     bundle = ReportBundle(kind=HYBRID, seed=cfg.seed, config=cfg.summary())
-    models = {}
-    for variant in HYBRID_MODELS:
-        entry = service.entry(variant)
-        metrics = call("metrics", name=variant)
-        models[variant] = {
-            "pairs": [[float(a), float(p)] for a, p in entry.truths],
-            "r_squared": metrics.get("r_squared"),
-            "samples_seen": entry.model.samples_seen,
-        }
     bundle.hybrid = {
         "models": models,
         "train_count": cfg.train_count,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from convergesim.orchestrator import TAXONOMY, default_config, run_scenario
+from convergesim.orchestrator import HYBRID, TAXONOMY, default_config, run_scenario
 from convergesim.reporting import emit_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,12 +62,21 @@ def _pin_to_one_cpu():
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
+# the seed-42 default scenarios, as config files
+CLI_CONFIGS = {
+    TAXONOMY: "[experiment]\nkind = taxonomy\nseed = 42\n",
+    HYBRID: "[experiment]\nkind = hybrid\nseed = 42\n[cluster]\nnodes = 5\n",
+}
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_cli_taxonomy_report_is_the_same_on_one_cpu_and_on_all(tmp_path):
-    # one usable CPU runs the taxonomy cases in-process, more run them in
-    # forked workers; both must write the golden bytes
-    config = tmp_path / "taxonomy.ini"
-    config.write_text("[experiment]\nkind = taxonomy\nseed = 42\n")
+@pytest.mark.parametrize("kind", sorted(CLI_CONFIGS))
+def test_cli_report_is_the_same_on_one_cpu_and_on_all(kind, tmp_path):
+    # one usable CPU runs the taxonomy cases and the hybrid ML service
+    # in-process, more run them in forked processes; both must write the
+    # golden bytes
+    config = tmp_path / f"{kind}.ini"
+    config.write_text(CLI_CONFIGS[kind])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     reports = []
     for name, preexec_fn in (("pinned", _pin_to_one_cpu), ("unpinned", None)):
@@ -79,5 +88,5 @@ def test_cli_taxonomy_report_is_the_same_on_one_cpu_and_on_all(tmp_path):
         reports.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
     pinned, unpinned = reports
     assert pinned == unpinned
-    _, expected = GOLDEN[TAXONOMY]
+    _, expected = GOLDEN[kind]
     assert {name: hashlib.sha256(data).hexdigest() for name, data in pinned.items()} == expected

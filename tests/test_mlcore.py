@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import batch_ridge
 from convergesim.mlcore import (
+    _sample_values,
     BayesianLinear,
     DimensionMismatchError,
     LinearSGD,
@@ -246,6 +248,28 @@ def test_non_finite_target_is_rejected_before_any_change():
             with pytest.raises(ValueError):
                 model.learn({"a": 1.0}, y)
         assert model_to_json(model) == before, variant
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+FEATURE_VALUES = st.one_of(
+    st.floats(), st.integers(-10**400, 10**400), st.booleans(), st.none(),
+    st.sampled_from(["1.5", "nan", "abc"]))
+
+
+@given(names=st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True),
+       x=st.dictionaries(st.sampled_from("abcde"), FEATURE_VALUES, max_size=5))
+def test_fixed_feature_values_equal_the_reference(names, x):
+    # with the feature set fixed, the fast path must return the same values,
+    # or raise the same error (ValueError before DimensionMismatchError)
+    for fixed in (RunningScaler(), LinearSGD(), BayesianLinear(), PassiveAggressive()):
+        fixed.feature_names = tuple(sorted(names))
+        assert _outcome(fixed._values, x) == _outcome(_sample_values, x, fixed.feature_names)
 
 
 def test_make_model_rejects_unknown_variant():

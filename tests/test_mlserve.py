@@ -335,6 +335,32 @@ def test_feature_names_may_spell_request_keys():
                                  features={"name": 1.0, "type": 2.0, "y": 3.0})
 
 
+@pytest.mark.parametrize("feature", ["a b", "a=b", "x:y", "", "a\n", 3])
+def test_a_feature_name_the_wire_cannot_carry_is_refused_on_both_mounts(feature):
+    req = ServiceRequest("train", name="m", features={feature: 1.0}, y=1.0)
+    with pytest.raises(ValueError, match="feature name"):
+        format_request(req)
+    service = MLService()
+    service.handle(ServiceRequest("create", name="m", model_type="linear_sgd"))
+    assert format_response(service.handle(req)) == "bad_request error=bad_feature_name"
+    # the refused sample fixed nothing: a sendable one is the model's first
+    first = ServiceRequest("train", name="m", features={"a": 1.0}, y=1.0)
+    assert format_response(service.handle(first)) == "ok samples_seen=1 seq=1"
+
+
+def test_a_model_name_the_wire_cannot_carry_is_refused():
+    service = MLService()
+    resp = service.handle(ServiceRequest("create", name="m\n", model_type="linear_sgd"))
+    assert format_response(resp) == "bad_request error=bad_name"
+    assert service.handle(ServiceRequest("list_models")).get("models") == []
+
+
+@pytest.mark.parametrize("line", ["ok junk", "ok seq=1 junk", "bad_request error"])
+def test_a_reply_token_without_equals_is_a_protocol_error(line):
+    with pytest.raises(mlserve.ProtocolError, match="not key=value"):
+        parse_response(line)
+
+
 # --- socket mount ----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import filecmp
+import itertools
 import json
 import multiprocessing
 import os
@@ -314,6 +315,85 @@ def test_hybrid_stops_on_a_rejected_service_reply(monkeypatch, verb):
                         lambda *args: mlserve.ServiceResponse("bad_request"))
     with pytest.raises(ScenarioError, match=verb):
         run_hybrid(small_hybrid())
+
+
+def hybrid_config(seed, train_count, test_count, train_width=1):
+    cfg = default_config(HYBRID, seed=seed)
+    cfg.cluster = ClusterSpec(1 + cfg.sim_nodes * train_width, 16)
+    cfg.train_count, cfg.test_count, cfg.train_width = train_count, test_count, train_width
+    return cfg
+
+
+@pytest.mark.parametrize("seed, train_count, test_count, train_width", [
+    (3, 300, 40, 1),   # more samples than one batch
+    (11, 90, 30, 2),   # concurrent training jobs
+    (29, 1, 1, 1),     # one sample per phase: no R-squared
+])
+def test_hybrid_bundle_does_not_depend_on_the_cpu_count(monkeypatch, seed, train_count,
+                                                        test_count, train_width):
+    cfg = hybrid_config(seed, train_count, test_count, train_width)
+    contexts = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: contexts.append(method) or get_context(method))
+    with monkeypatch.context() as one_cpu, deadline(60):
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+        pinned = run_hybrid(cfg)
+    # one usable CPU runs the service in this process
+    assert contexts == []
+    with deadline(60):
+        unpinned = run_hybrid(cfg)
+    assert contexts == (["fork"] if len(os.sched_getaffinity(0)) > 1 else [])
+    assert unpinned == pinned
+    assert unpinned.to_json() == pinned.to_json()
+    assert multiprocessing.active_children() == []
+
+
+def test_hybrid_service_error_is_raised_and_reported(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise RuntimeError("service refused a sample")
+
+    # a forked service process inherits the patch. The first sample fails,
+    # and several batches follow it, which the service must still read
+    monkeypatch.setattr(mlserve.MLService, "_train", refuse)
+    with deadline(60), pytest.raises(RuntimeError, match="^service refused a sample$"):
+        run_hybrid(hybrid_config(5, 1200, 20))
+    assert multiprocessing.active_children() == []
+    config = tmp_path / "hybrid.ini"
+    config.write_text("[experiment]\nkind = hybrid\nseed = 5\n"
+                      "[cluster]\nnodes = 5\n[hybrid]\ntrain_count = 1200\ntest_count = 20\n"
+                      f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    with deadline(60):
+        assert cli.main(["run", "--config", str(config)]) == 2
+    assert "error: service refused a sample" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_hybrid_simulation_error_mid_stream_leaves_no_child(monkeypatch):
+    lammps_walltime = workloads.lammps_walltime
+    calls = itertools.count(1)
+
+    def fail_on_call_600(*args, **kwargs):
+        if next(calls) == 600:  # after two batches have gone to the service
+            raise RuntimeError("simulation broke")
+        return lammps_walltime(*args, **kwargs)
+
+    monkeypatch.setattr(workloads, "lammps_walltime", fail_on_call_600)
+    with deadline(60), pytest.raises(RuntimeError, match="simulation broke"):
+        run_hybrid(hybrid_config(5, 1200, 20))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="with one usable CPU the service runs in this process")
+@pytest.mark.parametrize("train_count", [60, 1200], ids=["at_the_end", "mid_stream"])
+def test_hybrid_raises_when_the_service_process_dies(monkeypatch, train_count):
+    # the dead child is found on reading its reply (one batch) or on
+    # sending it the next batch (many)
+    monkeypatch.setattr(mlserve.MLService, "_train", lambda *args: os._exit(3))
+    with deadline(60), pytest.raises(ScenarioError, match="exited with code 3"):
+        run_hybrid(hybrid_config(5, train_count, 20))
+    assert multiprocessing.active_children() == []
 
 
 def test_hybrid_suballocations_never_share_nodes():
