@@ -34,7 +34,7 @@ bit-identical to dispatching every round.
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .resgraph import (
     ClusterSpec,
@@ -92,7 +92,15 @@ class SchedMetrics:
 
 
 class Instance:
-    """A scheduler scope bound to one allocation."""
+    """A scheduler scope bound to one allocation.
+
+    Jobs arrive one at a time through `submit`, or as a stream through
+    `submit_all`, which draws each job only when the placement before it
+    leaves the queue empty. The head is then always the next job in
+    submission order, and the queue is non-empty exactly when jobs remain,
+    so a stream schedules exactly as submitting every job up front would,
+    while the instance holds only the head and the running jobs.
+    """
 
     def __init__(self, engine: Engine, graph: ResourceGraph, alloc_id: int,
                  decision_cost_s: float = DEFAULT_DECISION_COST_S):
@@ -102,6 +110,7 @@ class Instance:
         self.alloc_id = alloc_id
         self.decision_cost_s = decision_cost_s
         self.queue: deque[Job] = deque()
+        self._streams: deque[Iterator[Job]] = deque()  # behind the queue, in order
         self.attempts = 0
         self.placed = 0
         self.completed = 0
@@ -110,7 +119,34 @@ class Instance:
         self._fitting_nodes: dict[tuple[int, bool], int] = {}  # by (cores, NIC)
 
     def submit(self, job: Job) -> int:
-        """Queue a job; requests that can never fit are rejected here."""
+        """Queue a job; requests that can never fit are rejected here. While
+        a stream is pending, the job queues behind the stream's remaining
+        jobs."""
+        self._check(job)
+        if self._streams:
+            self.submit_all((job,))
+        else:
+            self.queue.append(job)
+            self._wake()
+        return job.job_id
+
+    def submit_all(self, jobs: Iterable[Job]):
+        """Queue a stream of jobs behind every job already queued or pending.
+
+        A job is drawn from `jobs` only when it becomes the head: here, if
+        the queue is empty, else in the dispatch whose placement empties
+        the queue. A drawn job gets the same check as `submit`; one that
+        can never fit raises `UnsatisfiableRequestError` from the call that
+        draws it (this one, or `step_schedule` under `engine.drain()`) and
+        is dropped. The jobs after it wait for the next `submit` or
+        `submit_all` to draw again.
+        """
+        self._streams.append(iter(jobs))
+        if not self.queue:
+            self._draw()
+        self._wake()
+
+    def _check(self, job: Job):
         request, graph = job.request, self.graph
         request.validate()
         need = graph.spec.cores_per_node if request.exclusive else request.cores_per_node
@@ -129,9 +165,18 @@ class Instance:
                 f"job {job.job_id} wants {request.nodes} node(s); the instance on "
                 f"allocation {self.alloc_id} has {fits} that can hold it"
             )
-        self.queue.append(job)
-        self._wake()
-        return job.job_id
+
+    def _draw(self):
+        """Move the next pending stream job, if one remains, into the empty queue."""
+        streams = self._streams
+        while streams:
+            job = next(streams[0], None)
+            if job is None:
+                streams.popleft()
+            else:
+                self._check(job)
+                self.queue.append(job)
+                return
 
     def _wake(self):
         if self._armed or not self.queue:
@@ -161,6 +206,8 @@ class Instance:
         self.placed += 1
         self.engine.schedule(self.engine.now + duration,
                              lambda: self._complete(job, child.alloc_id))
+        if not self.queue and self._streams:
+            self._draw()
         if self.queue:
             self._wake()
         return job

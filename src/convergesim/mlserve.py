@@ -151,6 +151,10 @@ class MLService:
     def _predict(self, entry: _ModelEntry, req: ServiceRequest) -> ServiceResponse:
         if not req.features:
             return _bad_request("missing_features")
+        # a fresh model has no names to match yet, so it checks, as for a
+        # first `train`, that the line protocol can carry them
+        if entry.model.feature_names is None and not all(map(_sendable, req.features)):
+            return _bad_request("bad_feature_name")
         try:
             # the scaler is frozen here: test-phase features must not leak
             # into the training statistics

@@ -23,6 +23,12 @@ host also brings up the pod layer (control plane, NIC daemonset, and the
 service as a single-replica deployment); the one-node default skips the
 pod layer because a control plane would leave no worker.
 
+Each phase's jobs stream into the simulation's scheduler instance,
+which draws the next job only as its queue drains. So the service gets
+its first samples as soon as the first jobs complete, and the simulation
+holds only the queue's head and the running jobs: its memory does not
+grow with `train_count`.
+
 Training jobs run back to back by default (each takes the whole
 simulation partition). `train_width` widens the partition to
 `width * sim_nodes` nodes so that many jobs run concurrently; training
@@ -570,43 +576,38 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
     dims_rng = engine.rng.stream("hybrid.dims")
     noise_rng = engine.rng.stream("hybrid.noise")
     ranks = cfg.sim_nodes * cfg.cluster.cores_per_node
+    request = ResourceRequest(nodes=cfg.sim_nodes)
 
-    def make_job(job_id: int) -> tuple[Job, dict]:
-        x, y, z = (
-            int(v)
-            for v in dims_rng.integers(cfg.dim_min, cfg.dim_max + 1, size=3)
-        )
-        problem = workloads.LammpsProblem(x, y, z)
-        features = {"x": float(x), "y": float(y), "z": float(z)}
-
-        def sampler():
-            return workloads.lammps_walltime(
-                workloads.BARE_METAL, cfg.sim_nodes, ranks, problem, noise_rng,
-                mode="model", noise_sigma=cfg.noise_sigma,
+    def phase_jobs(phase: str, job_ids: range, record):
+        """The phase's jobs, each made as the instance draws it."""
+        for job_id in job_ids:
+            x, y, z = (
+                int(v)
+                for v in dims_rng.integers(cfg.dim_min, cfg.dim_max + 1, size=3)
             )
+            problem = workloads.LammpsProblem(x, y, z)
+            features = {"x": float(x), "y": float(y), "z": float(z)}
 
-        job = Job(
-            job_id=job_id,
-            request=ResourceRequest(nodes=cfg.sim_nodes),
-            duration=sampler,
-        )
-        return job, features
+            def sampler(problem=problem):
+                return workloads.lammps_walltime(
+                    workloads.BARE_METAL, cfg.sim_nodes, ranks, problem, noise_rng,
+                    mode="model", noise_sigma=cfg.noise_sigma,
+                )
+
+            def on_complete(job, features=features):
+                record(phase, features, job.realized_duration)
+
+            yield Job(job_id=job_id, request=request, duration=sampler,
+                      on_complete=on_complete)
 
     feed = _ServiceProcess(service) if _usable_cpus() > 1 else None
     try:
         record = feed.record if feed else functools.partial(_replay, service)
-
-        def on_complete(phase: str, features: dict):
-            return lambda job: record(phase, features, job.realized_duration)
-
-        job_id = 0
+        first_id = 1
         for count, phase in ((cfg.train_count, "train"), (cfg.test_count, "test")):
-            for _ in range(count):
-                job_id += 1
-                job, features = make_job(job_id)
-                job.on_complete = on_complete(phase, features)
-                instance.submit(job)
+            instance.submit_all(phase_jobs(phase, range(first_id, first_id + count), record))
             engine.drain()
+            first_id += count
         models = feed.finish() if feed else _hybrid_models(service)
     finally:
         if feed:

@@ -196,6 +196,109 @@ def test_retained_memory_does_not_grow_with_job_count():
     assert large - small < 4096, (small, large)
 
 
+@st.composite
+def stream_runs(draw):
+    """An instance width (1-16 nodes), a decision cost, the stream's jobs,
+    jobs submitted right after the stream and jobs submitted at later
+    times; each job as (nodes, cores per node or None for exclusive,
+    duration)."""
+    width = draw(st.integers(1, 16))
+    specs = st.tuples(
+        st.integers(1, width),
+        st.one_of(st.none(), st.integers(1, 4)),
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 5.0)),
+    )
+    return (
+        width,
+        draw(st.one_of(st.just(DEFAULT_DECISION_COST_S), st.floats(1e-4, 2.0))),
+        draw(st.lists(specs, max_size=40)),
+        draw(st.lists(specs, max_size=3)),
+        draw(st.lists(st.tuples(st.floats(0.0, 20.0), specs), max_size=4)),
+    )
+
+
+def scheduled_run(run, stream: bool):
+    """Run `run` (see `stream_runs`) on one instance over a carve from a
+    16-node cluster, its first jobs streamed or submitted one by one.
+    Returns each job's (start, end), the instance's counters and the
+    dispatch order."""
+    width, cost, first, after, late = run
+    engine = Engine(0)
+    dispatched = record_dispatches(engine)
+    graph = build_cluster(ClusterSpec(16, 4))
+    alloc = graph.carve(graph.root_allocation, ResourceRequest(nodes=width))
+    inst = Instance(engine, graph, alloc.alloc_id, cost)
+    job_ids = iter(range(1, 100))
+
+    def make(spec):
+        nodes, cores, duration = spec
+        request = (ResourceRequest(nodes=nodes) if cores is None else
+                   ResourceRequest(nodes=nodes, cores_per_node=cores, exclusive=False))
+        return Job(job_id=next(job_ids), request=request, duration=duration)
+
+    first_jobs, after_jobs = [make(s) for s in first], [make(s) for s in after]
+    late_jobs = [make(s) for _, s in late]
+    for (t, _), late_job in zip(late, late_jobs):
+        engine.schedule(t, lambda j=late_job: inst.submit(j))
+    if stream:
+        inst.submit_all(iter(first_jobs))
+    else:
+        for j in first_jobs:
+            inst.submit(j)
+    for j in after_jobs:
+        inst.submit(j)
+    engine.drain()
+    counters = (inst.attempts, inst.placed, inst.completed, inst.busy_s)
+    times = [(j.start_t, j.end_t) for j in first_jobs + after_jobs + late_jobs]
+    return times, counters, dispatched
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=stream_runs())
+def test_a_stream_schedules_exactly_as_submitting_every_job_up_front(run):
+    streamed = scheduled_run(run, stream=True)
+    assert streamed == scheduled_run(run, stream=False)
+    assert streamed[1][2] == len(streamed[0])  # every job completed
+
+
+def test_a_stream_holds_only_its_head_until_a_placement_empties_the_queue():
+    engine, graph, inst = setup_instance(4)
+    drawn = []
+
+    def jobs():
+        for i in range(1, 4):
+            drawn.append(i)
+            yield job(i, 4, duration=1.0)
+
+    inst.submit_all(jobs())
+    late = job(9, 1)
+    inst.submit(late)  # queues behind the stream's remaining jobs
+    assert drawn == [1] and [j.job_id for j in inst.queue] == [1]
+    engine.run_until(DEFAULT_DECISION_COST_S)  # job 1 placed, job 2 drawn
+    assert drawn == [1, 2] and [j.job_id for j in inst.queue] == [2]
+    engine.drain()
+    assert drawn == [1, 2, 3] and inst.completed == 4
+    assert late.start_t > 3.0
+
+
+def test_a_streamed_job_that_can_never_fit_raises_from_the_call_that_draws_it():
+    engine, graph, inst = setup_instance(4)
+    with pytest.raises(UnsatisfiableRequestError, match="job 1 "):
+        inst.submit_all(iter([job(1, 5)]))
+    assert not inst.queue
+    fits, too_wide, after = job(2, 4, duration=1.0), job(3, 5), job(4, 4, duration=1.0)
+    inst.submit_all(iter([fits, too_wide, after]))
+    with pytest.raises(UnsatisfiableRequestError, match="job 3 "):
+        engine.drain()  # the dispatch that placed job 2 drew job 3
+    assert fits.start_t == DEFAULT_DECISION_COST_S and not inst.queue
+    engine.drain()
+    assert fits.end_t is not None and after.start_t is None
+    # the dropped job is gone; the next submit draws the stream's rest first
+    inst.submit(job(5, 1))
+    engine.drain()
+    assert after.end_t is not None and inst.completed == 3 and graph.root_fully_free()
+
+
 def instance_on(spec, parent_request=None):
     """An instance over the root of a fresh `spec` graph, or over a carve of
     `parent_request` from that root."""

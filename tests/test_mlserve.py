@@ -348,6 +348,22 @@ def test_a_feature_name_the_wire_cannot_carry_is_refused_on_both_mounts(feature)
     assert format_response(service.handle(first)) == "ok samples_seen=1 seq=1"
 
 
+@pytest.mark.parametrize("feature", ["a b", "a=b", "x:y", "", "a\n", 3])
+def test_a_cold_predict_refuses_a_feature_name_the_wire_cannot_carry(feature):
+    service = MLService()
+    service.handle(ServiceRequest("create", name="m", model_type="linear_sgd"))
+    req = ServiceRequest("predict", name="m", features={feature: 1.0})
+    assert format_response(service.handle(req)) == "bad_request error=bad_feature_name"
+
+
+def test_a_cold_predict_answers_alike_on_the_line_protocol():
+    service = MLService()
+    handle_line(service, "create name=m type=linear_sgd")
+    assert handle_line(service, "predict name=m x:a:b=1.0") == "bad_request error=bad_feature_name"
+    assert (handle_line(service, "predict name=m x:a=1.0")
+            == "ok prediction=0.0 cold=true samples_seen=0")
+
+
 def test_a_model_name_the_wire_cannot_carry_is_refused():
     service = MLService()
     resp = service.handle(ServiceRequest("create", name="m\n", model_type="linear_sgd"))

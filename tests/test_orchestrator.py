@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import signal
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -394,6 +395,24 @@ def test_hybrid_raises_when_the_service_process_dies(monkeypatch, train_count):
     with deadline(60), pytest.raises(ScenarioError, match="exited with code 3"):
         run_hybrid(hybrid_config(5, train_count, 20))
     assert multiprocessing.active_children() == []
+
+
+def hybrid_peak_bytes(train_count: int) -> int:
+    """The tracemalloc peak of a hybrid run with `train_count` training jobs."""
+    tracemalloc.start()
+    try:
+        run_hybrid(hybrid_config(5, train_count, 20))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hybrid_peak_memory_does_not_grow_with_train_count(monkeypatch):
+    # in this process, so that the service's memory is traced as well; jobs
+    # made up front would add about 1.2 KB each to the peak
+    monkeypatch.setattr(orchestrator, "_usable_cpus", lambda: 1)
+    small, large = hybrid_peak_bytes(1200), hybrid_peak_bytes(4800)
+    assert large - small < 32 * 1024, (small, large)
 
 
 def test_hybrid_suballocations_never_share_nodes():
