@@ -6,7 +6,9 @@ and each model fix their feature set on the first learn call, in sorted
 name order, and keep their state in that order. Every sample must have
 finite values (else ValueError) and, once the set is fixed, exactly those
 keys (else DimensionMismatchError); a rejected sample or target, or an
-overflowing update (ValueError), changes no state. Weight updates:
+overflowing update (ValueError), changes no state. A scaler's `prepare`
+stores nothing, so a caller can `commit` once the model accepts the sample.
+Weight updates:
 
   linear_sgd           e = yhat - y;  w -= lr * e * x;  b -= lr * e
   bayesian             A += beta * x x^T;  c += beta * y * x
@@ -25,6 +27,7 @@ Bayesian weights are obtained by solving A w = c per prediction rather
 than maintaining an explicit inverse; feature counts here are tiny.
 """
 
+import itertools
 import json
 import math
 
@@ -54,17 +57,21 @@ def _sample_values(x: dict, names: tuple[str, ...]) -> list[float]:
 
 
 def _finite(value) -> bool:
-    """Whether a float, or every entry of an array, is finite."""
+    """Whether a float, or every entry of an array, a list or a list of
+    lists, is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
     if isinstance(value, np.ndarray):
-        return all(map(math.isfinite, value.flat))
-    return math.isfinite(value)
+        value = value.flat
+    elif value and isinstance(value[0], list):
+        value = itertools.chain.from_iterable(value)
+    return all(map(math.isfinite, value))
 
 
 class _FixedFeatures:
     """A feature set fixed, in sorted order, by the first learned sample.
 
-    Subclasses keep every per-feature quantity in that order and create
-    it in `_init_state`.
+    Subclasses keep every per-feature quantity in that order.
     """
 
     feature_names: tuple[str, ...] | None = None
@@ -84,13 +91,6 @@ class _FixedFeatures:
         # before the first learn, any key set is the fixed one
         return _sample_values(x, names or tuple(sorted(x)))
 
-    def _learn_values(self, x: dict) -> list[float]:
-        values = self._values(x)
-        if self.feature_names is None:
-            self.feature_names = tuple(sorted(x))
-            self._init_state(len(values))
-        return values
-
 
 class RunningScaler(_FixedFeatures):
     """Single-pass standardizer: zero mean, unit (population) variance.
@@ -106,28 +106,35 @@ class RunningScaler(_FixedFeatures):
         self._mean: list[float] = []
         self._m2: list[float] = []  # sums of squared deviations
 
-    def _init_state(self, dim: int):
-        self._mean = [0.0] * dim
-        self._m2 = [0.0] * dim
-
-    def learn_transform(self, x: dict) -> dict:
-        """Update the running statistics with x, then return the scaled x."""
-        values = self._learn_values(x)
+    def prepare(self, x: dict) -> tuple[tuple, dict]:
+        """The statistics after learning x, and x scaled by them. Nothing
+        is stored: `commit` takes the statistics."""
+        values = self._values(x)
+        names = self.feature_names or tuple(sorted(x))
         n = self.count + 1
-        means, m2s, out = [], [], {}
-        for name, value, mean, m2 in zip(self.feature_names, values, self._mean, self._m2):
+        new_means, new_m2s, out = [], [], {}
+        means = self._mean or [0.0] * len(names)  # a fresh scaler's statistics
+        m2s = self._m2 or means
+        for name, value, mean, m2 in zip(names, values, means, m2s):
             delta = value - mean
             mean += delta / n
             m2 += delta * (value - mean)
-            # a first sample cannot overflow (its m2 is 0), so no raise
-            # follows the fixing of the feature set
             if not math.isfinite(m2):
                 raise ValueError(f"statistics of feature {name!r} overflow")
             std = math.sqrt(m2 / n)
             out[name] = (value - mean) / std if std > 0.0 else 0.0
-            means.append(mean)
-            m2s.append(m2)
-        self.count, self._mean, self._m2 = n, means, m2s
+            new_means.append(mean)
+            new_m2s.append(m2)
+        return (names, n, new_means, new_m2s), out
+
+    def commit(self, stats: tuple) -> None:
+        """Store statistics that `prepare` computed."""
+        self.feature_names, self.count, self._mean, self._m2 = stats
+
+    def learn_transform(self, x: dict) -> dict:
+        """Update the running statistics with x, then return the scaled x."""
+        stats, out = self.prepare(x)
+        self.commit(stats)
         return out
 
     def transform(self, x: dict) -> dict:
@@ -178,8 +185,9 @@ class _RegressorBase(_FixedFeatures):
     """Shared learn/predict and the state codec.
 
     A subclass declares its state once: `params` are its constructor
-    parameters, `arrays` its numpy state (None until the feature set is
-    fixed) and `scalars` its float state; `_update` returns new values by name.
+    parameters, `arrays` its per-feature state (None until the feature set
+    is fixed, then made by `_init_state`) and `scalars` its float state;
+    `_update` returns new values by name.
     """
 
     variant = "base"
@@ -187,6 +195,7 @@ class _RegressorBase(_FixedFeatures):
     arrays: tuple[str, ...] = ()
     scalars: tuple[str, ...] = ()
     samples_seen = 0
+    _array = staticmethod(lambda array: array)  # how from_state keeps an array it read
 
     @property
     def cold(self) -> bool:
@@ -196,10 +205,16 @@ class _RegressorBase(_FixedFeatures):
         y = float(y)
         if not math.isfinite(y):
             raise ValueError("non-finite target")
-        saved = vars(self).copy()  # `_update` stores nothing, so this is a snapshot
-        new = self._update(np.array(self._learn_values(x)), y)
+        values = self._values(x)
+        fresh = self.feature_names is None
+        if fresh:
+            self.feature_names = tuple(sorted(x))
+            self._init_state(len(values))
+        new = self._update(values, y)  # stores nothing
         if not all(map(_finite, new.values())):
-            self.__dict__ = saved  # also undoes a feature set fixed by this sample
+            if fresh:  # undo the feature set this sample fixed
+                self.feature_names = None
+                vars(self).update(dict.fromkeys(self.arrays))
             raise ValueError("update overflows the model state")
         vars(self).update(new)
         self.samples_seen += 1
@@ -221,7 +236,7 @@ class _RegressorBase(_FixedFeatures):
             state[name] = getattr(self, name)
         for name in self.arrays:
             array = getattr(self, name)
-            state[name] = None if array is None else array.tolist()
+            state[name] = None if array is None else np.asarray(array).tolist()
         return state
 
     @classmethod
@@ -234,7 +249,7 @@ class _RegressorBase(_FixedFeatures):
             setattr(model, name, float(state[name]))
         for name in cls.arrays:
             if state[name] is not None:
-                setattr(model, name, np.array(state[name], dtype=float))
+                setattr(model, name, cls._array(np.array(state[name], dtype=float)))
         return model
 
 
@@ -254,8 +269,9 @@ class LinearSGD(_RegressorBase):
     def _init_state(self, dim: int):
         self.w = np.zeros(dim)
 
-    def _update(self, x: np.ndarray, y: float):
-        error = float(self.w @ x + self.b) - y
+    def _update(self, values: list[float], y: float):
+        x = np.array(values)
+        error = float(self.w @ x) + self.b - y
         step = self.learning_rate * error
         return {"w": self.w - step * x, "b": self.b - step}
 
@@ -267,30 +283,37 @@ class BayesianLinear(_RegressorBase):
     """Bayesian linear regression via the precision matrix A and moment c.
 
     A and c are plain sums over samples, so the posterior mean is
-    independent of arrival order (up to float addition rounding).
+    independent of arrival order (up to float addition rounding). They are
+    float lists: their update has no reduction, so numpy would do the same
+    IEEE operations, at a higher cost per call.
     """
 
     variant = "bayesian"
     params = ("alpha", "beta")
     arrays = ("A", "c")
+    _array = staticmethod(np.ndarray.tolist)
 
     def __init__(self, alpha: float = 1.0, beta: float = 1.0):
         if alpha <= 0 or beta <= 0:
             raise ValueError("alpha and beta must be positive")
         self.alpha = alpha
         self.beta = beta
-        self.A: np.ndarray | None = None
-        self.c: np.ndarray | None = None
+        self.A: list[list[float]] | None = None
+        self.c: list[float] | None = None
 
     def _init_state(self, dim: int):
-        self.A = self.alpha * np.eye(dim)
-        self.c = np.zeros(dim)
+        self.A = (self.alpha * np.eye(dim)).tolist()
+        self.c = [0.0] * dim
 
-    def _update(self, x: np.ndarray, y: float):
-        return {"A": self.A + self.beta * np.outer(x, x), "c": self.c + self.beta * y * x}
+    def _update(self, x: list[float], y: float):
+        beta = self.beta
+        by = beta * y
+        return {"A": [[a + beta * (xi * xj) for a, xj in zip(row, x)]
+                      for row, xi in zip(self.A, x)],
+                "c": [c + by * xi for c, xi in zip(self.c, x)]}
 
     def weights(self) -> np.ndarray:
-        return np.linalg.solve(self.A, self.c)
+        return np.linalg.solve(np.array(self.A), np.array(self.c))
 
     def _predict_vec(self, x: np.ndarray) -> float:
         return self.weights() @ x
@@ -314,8 +337,9 @@ class PassiveAggressive(_RegressorBase):
     def _init_state(self, dim: int):
         self.w = np.zeros(dim)
 
-    def _update(self, x: np.ndarray, y: float):
-        y_hat = float(self.w @ x + self.b)
+    def _update(self, values: list[float], y: float):
+        x = np.array(values)
+        y_hat = float(self.w @ x) + self.b
         loss = abs(y_hat - y) - self.epsilon
         if loss <= 0.0:
             return {}  # inside the insensitive band: state untouched

@@ -24,12 +24,14 @@ quoting is needed anywhere.
 
 Every mutating verb bumps the model's sequence counter and echoes it, so
 a response trace makes interleaved partial updates detectable. A rejected
-request leaves the model unchanged (a train the model refuses restores
-the scaler it updated). A socket mount serves every connection from one
-selector loop, one request at a time, and closes a connection whose
-unterminated line passes MAX_LINE_BYTES after answering malformed_request.
+request leaves the model unchanged: a train commits the scaler's new
+statistics only after the model accepts the sample. A socket mount
+serves every connection from one selector loop, one request at a time,
+and closes a connection whose unterminated line passes MAX_LINE_BYTES
+after answering malformed_request.
 """
 
+import inspect
 import math
 import re
 import selectors
@@ -70,8 +72,8 @@ class ServiceResponse:
         return default
 
 
-def _ok(**kv) -> ServiceResponse:
-    return ServiceResponse("ok", tuple(kv.items()))
+def _ok(*body: tuple[str, object]) -> ServiceResponse:
+    return ServiceResponse("ok", body)
 
 
 def _not_found(error: str) -> ServiceResponse:
@@ -80,6 +82,14 @@ def _not_found(error: str) -> ServiceResponse:
 
 def _bad_request(error: str) -> ServiceResponse:
     return ServiceResponse("bad_request", (("error", error),))
+
+
+def _no_model(name) -> ServiceResponse:
+    """The reply to a verb naming no model, or one never created."""
+    return _bad_request("missing_name") if name is None else _not_found("unknown_model")
+
+
+_VERBS = ("create", "list_models", "train", "predict", "record_truth", "metrics", "stats")
 
 
 @dataclass
@@ -92,101 +102,110 @@ class _ModelEntry:
 
 
 class MLService:
-    """In-process mount: model registry plus the verb dispatcher."""
+    """In-process mount: the model registry, one method per verb. A verb's
+    parameters are named after the ServiceRequest fields it takes."""
 
     def __init__(self, model_defaults: dict | None = None):
         self._models: dict[str, _ModelEntry] = {}
         self._model_defaults = model_defaults or {}
+        methods = [getattr(self, verb) for verb in _VERBS]
+        self._verbs = {verb: (method, tuple(inspect.signature(method).parameters))
+                       for verb, method in zip(_VERBS, methods)}
 
     def entry(self, name: str) -> _ModelEntry:
         return self._models[name]
 
     def handle(self, req: ServiceRequest) -> ServiceResponse:
-        if req.verb == "create":
-            return self._create(req)
-        if req.verb == "list_models":
-            return _ok(models=list(self._models))
-        if req.verb in ("train", "predict", "record_truth", "metrics", "stats"):
-            if req.name is None:
-                return _bad_request("missing_name")
-            entry = self._models.get(req.name)
-            if entry is None:
-                return _not_found("unknown_model")
-            return getattr(self, f"_{req.verb}")(entry, req)
-        return _bad_request("unknown_verb")
+        verb = self._verbs.get(req.verb)
+        if verb is None:
+            return _bad_request("unknown_verb")
+        method, fields = verb
+        return method(*[getattr(req, field) for field in fields])
 
-    def _create(self, req: ServiceRequest) -> ServiceResponse:
-        if not _sendable(req.name):
+    def create(self, name, model_type) -> ServiceResponse:
+        if not _sendable(name):
             return _bad_request("bad_name")
-        if req.name in self._models:
+        if name in self._models:
             return _bad_request("duplicate_model")
-        if req.model_type not in mlcore.MODEL_VARIANTS:
+        if model_type not in mlcore.MODEL_VARIANTS:
             return _bad_request("unknown_model_type")
-        kwargs = self._model_defaults.get(req.model_type, {})
-        self._models[req.name] = _ModelEntry(
-            model_type=req.model_type,
+        kwargs = self._model_defaults.get(model_type, {})
+        self._models[name] = _ModelEntry(
+            model_type=model_type,
             scaler=mlcore.RunningScaler(),
-            model=mlcore.make_model(req.model_type, **kwargs),
+            model=mlcore.make_model(model_type, **kwargs),
         )
-        return _ok(name=req.name, model_type=req.model_type)
+        return _ok(("name", name), ("model_type", model_type))
 
-    def _train(self, entry: _ModelEntry, req: ServiceRequest) -> ServiceResponse:
-        if not req.features or req.y is None:
+    def list_models(self) -> ServiceResponse:
+        return _ok(("models", list(self._models)))
+
+    def train(self, name, features, y) -> ServiceResponse:
+        if (entry := self._models.get(name)) is None:
+            return _no_model(name)
+        if not features or y is None:
             return _bad_request("missing_training_sample")
+        model = entry.model
         # the first sample fixes the names, and later ones must match them,
         # so only a fresh model checks that the line protocol can carry them
-        if entry.model.feature_names is None and not all(map(_sendable, req.features)):
+        if model.feature_names is None and not all(map(_sendable, features)):
             return _bad_request("bad_feature_name")
-        # learn_transform rebinds, never mutates, what the scaler holds, so a
-        # copy of its attributes is a snapshot to restore if the model refuses
-        saved = vars(entry.scaler).copy()
         try:
-            entry.model.learn(entry.scaler.learn_transform(req.features), req.y)
+            stats, scaled = entry.scaler.prepare(features)
+            model.learn(scaled, y)
         except (mlcore.DimensionMismatchError, ValueError) as err:
-            entry.scaler.__dict__ = saved
             return _bad_request(type(err).__name__)
+        entry.scaler.commit(stats)  # only now that the model accepted the sample
         entry.seq += 1
-        return _ok(samples_seen=entry.model.samples_seen, seq=entry.seq)
+        return _ok(("samples_seen", model.samples_seen), ("seq", entry.seq))
 
-    def _predict(self, entry: _ModelEntry, req: ServiceRequest) -> ServiceResponse:
-        if not req.features:
+    def predict(self, name, features) -> ServiceResponse:
+        if (entry := self._models.get(name)) is None:
+            return _no_model(name)
+        if not features:
             return _bad_request("missing_features")
         # a fresh model has no names to match yet, so it checks, as for a
         # first `train`, that the line protocol can carry them
-        if entry.model.feature_names is None and not all(map(_sendable, req.features)):
+        if entry.model.feature_names is None and not all(map(_sendable, features)):
             return _bad_request("bad_feature_name")
         try:
             # the scaler is frozen here: test-phase features must not leak
             # into the training statistics
-            scaled = entry.scaler.transform(req.features)
+            scaled = entry.scaler.transform(features)
             value = entry.model.predict(scaled)
         except (mlcore.DimensionMismatchError, ValueError) as err:
             return _bad_request(type(err).__name__)
         if not math.isfinite(value):
             return _bad_request("non_finite_prediction")
-        return _ok(prediction=value, cold=entry.model.cold,
-                   samples_seen=entry.model.samples_seen)
+        return _ok(("prediction", value), ("cold", entry.model.cold),
+                   ("samples_seen", entry.model.samples_seen))
 
-    def _record_truth(self, entry: _ModelEntry, req: ServiceRequest) -> ServiceResponse:
-        if req.y_true is None or req.y_pred is None:
+    def record_truth(self, name, y_true, y_pred) -> ServiceResponse:
+        if (entry := self._models.get(name)) is None:
+            return _no_model(name)
+        if y_true is None or y_pred is None:
             return _bad_request("missing_pair")
-        if not (math.isfinite(req.y_true) and math.isfinite(req.y_pred)):
+        if not (math.isfinite(y_true) and math.isfinite(y_pred)):
             return _bad_request("non_finite_pair")
-        entry.truths.append((req.y_true, req.y_pred))
+        entry.truths.append((y_true, y_pred))
         entry.seq += 1
-        return _ok(pairs=len(entry.truths), seq=entry.seq)
+        return _ok(("pairs", len(entry.truths)), ("seq", entry.seq))
 
-    def _metrics(self, entry: _ModelEntry, req: ServiceRequest) -> ServiceResponse:
-        if len(entry.truths) < 2:
-            return _ok(r_squared=None, pairs=len(entry.truths))
-        return _ok(r_squared=mlcore.r_squared(entry.truths), pairs=len(entry.truths))
+    def metrics(self, name) -> ServiceResponse:
+        if (entry := self._models.get(name)) is None:
+            return _no_model(name)
+        pairs = len(entry.truths)
+        return _ok(("r_squared", mlcore.r_squared(entry.truths) if pairs >= 2 else None),
+                   ("pairs", pairs))
 
-    def _stats(self, entry: _ModelEntry, req: ServiceRequest) -> ServiceResponse:
+    def stats(self, name) -> ServiceResponse:
+        if (entry := self._models.get(name)) is None:
+            return _no_model(name)
         return _ok(
-            model_type=entry.model_type,
-            samples_seen=entry.model.samples_seen,
-            seq=entry.seq,
-            features=list(entry.model.feature_names or ()),
+            ("model_type", entry.model_type),
+            ("samples_seen", entry.model.samples_seen),
+            ("seq", entry.seq),
+            ("features", list(entry.model.feature_names or ())),
         )
 
 

@@ -72,14 +72,15 @@ class Allocation:
     parent: int | None
     node_slices: dict[int, int]  # node_id -> granted core count
     children: set[int] = field(default_factory=set)
+    lent: int = 0  # cores granted to live children, summed over nodes
+    total_cores: int = field(init=False)  # a grant never changes
+
+    def __post_init__(self):
+        self.total_cores = sum(self.node_slices.values())
 
     @property
     def node_ids(self) -> list[int]:
         return sorted(self.node_slices)
-
-    @property
-    def total_cores(self) -> int:
-        return sum(self.node_slices.values())
 
 
 class ResourceGraph:
@@ -132,11 +133,17 @@ class ResourceGraph:
         Node selection is first-fit in ascending node_id order, which keeps
         placement deterministic. Exclusive requests take every core of each
         granted node and require the node to be entirely free within the
-        parent; non-exclusive requests take `cores_per_node` per node.
+        parent; non-exclusive requests take `cores_per_node` per node. A
+        request for more cores than the parent has not lent fails before
+        the scan, as Flux's pruning filters skip a vertex.
         """
         request.validate()
         parent = self.allocation(parent_id)
         cores = self.spec.cores_per_node
+        need = request.nodes * (cores if request.exclusive else request.cores_per_node)
+        if parent.total_cores - parent.lent < need:
+            raise InsufficientCapacityError(
+                f"allocation {parent_id} has fewer than {need} unlent core(s)")
         chosen: dict[int, int] = {}
         for node_id in parent.node_ids:
             if len(chosen) == request.nodes:
@@ -158,6 +165,7 @@ class ResourceGraph:
         child = Allocation(alloc_id=self._take_id(), parent=parent_id, node_slices=chosen)
         self._allocations[child.alloc_id] = child
         parent.children.add(child.alloc_id)
+        parent.lent += child.total_cores
         return child
 
     def release(self, alloc_id: int) -> None:
@@ -170,7 +178,9 @@ class ResourceGraph:
                 f"allocation {alloc_id} still has live children {sorted(alloc.children)}"
             )
         del self._allocations[alloc_id]
-        self._allocations[alloc.parent].children.discard(alloc_id)
+        parent = self._allocations[alloc.parent]
+        parent.children.discard(alloc_id)
+        parent.lent -= alloc.total_cores
 
     def audit(self) -> None:
         """Assert the bounding and conservation invariants on the live tree.
@@ -178,6 +188,7 @@ class ResourceGraph:
         Per node: the root grant equals the node's core count, every
         allocation's children stay within its grant, and summing each live
         allocation's free cores recovers the node's core count exactly.
+        Each allocation's `lent` equals its children's summed node slices.
         """
         cores = self.spec.cores_per_node
         nodes = range(self.spec.node_count)
@@ -186,6 +197,9 @@ class ResourceGraph:
             if root.node_slices.get(node_id) != cores:
                 raise AssertionError(f"root does not own all cores of node {node_id}")
         for alloc in self.live_allocations():
+            lent = sum(sum(self._allocations[c].node_slices.values()) for c in alloc.children)
+            if lent != alloc.lent:
+                raise AssertionError(f"allocation {alloc.alloc_id} lent {lent}, not {alloc.lent}")
             for node_id in alloc.node_slices:
                 if self.free_cores(alloc.alloc_id, node_id) < 0:
                     raise AssertionError(

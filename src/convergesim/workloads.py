@@ -19,6 +19,7 @@ truth.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -124,6 +125,7 @@ def table_sizes() -> list[int]:
     return sorted({r.nodes for r in reference_table()})
 
 
+@functools.cache  # the reference table is fixed data
 def volumetric_fit() -> tuple[float, float]:
     """(t_s, k): serial floor and per-unit-volume cost at the reference rank count.
 

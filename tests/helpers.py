@@ -4,6 +4,8 @@ These deliberately avoid the library's own code paths: combinatorial
 enumeration for conflict probabilities, a replayed per-node accounting
 mirror for allocation conservation, closed-form batch solutions for the
 incremental learners, and a pairwise interval scan for placement overlap.
+`reference_carve` is a carve without the graph's capacity shortcut, and
+`bayesian_update_reference` the numpy form of the Bayesian update.
 
 The library keeps no history of a run, so the recorders here wrap the
 methods of one live engine or graph and keep what a test checks.
@@ -90,6 +92,34 @@ class AccountingMirror:
             assert total_free == cores, (
                 f"conservation broken on node {node}: {total_free} != {cores}"
             )
+
+
+def reference_carve(mirror: AccountingMirror, spec, parent_id: int,
+                    request) -> dict[int, int] | None:
+    """The node -> cores map a carve of `request` from `parent_id` must
+    grant, or None if it must fail: an ascending first-fit scan over the
+    mirror's per-node free counts, with no shortcut."""
+    parent = mirror.slices[parent_id]
+    chosen = {}
+    for node in sorted(parent):
+        if len(chosen) == request.nodes:
+            break
+        if request.require_bypass_nic and (
+                not spec.has_bypass_nic or node in spec.nodes_without_nic):
+            continue
+        free = mirror._free(parent_id, node)
+        if request.exclusive:
+            if free == spec.cores_per_node == parent[node]:
+                chosen[node] = spec.cores_per_node
+        elif free >= request.cores_per_node:
+            chosen[node] = request.cores_per_node
+    return chosen if len(chosen) == request.nodes else None
+
+
+def bayesian_update_reference(A: np.ndarray, c: np.ndarray, x: np.ndarray,
+                              beta: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """BayesianLinear's update as numpy arrays: A + beta x x^T, c + beta y x."""
+    return A + beta * np.outer(x, x), c + beta * y * x
 
 
 def assert_no_cross_instance_overlap(spans) -> None:

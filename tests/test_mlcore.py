@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import batch_ridge
+from helpers import batch_ridge, bayesian_update_reference
 from convergesim.mlcore import (
     _sample_values,
     BayesianLinear,
@@ -142,10 +142,29 @@ def test_pa_clipping_at_aggressiveness():
 def test_bayesian_one_step_closed_form():
     model = BayesianLinear(alpha=1.0, beta=1.0)
     model.learn({"a": 1.0}, 2.0)
-    assert model.A.tolist() == [[2.0]]
-    assert model.c.tolist() == [2.0]
+    assert model.A == [[2.0]] and type(model.A[0][0]) is float
+    assert model.c == [2.0] and type(model.c[0]) is float
     assert model.weights().tolist() == [1.0]
     assert model.predict({"a": 1.0}) == pytest.approx(1.0, abs=1e-15)
+
+
+# magnitudes from 1e-5 to 1e5, both signs
+SIGNED = st.builds(math.copysign, st.floats(1e-5, 1e5), st.sampled_from([1.0, -1.0]))
+
+
+@given(dim=st.integers(1, 4), alpha=st.floats(1e-3, 1e3), beta=st.floats(1e-3, 1e3),
+       data=st.data())
+def test_bayesian_list_update_is_bit_identical_to_numpy(dim, alpha, beta, data):
+    model = BayesianLinear(alpha=alpha, beta=beta)
+    names = [f"f{i}" for i in range(dim)]  # sorted, so in state order
+    A, c = alpha * np.eye(dim), np.zeros(dim)
+    for _ in range(data.draw(st.integers(1, 5))):
+        x = data.draw(st.lists(SIGNED, min_size=dim, max_size=dim))
+        y = data.draw(SIGNED)
+        A, c = bayesian_update_reference(A, c, np.array(x), beta, y)
+        model.learn(dict(zip(names, x)), y)
+        assert np.array(model.A).tobytes() == A.tobytes()
+        assert np.array(model.c).tobytes() == c.tobytes()
 
 
 def test_bayesian_equals_batch_ridge():

@@ -6,7 +6,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from convergesim import mlcore, mlserve, workloads
@@ -274,6 +274,53 @@ TestServiceAtomicity.settings = settings(max_examples=100, stateful_step_count=3
                                          deadline=None)
 
 
+# Parameters under which a y=1e308 sample overflows each model's update:
+# 2 * 1e308 is inf for linear_sgd's step and bayesian's beta * y, and an
+# unclipped passive-aggressive step overflows on a scaled sample of small
+# norm, which the test builds from the scaler's statistics.
+OVERFLOWING = {"linear_sgd": {"learning_rate": 2.0}, "bayesian": {"beta": 2.0},
+               "passive_aggressive": {"C": math.inf}}
+# distinct values per feature, so two samples give each a nonzero variance
+PREFIX = st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000),
+                            st.integers(-1000, 1000)),
+                  max_size=6, unique_by=(lambda s: s[0], lambda s: s[1]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("variant", sorted(mlcore.MODEL_VARIANTS))
+@settings(max_examples=60, deadline=None)
+@given(prefix=PREFIX, data=st.data(),
+       refusal=st.sampled_from(["non_finite_y", "wrong_keys", "overflow", "unsendable_name"]))
+def test_a_refused_train_changes_nothing(variant, prefix, refusal, data):
+    service = MLService(model_defaults=OVERFLOWING)
+    assert service.create("m", variant).status == "ok"
+    for a, b, y in prefix:
+        assert service.train("m", {"a": float(a), "b": float(b)}, float(y)).status == "ok"
+    entry = service.entry("m")
+    features, y = {"a": 1.0, "b": 2.0}, 1.0
+    if refusal == "non_finite_y":
+        y = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif refusal == "wrong_keys":
+        assume(prefix)  # a fresh model takes any key set
+        features = data.draw(st.sampled_from([{"a": 1.0}, {"a": 1.0, "c": 2.0},
+                                              {"a": 1.0, "b": 2.0, "c": 3.0}]))
+    elif refusal == "overflow":
+        y = 1e308
+        if variant == "passive_aggressive":
+            assume(len(prefix) >= 2)
+            # a thousandth of a standard deviation off the mean
+            features = {k: entry.scaler.mean(k) + 1e-3 * math.sqrt(entry.scaler.variance(k))
+                        for k in features}
+    else:
+        features = {**features, data.draw(st.sampled_from(["a b", "", "x=1", "\u00e9"])): 1.0}
+    before = (entry.scaler.to_state(), entry.model.to_state(), entry.seq)
+    reply = service.train("m", features, y)
+    assert reply.status == "bad_request", reply
+    assert (entry.scaler.to_state(), entry.model.to_state(), entry.seq) == before
+    if not prefix:  # the refused sample fixed no feature set
+        assert entry.scaler.feature_names is None and entry.model.feature_names is None
+
+
 # --- wire protocol -------------------------------------------------------------
 
 
@@ -468,14 +515,14 @@ def test_unix_mount_answers_a_line_that_is_not_utf8(tmp_path):
 
 def test_socket_mount_serves_one_request_at_a_time(monkeypatch):
     entered, release = threading.Event(), threading.Event()
-    learn_transform = mlcore.RunningScaler.learn_transform
+    prepare = mlcore.RunningScaler.prepare
 
-    def blocking_learn_transform(self, x):
+    def blocking_prepare(self, x):
         entered.set()
         release.wait(timeout=10)
-        return learn_transform(self, x)
+        return prepare(self, x)
 
-    monkeypatch.setattr(mlcore.RunningScaler, "learn_transform", blocking_learn_transform)
+    monkeypatch.setattr(mlcore.RunningScaler, "prepare", blocking_prepare)
     with serving(serve_tcp("127.0.0.1", 0)) as server:
         a = mlserve.ServiceClient(*server.server_address)
         b = mlserve.ServiceClient(*server.server_address)

@@ -312,7 +312,7 @@ def test_hybrid_trains_and_scores_three_models():
 
 @pytest.mark.parametrize("verb", ["create", "train", "predict", "record_truth", "metrics"])
 def test_hybrid_stops_on_a_rejected_service_reply(monkeypatch, verb):
-    monkeypatch.setattr(mlserve.MLService, f"_{verb}",
+    monkeypatch.setattr(mlserve.MLService, verb,
                         lambda *args: mlserve.ServiceResponse("bad_request"))
     with pytest.raises(ScenarioError, match=verb):
         run_hybrid(small_hybrid())
@@ -356,7 +356,7 @@ def test_hybrid_service_error_is_raised_and_reported(monkeypatch, tmp_path, caps
 
     # a forked service process inherits the patch. The first sample fails,
     # and several batches follow it, which the service must still read
-    monkeypatch.setattr(mlserve.MLService, "_train", refuse)
+    monkeypatch.setattr(mlserve.MLService, "train", refuse)
     with deadline(60), pytest.raises(RuntimeError, match="^service refused a sample$"):
         run_hybrid(hybrid_config(5, 1200, 20))
     assert multiprocessing.active_children() == []
@@ -391,7 +391,7 @@ def test_hybrid_simulation_error_mid_stream_leaves_no_child(monkeypatch):
 def test_hybrid_raises_when_the_service_process_dies(monkeypatch, train_count):
     # the dead child is found on reading its reply (one batch) or on
     # sending it the next batch (many)
-    monkeypatch.setattr(mlserve.MLService, "_train", lambda *args: os._exit(3))
+    monkeypatch.setattr(mlserve.MLService, "train", lambda *args: os._exit(3))
     with deadline(60), pytest.raises(ScenarioError, match="exited with code 3"):
         run_hybrid(hybrid_config(5, train_count, 20))
     assert multiprocessing.active_children() == []

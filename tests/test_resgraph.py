@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
-from helpers import AccountingMirror, GraphRecorder
+from helpers import AccountingMirror, GraphRecorder, reference_carve
 from convergesim.resgraph import (
     AllocationInUseError,
     ClusterSpec,
@@ -166,18 +174,83 @@ def test_randomized_carve_release_against_accounting_mirror():
                 exclusive=bool(rng.random() < 0.3),
             )
             try:
-                child = graph.carve(parent, req)
+                live.append(graph.carve(parent, req).alloc_id)
             except InsufficientCapacityError:
-                continue
-            live.append(child.alloc_id)
+                pass
         else:
             candidates = [a for a in live[1:] if not graph.allocation(a).children]
-            if not candidates:
-                continue
-            victim = candidates[int(rng.integers(len(candidates)))]
-            graph.release(victim)
-            live.remove(victim)
-        mirror.apply(recorder.ops[applied])
-        applied += 1
+            if candidates:
+                victim = candidates[int(rng.integers(len(candidates)))]
+                graph.release(victim)
+                live.remove(victim)
+        if applied < len(recorder.ops):
+            mirror.apply(recorder.ops[applied])
+            applied += 1
+        # after every step, failed ones too: a refused carve must leave
+        # each allocation's lent-cores count as it was
         graph.audit()
     assert applied == len(recorder.ops) and applied > 500
+
+
+def test_audit_recomputes_lent_cores():
+    graph = build_cluster(ClusterSpec(4, 8))
+    child = graph.carve(graph.root_allocation, ResourceRequest(nodes=2))
+    graph.audit()
+    graph.allocation(graph.root_allocation).lent -= 1
+    with pytest.raises(AssertionError, match="lent"):
+        graph.audit()
+    graph.allocation(graph.root_allocation).lent += 1
+    graph.release(child.alloc_id)
+    graph.audit()
+
+
+REQUESTS = st.builds(ResourceRequest, nodes=st.integers(1, 4),
+                     cores_per_node=st.integers(1, 5), exclusive=st.booleans(),
+                     require_bypass_nic=st.booleans())
+
+
+class CarveAgainstReference(RuleBasedStateMachine):
+    """Random nested carves and releases of exclusive, shared and NIC
+    requests on clusters with NIC gaps: each carve grants exactly the
+    node -> cores map of `reference_carve`, or both fail."""
+
+    @initialize(node_count=st.integers(1, 6), cores=st.integers(1, 4),
+                has_nic=st.booleans(), data=st.data())
+    def build(self, node_count, cores, has_nic, data):
+        gaps = data.draw(st.sets(st.integers(0, node_count - 1)))
+        self.spec = ClusterSpec(node_count, cores, has_nic, tuple(sorted(gaps)))
+        self.graph = build_cluster(self.spec)
+        self.mirror = mirror_for(self.graph)
+        self.live = [self.graph.root_allocation]
+
+    @rule(data=st.data(), request=REQUESTS)
+    def carve(self, data, request):
+        parent = data.draw(st.sampled_from(self.live))
+        expected = reference_carve(self.mirror, self.spec, parent, request)
+        try:
+            child = self.graph.carve(parent, request)
+        except InsufficientCapacityError:
+            assert expected is None, (parent, request)
+            return
+        assert child.node_slices == expected, (parent, request)
+        self.mirror.apply(("carve", child.alloc_id, parent, dict(child.node_slices)))
+        self.live.append(child.alloc_id)
+
+    @precondition(lambda self: len(self.live) > 1)
+    @rule(data=st.data())
+    def release(self, data):
+        leaves = [a for a in self.live[1:] if not self.graph.allocation(a).children]
+        victim = data.draw(st.sampled_from(leaves))
+        parent = self.graph.allocation(victim).parent
+        self.graph.release(victim)
+        self.mirror.apply(("release", victim, parent, {}))
+        self.live.remove(victim)
+
+    @invariant()
+    def audited(self):
+        self.graph.audit()
+
+
+TestCarveAgainstReference = CarveAgainstReference.TestCase
+TestCarveAgainstReference.settings = settings(max_examples=150, stateful_step_count=40,
+                                              deadline=None)
