@@ -25,6 +25,13 @@ defaults of the streaming-ML ecosystem these mirror. The plain
 
 Bayesian weights are obtained by solving A w = c per prediction rather
 than maintaining an explicit inverse; feature counts here are tiny.
+
+All model state is float lists: an update without a reduction does, per
+element, the IEEE operations numpy would. The one reduction is `_dot`,
+whose bits depend on the BLAS `ddot` kernel. It uses `np.vdot`, which
+reaches the same `ddot` as `@` but does not check numpy's floating-point
+flags afterwards, so an overflow gives inf, which callers check, and no
+RuntimeWarning.
 """
 
 import itertools
@@ -57,15 +64,17 @@ def _sample_values(x: dict, names: tuple[str, ...]) -> list[float]:
 
 
 def _finite(value) -> bool:
-    """Whether a float, or every entry of an array, a list or a list of
-    lists, is finite."""
+    """Whether a float, or every entry of a list or a list of lists, is finite."""
     if isinstance(value, float):
         return math.isfinite(value)
-    if isinstance(value, np.ndarray):
-        value = value.flat
-    elif value and isinstance(value[0], list):
+    if value and isinstance(value[0], list):
         value = itertools.chain.from_iterable(value)
     return all(map(math.isfinite, value))
+
+
+def _dot(a, b) -> float:
+    """a . b by BLAS `ddot` (see the module docstring)."""
+    return float(np.vdot(a, b))
 
 
 class _FixedFeatures:
@@ -195,7 +204,6 @@ class _RegressorBase(_FixedFeatures):
     arrays: tuple[str, ...] = ()
     scalars: tuple[str, ...] = ()
     samples_seen = 0
-    _array = staticmethod(lambda array: array)  # how from_state keeps an array it read
 
     @property
     def cold(self) -> bool:
@@ -223,7 +231,7 @@ class _RegressorBase(_FixedFeatures):
         """Point prediction; an untrained model answers 0 (see `cold`)."""
         if self.cold:
             return 0.0
-        return float(self._predict_vec(np.array(self._values(x))))
+        return self._predict_vec(self._values(x))
 
     def to_state(self) -> dict:
         state = {
@@ -249,49 +257,50 @@ class _RegressorBase(_FixedFeatures):
             setattr(model, name, float(state[name]))
         for name in cls.arrays:
             if state[name] is not None:
-                setattr(model, name, cls._array(np.array(state[name], dtype=float)))
+                setattr(model, name, np.array(state[name], dtype=float).tolist())
         return model
 
 
-class LinearSGD(_RegressorBase):
+class _LinearModel(_RegressorBase):
+    """A linear model w.x + b, with weights w and intercept b."""
+
+    arrays = ("w",)
+    scalars = ("b",)
+    w: list[float] | None = None
+    b = 0.0
+
+    def _init_state(self, dim: int):
+        self.w = [0.0] * dim
+
+    def _predict_vec(self, x: list[float]) -> float:
+        return _dot(self.w, x) + self.b
+
+
+class LinearSGD(_LinearModel):
     """Least-squares linear regression trained by per-sample gradient steps."""
 
     variant = "linear_sgd"
     params = ("learning_rate",)
-    arrays = ("w",)
-    scalars = ("b",)
 
     def __init__(self, learning_rate: float = 0.01):
         self.learning_rate = learning_rate
-        self.w: np.ndarray | None = None
-        self.b = 0.0
 
-    def _init_state(self, dim: int):
-        self.w = np.zeros(dim)
-
-    def _update(self, values: list[float], y: float):
-        x = np.array(values)
-        error = float(self.w @ x) + self.b - y
+    def _update(self, x: list[float], y: float):
+        error = _dot(self.w, x) + self.b - y
         step = self.learning_rate * error
-        return {"w": self.w - step * x, "b": self.b - step}
-
-    def _predict_vec(self, x: np.ndarray) -> float:
-        return self.w @ x + self.b
+        return {"w": [w - step * xi for w, xi in zip(self.w, x)], "b": self.b - step}
 
 
 class BayesianLinear(_RegressorBase):
     """Bayesian linear regression via the precision matrix A and moment c.
 
     A and c are plain sums over samples, so the posterior mean is
-    independent of arrival order (up to float addition rounding). They are
-    float lists: their update has no reduction, so numpy would do the same
-    IEEE operations, at a higher cost per call.
+    independent of arrival order (up to float addition rounding).
     """
 
     variant = "bayesian"
     params = ("alpha", "beta")
     arrays = ("A", "c")
-    _array = staticmethod(np.ndarray.tolist)
 
     def __init__(self, alpha: float = 1.0, beta: float = 1.0):
         if alpha <= 0 or beta <= 0:
@@ -302,7 +311,7 @@ class BayesianLinear(_RegressorBase):
         self.c: list[float] | None = None
 
     def _init_state(self, dim: int):
-        self.A = (self.alpha * np.eye(dim)).tolist()
+        self.A = [[self.alpha * float(i == j) for j in range(dim)] for i in range(dim)]
         self.c = [0.0] * dim
 
     def _update(self, x: list[float], y: float):
@@ -315,43 +324,32 @@ class BayesianLinear(_RegressorBase):
     def weights(self) -> np.ndarray:
         return np.linalg.solve(np.array(self.A), np.array(self.c))
 
-    def _predict_vec(self, x: np.ndarray) -> float:
-        return self.weights() @ x
+    def _predict_vec(self, x: list[float]) -> float:
+        return _dot(self.weights(), x)
 
 
-class PassiveAggressive(_RegressorBase):
+class PassiveAggressive(_LinearModel):
     """PA-I regression: updates only outside the epsilon-insensitive band,
     with step size clipped at the aggressiveness parameter C."""
 
     variant = "passive_aggressive"
     params = ("C", "epsilon")
-    arrays = ("w",)
-    scalars = ("b",)
 
     def __init__(self, C: float = 1.0, epsilon: float = 0.1):
         self.C = C
         self.epsilon = epsilon
-        self.w: np.ndarray | None = None
-        self.b = 0.0
 
-    def _init_state(self, dim: int):
-        self.w = np.zeros(dim)
-
-    def _update(self, values: list[float], y: float):
-        x = np.array(values)
-        y_hat = float(self.w @ x) + self.b
+    def _update(self, x: list[float], y: float):
+        y_hat = _dot(self.w, x) + self.b
         loss = abs(y_hat - y) - self.epsilon
         if loss <= 0.0:
             return {}  # inside the insensitive band: state untouched
-        norm_sq = float(x @ x)
+        norm_sq = _dot(x, x)
         if norm_sq == 0.0:
             return {}
         tau = min(self.C, loss / norm_sq)
         step = math.copysign(tau, y - y_hat)
-        return {"w": self.w + step * x, "b": self.b + step}
-
-    def _predict_vec(self, x: np.ndarray) -> float:
-        return self.w @ x + self.b
+        return {"w": [w + step * xi for w, xi in zip(self.w, x)], "b": self.b + step}
 
 
 MODEL_VARIANTS = {
@@ -396,8 +394,10 @@ def r_squared(pairs: list[tuple[float, float]]) -> float | None:
         raise ValueError("r_squared needs at least 2 pairs")
     y_true = np.array([p[0] for p in pairs], dtype=float)
     y_pred = np.array([p[1] for p in pairs], dtype=float)
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+    # an overflowing spread gives inf or nan, answered below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+        ss_res = float(np.sum((y_true - y_pred) ** 2))
     if ss_tot == 0.0 or not math.isfinite(ss_tot):
         return None
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
     return 1.0 - ss_res / ss_tot

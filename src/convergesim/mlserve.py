@@ -94,7 +94,6 @@ _VERBS = ("create", "list_models", "train", "predict", "record_truth", "metrics"
 
 @dataclass
 class _ModelEntry:
-    model_type: str
     scaler: mlcore.RunningScaler
     model: object
     truths: list[tuple[float, float]] = field(default_factory=list)
@@ -131,7 +130,6 @@ class MLService:
             return _bad_request("unknown_model_type")
         kwargs = self._model_defaults.get(model_type, {})
         self._models[name] = _ModelEntry(
-            model_type=model_type,
             scaler=mlcore.RunningScaler(),
             model=mlcore.make_model(model_type, **kwargs),
         )
@@ -202,7 +200,7 @@ class MLService:
         if (entry := self._models.get(name)) is None:
             return _no_model(name)
         return _ok(
-            ("model_type", entry.model_type),
+            ("model_type", entry.model.variant),
             ("samples_seen", entry.model.samples_seen),
             ("seq", entry.seq),
             ("features", list(entry.model.feature_names or ())),

@@ -5,7 +5,7 @@ enumeration for conflict probabilities, a replayed per-node accounting
 mirror for allocation conservation, closed-form batch solutions for the
 incremental learners, and a pairwise interval scan for placement overlap.
 `reference_carve` is a carve without the graph's capacity shortcut, and
-`bayesian_update_reference` the numpy form of the Bayesian update.
+the `*_update_reference`s the numpy forms of the model updates.
 
 The library keeps no history of a run, so the recorders here wrap the
 methods of one live engine or graph and keep what a test checks.
@@ -14,6 +14,7 @@ methods of one live engine or graph and keep what a test checks.
 
 import contextlib
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -120,6 +121,26 @@ def bayesian_update_reference(A: np.ndarray, c: np.ndarray, x: np.ndarray,
                               beta: float, y: float) -> tuple[np.ndarray, np.ndarray]:
     """BayesianLinear's update as numpy arrays: A + beta x x^T, c + beta y x."""
     return A + beta * np.outer(x, x), c + beta * y * x
+
+
+def linear_sgd_update_reference(w: np.ndarray, b: float, x: np.ndarray,
+                                learning_rate: float, y: float) -> tuple[np.ndarray, float]:
+    """LinearSGD's update as numpy arrays: w -= lr e x, b -= lr e."""
+    step = learning_rate * (float(w @ x) + b - y)
+    return w - step * x, b - step
+
+
+def passive_aggressive_update_reference(w: np.ndarray, b: float, x: np.ndarray,
+                                        C: float, epsilon: float,
+                                        y: float) -> tuple[np.ndarray, float]:
+    """PassiveAggressive's PA-I update as numpy arrays."""
+    y_hat = float(w @ x) + b
+    loss = abs(y_hat - y) - epsilon
+    norm_sq = float(x @ x)
+    if loss <= 0.0 or norm_sq == 0.0:
+        return w, b
+    step = math.copysign(min(C, loss / norm_sq), y - y_hat)
+    return w + step * x, b + step
 
 
 def assert_no_cross_instance_overlap(spans) -> None:

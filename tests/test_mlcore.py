@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import batch_ridge, bayesian_update_reference
+from helpers import (
+    batch_ridge,
+    bayesian_update_reference,
+    linear_sgd_update_reference,
+    passive_aggressive_update_reference,
+)
 from convergesim.mlcore import (
+    _dot,
     _sample_values,
     BayesianLinear,
     DimensionMismatchError,
@@ -165,6 +171,48 @@ def test_bayesian_list_update_is_bit_identical_to_numpy(dim, alpha, beta, data):
         model.learn(dict(zip(names, x)), y)
         assert np.array(model.A).tobytes() == A.tobytes()
         assert np.array(model.c).tobytes() == c.tobytes()
+
+
+def vectors(dim: int):
+    return st.lists(SIGNED, min_size=dim, max_size=dim)
+
+
+def float_bytes(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["linear_sgd", "passive_aggressive"])
+@given(dim=st.integers(1, 4), learning_rate=st.floats(1e-4, 1.0),
+       C=st.floats(1e-3, 1e3) | st.just(math.inf), epsilon=st.floats(0.0, 10.0),
+       data=st.data())
+def test_linear_list_update_is_bit_identical_to_numpy(variant, dim, learning_rate, C,
+                                                       epsilon, data):
+    if variant == "linear_sgd":
+        model = LinearSGD(learning_rate=learning_rate)
+        def update(w, b, x, y):
+            return linear_sgd_update_reference(w, b, x, learning_rate, y)
+    else:
+        model = PassiveAggressive(C=C, epsilon=epsilon)
+        def update(w, b, x, y):
+            return passive_aggressive_update_reference(w, b, x, C, epsilon, y)
+    names = [f"f{i}" for i in range(dim)]  # sorted, so in state order
+    w, b = np.zeros(dim), 0.0
+    for _ in range(data.draw(st.integers(1, 5))):
+        x = data.draw(vectors(dim))
+        y = data.draw(SIGNED)
+        w, b = update(w, b, np.array(x), y)
+        model.learn(dict(zip(names, x)), y)
+        assert np.array(model.w).tobytes() == w.tobytes()
+        assert float_bytes(model.b) == float_bytes(b)
+        probe = data.draw(vectors(dim))
+        expected = w @ np.array(probe) + b
+        assert float_bytes(model.predict(dict(zip(names, probe)))) == float_bytes(expected)
+
+
+@given(st.integers(1, 8).flatmap(lambda dim: st.tuples(vectors(dim), vectors(dim))))
+def test_dot_is_bit_identical_to_the_numpy_product(pair):
+    a, b = pair
+    assert float_bytes(_dot(a, b)) == float_bytes(np.array(a) @ np.array(b))
 
 
 def test_bayesian_equals_batch_ridge():
@@ -383,7 +431,6 @@ def test_r_squared_undefined_for_constant_truth():
     assert r_squared([(2.0, 1.0), (2.0, 3.0)]) is None
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_r_squared_undefined_when_the_total_sum_overflows():
     assert r_squared([(1e308, 0.0), (-1e308, 0.0)]) is None
 

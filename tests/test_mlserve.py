@@ -4,6 +4,7 @@ import math
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -153,7 +154,6 @@ def state_numbers(model) -> list[float]:
     return walk(json.loads(model_to_json(model)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_that_would_overflow_the_model_changes_nothing():
     service = MLService()
     handle_line(service, "create name=m type=bayesian")
@@ -172,7 +172,6 @@ def test_train_that_would_overflow_the_model_changes_nothing():
         ServiceRequest("predict", name="m", features={"a": 1.0})).get("prediction"))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_prediction_is_bad_request():
     service = MLService()
     handle_line(service, "create name=m type=bayesian")
@@ -185,6 +184,33 @@ def test_non_finite_prediction_is_bad_request():
     assert reply == "bad_request error=non_finite_prediction"
     assert (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq) == before
     assert handle_line(service, "predict name=m x:a=1").startswith("ok prediction=")
+
+
+@pytest.mark.parametrize("variant, expected", [
+    ("bayesian", "bad_request error=ValueError"),  # its scaled features overflow first
+    ("linear_sgd", "bad_request error=non_finite_prediction"),
+    ("passive_aggressive", "bad_request error=non_finite_prediction"),
+])
+def test_an_overflowing_predict_is_answered_without_a_warning(variant, expected):
+    service = MLService()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        replies = [handle_line(service, f"create name=m type={variant}")]
+        replies += [handle_line(service, f"train name=m x:a={i + 1} x:b={2 * i} y=1e308")
+                    for i in range(6)]
+        reply = handle_line(service, "predict name=m x:a=1e308 x:b=1e308")
+    assert all(r.startswith(("ok ", "bad_request ")) for r in replies)
+    assert reply == expected
+
+
+def test_metrics_of_an_overflowing_spread_is_null_without_a_warning():
+    service = MLService()
+    handle_line(service, "create name=m type=linear_sgd")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y_true in ("1e200", "-1e200"):
+            handle_line(service, f"record_truth name=m y_true={y_true} y_pred=0")
+        assert handle_line(service, "metrics name=m") == "ok r_squared=null pairs=2"
 
 
 def test_non_finite_truth_pair_is_bad_request():
@@ -268,8 +294,7 @@ class ServiceAtomicity(RuleBasedStateMachine):
         assert self.state(replay) == self.state(self.service)
 
 
-TestServiceAtomicity = pytest.mark.filterwarnings("ignore::RuntimeWarning")(
-    ServiceAtomicity.TestCase)
+TestServiceAtomicity = ServiceAtomicity.TestCase
 TestServiceAtomicity.settings = settings(max_examples=100, stateful_step_count=30,
                                          deadline=None)
 
@@ -286,7 +311,6 @@ PREFIX = st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000),
                   max_size=6, unique_by=(lambda s: s[0], lambda s: s[1]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("variant", sorted(mlcore.MODEL_VARIANTS))
 @settings(max_examples=60, deadline=None)
 @given(prefix=PREFIX, data=st.data(),
