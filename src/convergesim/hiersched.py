@@ -61,20 +61,14 @@ class UnsatisfiableRequestError(Exception):
 
 @dataclass
 class Job:
+    """A gang job; `duration`, its walltime, is fixed when the job is made."""
+
     job_id: int
     request: ResourceRequest
-    duration: float | Callable[[], float]
+    duration: float
     start_t: float | None = None
     end_t: float | None = None
-    realized_duration: float | None = None
     on_complete: Callable[["Job"], None] | None = None
-
-    def resolve_duration(self) -> float:
-        if callable(self.duration):
-            self.realized_duration = float(self.duration())
-        else:
-            self.realized_duration = float(self.duration)
-        return self.realized_duration
 
 
 @dataclass
@@ -148,7 +142,6 @@ class Instance:
 
     def _check(self, job: Job):
         request, graph = job.request, self.graph
-        request.validate()
         need = graph.spec.cores_per_node if request.exclusive else request.cores_per_node
         shape = (need, request.require_bypass_nic)
         fits = self._fitting_nodes.get(shape)
@@ -202,9 +195,8 @@ class Instance:
             return None  # wait for a completion to free capacity
         self.queue.popleft()
         job.start_t = self.engine.now
-        duration = job.resolve_duration()
         self.placed += 1
-        self.engine.schedule(self.engine.now + duration,
+        self.engine.schedule(self.engine.now + job.duration,
                              lambda: self._complete(job, child.alloc_id))
         if not self.queue and self._streams:
             self._draw()
@@ -403,7 +395,6 @@ class _EpochRunner:
     def _launch(self, sched_id: int, nodes: set[int]):
         job = self.queues[sched_id].popleft()
         job.start_t = self.engine.now
-        duration = job.resolve_duration()
         self.running += 1
         self.last_progress_t = self.engine.now
 
@@ -417,7 +408,7 @@ class _EpochRunner:
                 job.on_complete(job)
             self._arm()
 
-        self.engine.schedule(self.engine.now + duration, complete)
+        self.engine.schedule(self.engine.now + job.duration, complete)
 
 
 class _MonolithicRunner(_EpochRunner):

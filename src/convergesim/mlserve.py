@@ -170,9 +170,12 @@ class MLService:
             # the scaler is frozen here: test-phase features must not leak
             # into the training statistics
             scaled = entry.scaler.transform(features)
-            value = entry.model.predict(scaled)
         except (mlcore.DimensionMismatchError, ValueError) as err:
             return _bad_request(type(err).__name__)
+        try:
+            value = entry.model.predict(scaled)
+        except ValueError:  # the scaler let only finite input through: an overflow
+            return _bad_request("non_finite_prediction")
         if not math.isfinite(value):
             return _bad_request("non_finite_prediction")
         return _ok(("prediction", value), ("cold", entry.model.cold),

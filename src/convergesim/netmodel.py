@@ -38,7 +38,6 @@ from importlib import resources
 
 OS_BYPASS = "os_bypass"
 TAP_RELAY = "tap_relay"
-PATHS = (OS_BYPASS, TAP_RELAY)
 
 MIB_4 = 4 * 1024 * 1024
 

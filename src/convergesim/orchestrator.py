@@ -24,10 +24,11 @@ service as a single-replica deployment); the one-node default skips the
 pod layer because a control plane would leave no worker.
 
 Each phase's jobs stream into the simulation's scheduler instance,
-which draws the next job only as its queue drains. So the service gets
-its first samples as soon as the first jobs complete, and the simulation
-holds only the queue's head and the running jobs: its memory does not
-grow with `train_count`.
+which draws the next job only as its queue drains; each job's walltime is
+drawn when the job is made. So the service gets its first samples as
+soon as the first jobs complete, and the simulation holds only the
+queue's head and the running jobs: its memory does not grow with
+`train_count`.
 
 Training jobs run back to back by default (each takes the whole
 simulation partition). `train_width` widens the partition to
@@ -52,7 +53,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import hiersched, mlserve, netmodel, podlayer, workloads
+from . import hiersched, mlcore, mlserve, netmodel, podlayer, workloads
 from .hiersched import Instance, Job, run_taxonomy
 from .podlayer import PodSpec
 from .reporting import ReportBundle
@@ -64,7 +65,7 @@ TAXONOMY = "taxonomy"
 HYBRID = "hybrid"
 EXPERIMENTS = (SCALING_STUDY, TAXONOMY, HYBRID)
 
-HYBRID_MODELS = ("linear_sgd", "bayesian", "passive_aggressive")
+HYBRID_MODELS = tuple(mlcore.MODEL_VARIANTS)
 
 # (benchmark, message bytes) in report order: latency and bw interleaved
 # per point-to-point size (1 B .. 4 MiB), barrier, allreduce (4 B .. 4 MiB)
@@ -145,7 +146,6 @@ class ScenarioConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.seed is None:
             raise ConfigError("a seed is mandatory (runs never self-seed)")
-        self.cluster.validate()
         for key, value, low in (
             ("[experiment] iterations", self.iterations, 1),
             ("[taxonomy] nodes", self.taxonomy_nodes, 2),  # a node per scheduler
@@ -191,11 +191,6 @@ class ScenarioConfig:
         unknown_models = set(self.model_params) - set(HYBRID_MODELS)
         if unknown_models:
             raise ConfigError(f"unknown model variants {sorted(unknown_models)}")
-        for spec in self.pod_specs:
-            try:
-                spec.validate()
-            except ValueError as err:
-                raise ConfigError(f"bad pod spec {spec.name!r}: {err}") from err
 
     def summary(self) -> dict:
         """The config as embedded in every bundle.json: each field declared
@@ -252,6 +247,9 @@ def load_config(path) -> ScenarioConfig:
         if "ini" in f.metadata:
             section, key = f.metadata["ini"]
             scalars.setdefault(section, {})[key] = f.name
+    for key in ("kind", "seed"):
+        if not parser.has_option("experiment", key):
+            raise ConfigError(f"bad [experiment] section: {key} is mandatory")
     values, cluster, model_params, pod_specs = {}, {}, {}, []
     try:
         for section in parser.sections():
@@ -266,15 +264,16 @@ def load_config(path) -> ScenarioConfig:
                     if key in sec:
                         model_params.setdefault(variant, {})[param] = sec.getfloat(key)
             elif section.startswith("pod:"):
+                name = section[len("pod:"):]
                 spec = {"kind": podlayer.DEPLOYMENT, **_read(sec, POD_KEYS, PodSpec)}
-                pod_specs.append(PodSpec(name=section[len("pod:"):], **spec))
+                try:
+                    pod_specs.append(PodSpec(name=name, **spec))
+                except ValueError as err:
+                    raise ConfigError(f"bad pod spec {name!r}: {err}") from err
+        cfg = ScenarioConfig(**values, model_params=model_params, pod_specs=pod_specs)
+        cfg.cluster = replace(cfg.cluster, **cluster)
     except ValueError as err:
         raise ConfigError(f"bad config value: {err}") from err
-    for key in ("kind", "seed"):
-        if not parser.has_option("experiment", key):
-            raise ConfigError(f"bad [experiment] section: {key} is mandatory")
-    cfg = ScenarioConfig(**values, model_params=model_params, pod_specs=pod_specs)
-    cfg.cluster = replace(cfg.cluster, **cluster)
     cfg.validate()
     return cfg
 
@@ -288,7 +287,6 @@ def default_config(experiment: str, seed: int = 42) -> ScenarioConfig:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
-    cfg.validate()
     if cfg.experiment == SCALING_STUDY:
         return run_scaling_study(cfg)
     if cfg.experiment == TAXONOMY:
@@ -580,25 +578,23 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
     request = ResourceRequest(nodes=cfg.sim_nodes)
 
     def phase_jobs(phase: str, job_ids: range, record):
-        """The phase's jobs, each made as the instance draws it."""
+        """The phase's jobs, each made with its walltime as the instance
+        draws it: in job-id order, the order FCFS places them."""
         for job_id in job_ids:
             x, y, z = (
                 int(v)
                 for v in dims_rng.integers(cfg.dim_min, cfg.dim_max + 1, size=3)
             )
-            problem = workloads.LammpsProblem(x, y, z)
+            walltime = workloads.lammps_walltime(
+                workloads.BARE_METAL, cfg.sim_nodes, ranks, workloads.LammpsProblem(x, y, z),
+                noise_rng, mode="model", noise_sigma=cfg.noise_sigma,
+            )
             features = {"x": float(x), "y": float(y), "z": float(z)}
 
-            def sampler(problem=problem):
-                return workloads.lammps_walltime(
-                    workloads.BARE_METAL, cfg.sim_nodes, ranks, problem, noise_rng,
-                    mode="model", noise_sigma=cfg.noise_sigma,
-                )
-
             def on_complete(job, features=features):
-                record(phase, features, job.realized_duration)
+                record(phase, features, job.duration)
 
-            yield Job(job_id=job_id, request=request, duration=sampler,
+            yield Job(job_id=job_id, request=request, duration=walltime,
                       on_complete=on_complete)
 
     feed = _ServiceProcess(service) if _usable_cpus() > 1 else None

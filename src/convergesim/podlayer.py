@@ -54,7 +54,7 @@ class PodSpec:
     requires_bypass_nic: bool = False
     anti_affinity: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in POD_KINDS:
             raise ValueError(f"unknown pod kind {self.kind!r}")
         if self.replicas < 1:
@@ -62,7 +62,7 @@ class PodSpec:
         if not 0 <= self.cpu_request < math.inf:  # NaN fails too
             raise ValueError(f"cpu_request must be finite and >= 0, not {self.cpu_request}")
         if self.cpu_limit is not None:
-            # a zero limit would divide by zero in _throttle
+            # a zero limit would divide by zero in effective_cpu
             if not 0 < self.cpu_limit < math.inf:
                 raise ValueError(
                     f"cpu_limit must be finite and positive, not {self.cpu_limit}")
@@ -77,10 +77,8 @@ class PodPlacement:
     kind: str
     node_id: int
     node_cores: int
-    cpu_request: float
     cpu_limit: float | None
     network_path: str
-    effective_cpu_fraction: float
 
 
 @dataclass
@@ -127,7 +125,6 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
     anti-affinity placement (distinct nodes, error when replicas exceed
     the worker count). The control plane never receives workload pods.
     """
-    spec.validate()
     if spec.kind == DAEMONSET:
         targets = list(kube.worker_nodes)
     elif spec.anti_affinity:
@@ -141,7 +138,6 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
         targets = [kube.worker_nodes[i % len(kube.worker_nodes)]
                    for i in range(spec.replicas)]
     node_cores = graph.spec.cores_per_node
-    fraction, _ = _throttle(node_cores, spec.cpu_limit, max(spec.cpu_request, 1e-9))
     # a daemonset asking for the NIC exposes it; later pod sets see it
     # while any such daemonset is deployed
     exposed = spec.kind == DAEMONSET or any(
@@ -158,10 +154,8 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
             kind=spec.kind,
             node_id=node_id,
             node_cores=node_cores,
-            cpu_request=spec.cpu_request,
             cpu_limit=spec.cpu_limit,
             network_path=_resolve_path(graph, spec, node_id, exposed),
-            effective_cpu_fraction=fraction if spec.cpu_request > 0 else 1.0,
         ))
     # register only once every pod has placed, so a failed apply leaves nothing
     kube.hostname_table.update((p.name, p.node_id) for p in placements)
@@ -179,13 +173,6 @@ def remove(kube: KubeCluster, spec_name: str) -> int:
     return len(pods)
 
 
-def _throttle(node_cores: int, cpu_limit: float | None, demand: float):
-    ceiling = float(node_cores) if cpu_limit is None else float(cpu_limit)
-    fraction = min(1.0, ceiling / demand)
-    inflation = max(1.0, demand / ceiling)
-    return fraction, inflation
-
-
 def effective_cpu(pod: PodPlacement, demand_cores: float) -> tuple[float, float]:
     """(usable fraction, runtime inflation) for a pod demanding `demand_cores`.
 
@@ -195,7 +182,9 @@ def effective_cpu(pod: PodPlacement, demand_cores: float) -> tuple[float, float]
     """
     if demand_cores <= 0:
         raise ValueError("demand must be positive")
-    return _throttle(pod.node_cores, pod.cpu_limit, float(demand_cores))
+    demand = float(demand_cores)
+    ceiling = float(pod.node_cores) if pod.cpu_limit is None else float(pod.cpu_limit)
+    return min(1.0, ceiling / demand), max(1.0, demand / ceiling)
 
 
 def resolve(kube: KubeCluster, hostname: str) -> tuple[int, float]:

@@ -42,7 +42,7 @@ class ClusterSpec:
     # the cluster-wide flag is on
     nodes_without_nic: tuple[int, ...] = ()
 
-    def validate(self):
+    def __post_init__(self):
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         if self.cores_per_node < 1:
@@ -59,7 +59,7 @@ class ResourceRequest:
     exclusive: bool = True
     require_bypass_nic: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if self.nodes < 1:
             raise ValueError("request.nodes must be >= 1")
         if not self.exclusive and self.cores_per_node < 1:
@@ -91,7 +91,6 @@ class ResourceGraph:
     """
 
     def __init__(self, spec: ClusterSpec):
-        spec.validate()
         self.spec = spec
         self._allocations: dict[int, Allocation] = {}
         self._next_alloc_id = 0
@@ -137,7 +136,6 @@ class ResourceGraph:
         request for more cores than the parent has not lent fails before
         the scan, as Flux's pruning filters skip a vertex.
         """
-        request.validate()
         parent = self.allocation(parent_id)
         cores = self.spec.cores_per_node
         need = request.nodes * (cores if request.exclusive else request.cores_per_node)

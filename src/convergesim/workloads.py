@@ -82,40 +82,32 @@ class TableRow:
     cpu_pct: float
 
 
-def load_reference_table() -> list[TableRow]:
-    text = resources.files("convergesim.data").joinpath("lammps_table.csv").read_text()
-    rows = []
-    for rec in csv.DictReader(text.splitlines()):
-        rows.append(
-            TableRow(
-                environment=rec["environment"],
-                nodes=int(rec["nodes"]),
-                ranks=int(rec["ranks"]),
-                mean_s=float(rec["mean_s"]),
-                stddev_s=float(rec["stddev_s"]),
-                cpu_pct=float(rec["cpu_pct"]),
-            )
-        )
-    return rows
-
-
-_TABLE: list[TableRow] | None = None
-_INDEX: dict[tuple[str, int], TableRow] = {}
-
-
+@functools.cache  # the reference table is fixed data
 def reference_table() -> list[TableRow]:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = load_reference_table()
-        _INDEX.update({(r.environment, r.nodes): r for r in _TABLE})
-    return _TABLE
+    text = resources.files("convergesim.data").joinpath("lammps_table.csv").read_text()
+    return [
+        TableRow(
+            environment=rec["environment"],
+            nodes=int(rec["nodes"]),
+            ranks=int(rec["ranks"]),
+            mean_s=float(rec["mean_s"]),
+            stddev_s=float(rec["stddev_s"]),
+            cpu_pct=float(rec["cpu_pct"]),
+        )
+        for rec in csv.DictReader(text.splitlines())
+    ]
+
+
+@functools.cache
+def _index() -> dict[tuple[str, int], TableRow]:
+    """The reference rows by (environment, nodes)."""
+    return {(r.environment, r.nodes): r for r in reference_table()}
 
 
 def table_row(env: str, nodes: int) -> TableRow:
-    reference_table()
     if env not in ENVIRONMENTS:
         raise UnknownEnvironmentError(f"unknown environment {env!r}")
-    row = _INDEX.get((env, nodes))
+    row = _index().get((env, nodes))
     if row is None:
         raise UnknownTableRowError(f"no reference row for ({env}, {nodes} nodes)")
     return row
@@ -148,13 +140,13 @@ def environment_ratio(env: str, nodes: int) -> float:
     """Walltime ratio of `env` to bare metal, taken from the reference table."""
     if env == BARE_METAL:
         return 1.0
-    reference_table()
-    if (env, nodes) in _INDEX and (BARE_METAL, nodes) in _INDEX:
-        return _INDEX[(env, nodes)].mean_s / _INDEX[(BARE_METAL, nodes)].mean_s
+    index = _index()
+    if (env, nodes) in index and (BARE_METAL, nodes) in index:
+        return index[(env, nodes)].mean_s / index[(BARE_METAL, nodes)].mean_s
     ratios = [
-        _INDEX[(env, n)].mean_s / _INDEX[(BARE_METAL, n)].mean_s
+        index[(env, n)].mean_s / index[(BARE_METAL, n)].mean_s
         for n in table_sizes()
-        if (env, n) in _INDEX
+        if (env, n) in index
     ]
     if not ratios:
         raise UnknownEnvironmentError(f"unknown environment {env!r}")
@@ -172,8 +164,7 @@ def lammps_walltime(env: str, nodes: int, ranks: int, problem: LammpsProblem,
     """
     if env not in ENVIRONMENTS:
         raise UnknownEnvironmentError(f"unknown environment {env!r}")
-    reference_table()
-    in_table = (env, nodes) in _INDEX and (problem.x, problem.y, problem.z) == REFERENCE_PROBLEM
+    in_table = (env, nodes) in _index() and (problem.x, problem.y, problem.z) == REFERENCE_PROBLEM
     if mode == "auto":
         mode = "table" if in_table else "model"
     if mode == "table":

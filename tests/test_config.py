@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from convergesim import mlcore, podlayer
+from convergesim import cli, mlcore, podlayer
 from convergesim.orchestrator import ConfigError, ScenarioConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -77,6 +77,16 @@ def test_value_below_its_bound_is_config_error(tmp_path, section, key, value):
     header = "" if section == "experiment" else f"[{section}]\n"  # BASE opens [experiment]
     with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be")):
         load_config(write(tmp_path, BASE + f"{header}{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("key", ["nodes", "cores_per_node"])
+def test_cluster_count_below_one_is_config_error(tmp_path, capsys, key):
+    # the cluster was checked only when the run started: exit 2, not 1
+    path = write(tmp_path, BASE + f"[cluster]\n{key} = 0\n")
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        load_config(path)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("values, key", [

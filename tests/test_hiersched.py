@@ -506,16 +506,13 @@ def test_run_taxonomy_rejects_unbounded_times(times):
 
 
 def test_nan_duration_raises_causality_error():
-    def nan_duration():
-        return math.nan
-
     engine, graph, inst = setup_instance(4)
-    inst.submit(Job(job_id=1, request=ResourceRequest(nodes=1), duration=nan_duration))
+    inst.submit(Job(job_id=1, request=ResourceRequest(nodes=1), duration=math.nan))
     with pytest.raises(CausalityError):
         engine.drain()
     with pytest.raises(CausalityError):
         run_taxonomy(TWO_LEVEL, [Job(job_id=1, request=ResourceRequest(nodes=1),
-                                     duration=nan_duration)], CLUSTER16)
+                                     duration=math.nan)], CLUSTER16)
 
 
 # --- idle comparator rounds ------------------------------------------------------

@@ -187,7 +187,7 @@ def test_non_finite_prediction_is_bad_request():
 
 
 @pytest.mark.parametrize("variant, expected", [
-    ("bayesian", "bad_request error=ValueError"),  # its scaled features overflow first
+    ("bayesian", "bad_request error=non_finite_prediction"),  # its scaled features overflow
     ("linear_sgd", "bad_request error=non_finite_prediction"),
     ("passive_aggressive", "bad_request error=non_finite_prediction"),
 ])

@@ -28,6 +28,7 @@ from convergesim.orchestrator import (
 )
 from convergesim.reporting import ReportBundle, emit_report
 from convergesim.resgraph import ClusterSpec
+from convergesim.simkernel import RngStreams
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -515,6 +516,28 @@ def test_hybrid_noiseless_walltimes_follow_the_cost_surface():
         for x in range(1, 9) for y in range(1, 9) for z in range(1, 9)
     }
     assert actuals <= allowed
+
+
+def test_hybrid_walltimes_are_an_independent_replay_of_the_job_streams():
+    # each job's walltime is drawn when the job is made; FCFS without
+    # backfill places jobs in that order, so the noise stream is drawn once
+    # per job, in job-id order, train jobs first
+    cfg = small_hybrid(seed=5)
+    cfg.train_count, cfg.test_count = 90, 30
+    assert cfg.train_width == 1 and cfg.noise_sigma > 0
+    bundle = run_hybrid(cfg)
+    streams = RngStreams(cfg.seed)
+    dims, noise = streams.stream("hybrid.dims"), streams.stream("hybrid.noise")
+    ranks = cfg.sim_nodes * cfg.cluster.cores_per_node
+    walltimes = []
+    for _ in range(cfg.train_count + cfg.test_count):
+        x, y, z = dims.integers(cfg.dim_min, cfg.dim_max + 1, size=3).tolist()
+        walltimes.append(workloads.lammps_walltime(
+            workloads.BARE_METAL, cfg.sim_nodes, ranks, workloads.LammpsProblem(x, y, z),
+            noise, mode="model", noise_sigma=cfg.noise_sigma))
+    for variant in orchestrator.HYBRID_MODELS:
+        actuals = [a for a, _ in bundle.hybrid["models"][variant]["pairs"]]
+        assert actuals == walltimes[cfg.train_count:]
 
 
 # --- emission ----------------------------------------------------------------------

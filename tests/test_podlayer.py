@@ -166,11 +166,11 @@ def test_failed_apply_registers_nothing():
 
 def test_pod_spec_validation():
     with pytest.raises(ValueError):
-        PodSpec(name="x", replicas=0).validate()
+        PodSpec(name="x", replicas=0)
     with pytest.raises(ValueError):
-        PodSpec(name="x", cpu_request=4.0, cpu_limit=2.0).validate()
+        PodSpec(name="x", cpu_request=4.0, cpu_limit=2.0)
     with pytest.raises(ValueError):
-        PodSpec(name="x", kind="cronjob").validate()
+        PodSpec(name="x", kind="cronjob")
 
 
 # --- cpu throttling -------------------------------------------------------------

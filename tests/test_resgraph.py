@@ -154,7 +154,7 @@ def test_per_node_nic_heterogeneity():
         graph.carve(graph.root_allocation,
                     ResourceRequest(nodes=1, require_bypass_nic=True))
     with pytest.raises(ValueError):
-        ClusterSpec(4, 8, nodes_without_nic=(9,)).validate()
+        ClusterSpec(4, 8, nodes_without_nic=(9,))
 
 
 def test_randomized_carve_release_against_accounting_mirror():
