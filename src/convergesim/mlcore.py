@@ -7,7 +7,11 @@ name order, and keep their state in that order. Every sample must have
 finite values (else ValueError) and, once the set is fixed, exactly those
 keys (else DimensionMismatchError); a rejected sample or target, or an
 overflowing update (ValueError), changes no state. A scaler's `prepare`
-stores nothing, so a caller can `commit` once the model accepts the sample.
+stores nothing and returns the scaled values as a list in feature order,
+so a caller can hand that list to a model's `learn_values` and `commit`
+once the model accepts the sample. A scaler's statistics are one tuple
+(names, count, means, m2s), replaced on each commit and never changed in
+place, so two scalers holding the same tuple hold the same statistics.
 Weight updates:
 
   linear_sgd           e = yhat - y;  w -= lr * e * x;  b -= lr * e
@@ -63,15 +67,6 @@ def _sample_values(x: dict, names: tuple[str, ...]) -> list[float]:
     return [float(x[name]) for name in names]
 
 
-def _finite(value) -> bool:
-    """Whether a float, or every entry of a list or a list of lists, is finite."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if value and isinstance(value[0], list):
-        value = itertools.chain.from_iterable(value)
-    return all(map(math.isfinite, value))
-
-
 def _dot(a, b) -> float:
     """a . b by BLAS `ddot` (see the module docstring)."""
     return float(np.vdot(a, b))
@@ -110,20 +105,24 @@ class RunningScaler(_FixedFeatures):
     overflow the statistics raises ValueError and is not learned.
     """
 
-    def __init__(self):
-        self.count = 0
-        self._mean: list[float] = []
-        self._m2: list[float] = []  # sums of squared deviations
+    # (feature names, count, means, sums of squared deviations); every
+    # fresh scaler holds this one tuple
+    stats: tuple = (None, 0, (), ())
 
-    def prepare(self, x: dict) -> tuple[tuple, dict]:
-        """The statistics after learning x, and x scaled by them. Nothing
-        is stored: `commit` takes the statistics."""
+    @property
+    def count(self) -> int:
+        return self.stats[1]
+
+    def prepare(self, x: dict) -> tuple[tuple, list[float]]:
+        """The statistics after learning x, and x scaled by them, in feature
+        order. Nothing is stored: `commit` takes the statistics."""
         values = self._values(x)
-        names = self.feature_names or tuple(sorted(x))
-        n = self.count + 1
-        new_means, new_m2s, out = [], [], {}
-        means = self._mean or [0.0] * len(names)  # a fresh scaler's statistics
-        m2s = self._m2 or means
+        names, count, means, m2s = self.stats
+        if names is None:
+            names = tuple(sorted(x))
+            means = m2s = (0.0,) * len(names)
+        n = count + 1
+        new_means, new_m2s, out = [], [], []
         for name, value, mean, m2 in zip(names, values, means, m2s):
             delta = value - mean
             mean += delta / n
@@ -131,46 +130,51 @@ class RunningScaler(_FixedFeatures):
             if not math.isfinite(m2):
                 raise ValueError(f"statistics of feature {name!r} overflow")
             std = math.sqrt(m2 / n)
-            out[name] = (value - mean) / std if std > 0.0 else 0.0
+            out.append((value - mean) / std if std > 0.0 else 0.0)
             new_means.append(mean)
             new_m2s.append(m2)
-        return (names, n, new_means, new_m2s), out
+        return (names, n, tuple(new_means), tuple(new_m2s)), out
 
     def commit(self, stats: tuple) -> None:
         """Store statistics that `prepare` computed."""
-        self.feature_names, self.count, self._mean, self._m2 = stats
+        self.stats = stats
+        self.feature_names = stats[0]
 
     def learn_transform(self, x: dict) -> dict:
         """Update the running statistics with x, then return the scaled x."""
         stats, out = self.prepare(x)
         self.commit(stats)
-        return out
+        return dict(zip(stats[0], out))
 
     def transform(self, x: dict) -> dict:
         """Scale x with the current statistics, without learning from it."""
         values = self._values(x)
-        if self.feature_names is None:
+        names, count, means, m2s = self.stats
+        if names is None:
             return dict.fromkeys(sorted(x), 0.0)
         out = {}
-        for name, value, mean, m2 in zip(self.feature_names, values, self._mean, self._m2):
-            std = math.sqrt(m2 / self.count)
+        for name, value, mean, m2 in zip(names, values, means, m2s):
+            std = math.sqrt(m2 / count)
             out[name] = (value - mean) / std if std > 0.0 else 0.0
         return out
 
     def mean(self, name: str) -> float:
-        return dict(zip(self.feature_names or (), self._mean))[name]
+        names, _, means, _ = self.stats
+        return dict(zip(names or (), means))[name]
 
     def variance(self, name: str) -> float:
         # population variance, the single-pass streaming convention
-        return dict(zip(self.feature_names or (), self._m2))[name] / self.count
+        names, count, _, m2s = self.stats
+        return dict(zip(names or (), m2s))[name] / count
 
     def to_state(self) -> dict:
+        names, count, means, m2s = self.stats
         return {
             "format": MODEL_FORMAT,
             "kind": "running_scaler",
             "stats": {
-                name: {"n": self.count, "mean": mean, "m2": m2}
-                for name, mean, m2 in zip(self.feature_names or (), self._mean, self._m2)
+                name: {"n": count, "mean": mean, "m2": m2}
+                for name, mean, m2 in zip(names or (), means, m2s)
             },
         }
 
@@ -183,10 +187,10 @@ class RunningScaler(_FixedFeatures):
         if len(counts) > 1:
             raise ValueError(f"per-feature sample counts differ: {sorted(counts)}")
         if stats:
-            scaler.feature_names = tuple(sorted(stats))
-            scaler.count = counts.pop()
-            scaler._mean = [float(stats[name]["mean"]) for name in scaler.feature_names]
-            scaler._m2 = [float(stats[name]["m2"]) for name in scaler.feature_names]
+            names = tuple(sorted(stats))
+            scaler.commit((names, counts.pop(),
+                           tuple(float(stats[name]["mean"]) for name in names),
+                           tuple(float(stats[name]["m2"]) for name in names)))
         return scaler
 
 
@@ -196,7 +200,8 @@ class _RegressorBase(_FixedFeatures):
     A subclass declares its state once: `params` are its constructor
     parameters, `arrays` its per-feature state (None until the feature set
     is fixed, then made by `_init_state`) and `scalars` its float state;
-    `_update` returns new values by name.
+    `_update` returns new values by name, and `_finite` whether they are
+    all finite.
     """
 
     variant = "base"
@@ -210,16 +215,30 @@ class _RegressorBase(_FixedFeatures):
         return self.samples_seen == 0
 
     def learn(self, x: dict, y: float) -> None:
+        """Learn sample x, a {feature_name: value} dict, with target y."""
+        if not math.isfinite(float(y)):  # checked before x
+            raise ValueError("non-finite target")
+        self.learn_values(self.feature_names or tuple(sorted(x)), self._values(x), y)
+
+    def learn_values(self, names: tuple[str, ...], values: list[float], y: float) -> None:
+        """Learn a sample given as its values in the order of `names`: the
+        sorted feature names, which must be the model's once they are fixed.
+        The list is neither kept nor changed."""
         y = float(y)
         if not math.isfinite(y):
             raise ValueError("non-finite target")
-        values = self._values(x)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("non-finite feature value")
         fresh = self.feature_names is None
+        if len(values) != len(names) or not (fresh or names == self.feature_names):
+            raise DimensionMismatchError(
+                f"{len(values)} values for features {list(names)} do not match"
+                f" model features {list(self.feature_names or names)}")
         if fresh:
-            self.feature_names = tuple(sorted(x))
-            self._init_state(len(values))
+            self.feature_names = names
+            self._init_state(len(names))
         new = self._update(values, y)  # stores nothing
-        if not all(map(_finite, new.values())):
+        if not self._finite(new):
             if fresh:  # undo the feature set this sample fixed
                 self.feature_names = None
                 vars(self).update(dict.fromkeys(self.arrays))
@@ -275,6 +294,10 @@ class _LinearModel(_RegressorBase):
     def _predict_vec(self, x: list[float]) -> float:
         return _dot(self.w, x) + self.b
 
+    @staticmethod
+    def _finite(new: dict) -> bool:
+        return not new or math.isfinite(new["b"]) and all(map(math.isfinite, new["w"]))
+
 
 class LinearSGD(_LinearModel):
     """Least-squares linear regression trained by per-sample gradient steps."""
@@ -320,6 +343,11 @@ class BayesianLinear(_RegressorBase):
         return {"A": [[a + beta * (xi * xj) for a, xj in zip(row, x)]
                       for row, xi in zip(self.A, x)],
                 "c": [c + by * xi for c, xi in zip(self.c, x)]}
+
+    @staticmethod
+    def _finite(new: dict) -> bool:
+        return (all(map(math.isfinite, new["c"]))
+                and all(map(math.isfinite, itertools.chain.from_iterable(new["A"]))))
 
     def weights(self) -> np.ndarray:
         return np.linalg.solve(np.array(self.A), np.array(self.c))

@@ -29,6 +29,14 @@ statistics only after the model accepts the sample. A socket mount
 serves every connection from one selector loop, one request at a time,
 and closes a connection whose unterminated line passes MAX_LINE_BYTES
 after answering malformed_request.
+
+A `train` reuses the result of the service's last scaler `prepare` when
+its scaler holds the very statistics tuple (`is`) that prepare started
+from, its features compare equal to a copy of that prepare's features,
+and no feature value equals zero. Equal inputs then give equal bits; the
+zero test is there because 0.0 == -0.0 and the sign of a zero can reach
+the scaled value. Pipelines fed the same samples thus scale each sample
+once.
 """
 
 import inspect
@@ -38,6 +46,7 @@ import selectors
 import socket
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import mlcore
 
@@ -60,8 +69,9 @@ class ServiceRequest:
     y_pred: float | None = None
 
 
-@dataclass(frozen=True)
-class ServiceResponse:
+class ServiceResponse(NamedTuple):
+    # a named tuple: about half the cost of a frozen dataclass to build,
+    # and the hybrid builds one per request
     status: str  # ok | not_found | bad_request
     body: tuple[tuple[str, object], ...] = ()
 
@@ -107,6 +117,8 @@ class MLService:
     def __init__(self, model_defaults: dict | None = None):
         self._models: dict[str, _ModelEntry] = {}
         self._model_defaults = model_defaults or {}
+        # (statistics, a copy of the features, result) of the last prepare
+        self._last_prepare: tuple | None = None
         methods = [getattr(self, verb) for verb in _VERBS]
         self._verbs = {verb: (method, tuple(inspect.signature(method).parameters))
                        for verb, method in zip(_VERBS, methods)}
@@ -149,13 +161,24 @@ class MLService:
         if model.feature_names is None and not all(map(_sendable, features)):
             return _bad_request("bad_feature_name")
         try:
-            stats, scaled = entry.scaler.prepare(features)
-            model.learn(scaled, y)
+            stats, scaled = self._prepare(entry.scaler, features)
+            model.learn_values(stats[0], scaled, y)
         except (mlcore.DimensionMismatchError, ValueError) as err:
             return _bad_request(type(err).__name__)
         entry.scaler.commit(stats)  # only now that the model accepted the sample
         entry.seq += 1
         return _ok(("samples_seen", model.samples_seen), ("seq", entry.seq))
+
+    def _prepare(self, scaler: mlcore.RunningScaler, features: dict) -> tuple:
+        """`scaler.prepare(features)`, reused under the rule in the module
+        docstring."""
+        last = self._last_prepare
+        if (last is not None and last[0] is scaler.stats and last[1] == features
+                and 0 not in last[1].values()):
+            return last[2]
+        result = scaler.prepare(features)
+        self._last_prepare = (scaler.stats, dict(features), result)
+        return result
 
     def predict(self, name, features) -> ServiceResponse:
         if (entry := self._models.get(name)) is None:

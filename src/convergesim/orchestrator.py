@@ -422,12 +422,12 @@ def run_taxonomy_suite(cfg: ScenarioConfig) -> ReportBundle:
 
 # --- hybrid -------------------------------------------------------------------
 
-# Completed-job samples per message to the service process. A 6,000 + 600
-# job run took the same time, within noise, at every size from 32 to 1,024:
-# the service is the slower side, so the pipe's per-message cost is off the
-# critical path. Each side alone, minimum of 9 CPU-time runs on a 2-vCPU
-# x86-64 host: the service about 29 us per sample, the simulation about
-# 21 us per job.
+# Completed-job samples per message to the service process, and jobs per
+# block of dims draws. A 6,000 + 600 job run took the same time, within
+# noise, at every size from 32 to 1,024: the service is the slower side, so
+# the pipe's per-message cost is off the critical path. Each side alone,
+# minimum of 7 CPU-time runs on one CPU of a 2-vCPU x86-64 host: the
+# service about 21 us per sample, the simulation about 11 us per job.
 SAMPLE_BATCH = 256
 
 
@@ -579,23 +579,26 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
 
     def phase_jobs(phase: str, job_ids: range, record):
         """The phase's jobs, each made with its walltime as the instance
-        draws it: in job-id order, the order FCFS places them."""
-        for job_id in job_ids:
-            x, y, z = (
-                int(v)
-                for v in dims_rng.integers(cfg.dim_min, cfg.dim_max + 1, size=3)
-            )
-            walltime = workloads.lammps_walltime(
-                workloads.BARE_METAL, cfg.sim_nodes, ranks, workloads.LammpsProblem(x, y, z),
-                noise_rng, mode="model", noise_sigma=cfg.noise_sigma,
-            )
-            features = {"x": float(x), "y": float(y), "z": float(z)}
+        draws it: in job-id order, the order FCFS places them. Dims are
+        drawn for up to SAMPLE_BATCH jobs at a time, never past the phase's
+        last job; a block gives the integers that one `size=3` draw per job
+        gives (tests/test_orchestrator.py pins this)."""
+        for start in range(0, len(job_ids), SAMPLE_BATCH):
+            block = job_ids[start:start + SAMPLE_BATCH]
+            dims = dims_rng.integers(cfg.dim_min, cfg.dim_max + 1, size=(len(block), 3))
+            for job_id, (x, y, z) in zip(block, dims.tolist()):
+                walltime = workloads.lammps_walltime(
+                    workloads.BARE_METAL, cfg.sim_nodes, ranks,
+                    workloads.LammpsProblem(x, y, z),
+                    noise_rng, mode="model", noise_sigma=cfg.noise_sigma,
+                )
+                features = {"x": float(x), "y": float(y), "z": float(z)}
 
-            def on_complete(job, features=features):
-                record(phase, features, job.duration)
+                def on_complete(job, features=features):
+                    record(phase, features, job.duration)
 
-            yield Job(job_id=job_id, request=request, duration=walltime,
-                      on_complete=on_complete)
+                yield Job(job_id=job_id, request=request, duration=walltime,
+                          on_complete=on_complete)
 
     feed = _ServiceProcess(service) if _usable_cpus() > 1 else None
     try:

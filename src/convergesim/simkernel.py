@@ -97,7 +97,9 @@ class Engine:
 
     def drain(self) -> int:
         """Dispatch all remaining events; the clock stops at the last fire time."""
-        count = 0
-        while self._heap:
-            count += self.run_until(self._heap[0][0])
-        return count
+        heap, before = self._heap, self.dispatched
+        while heap:
+            self.now, _, action = heapq.heappop(heap)
+            self.dispatched += 1
+            action()
+        return self.dispatched - before

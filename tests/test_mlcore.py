@@ -19,6 +19,7 @@ from convergesim.mlcore import (
     LinearSGD,
     PassiveAggressive,
     RunningScaler,
+    MODEL_VARIANTS,
     make_model,
     model_from_json,
     model_to_json,
@@ -304,6 +305,25 @@ def test_dimension_fixed_by_first_learn():
         model.learn({"a": 1.0}, 1.0)
     with pytest.raises(DimensionMismatchError):
         model.predict({"a": 1.0, "c": 2.0})
+
+
+@pytest.mark.parametrize("variant", sorted(MODEL_VARIANTS))
+def test_learn_values_refuses_other_names_lengths_and_non_finite_values(variant):
+    model = make_model(variant)
+    with pytest.raises(DimensionMismatchError):  # fresh, but one value short
+        model.learn_values(("a", "b"), [1.0], 1.0)
+    assert model.feature_names is None
+    model.learn_values(("a", "b"), [1.0, -1.0], 1.0)
+    before = model_to_json(model)
+    for names, values in ((("a", "c"), [1.0, 2.0]), (("a",), [1.0]), (("a", "b"), [1.0]),
+                          (("a", "b"), [1.0, math.nan]), (("a", "b"), [math.inf, 1.0])):
+        with pytest.raises((DimensionMismatchError, ValueError)):
+            model.learn_values(names, values, 1.0)
+    assert model_to_json(model) == before
+    # learn(x) is learn_values over x's values in sorted name order
+    twin = make_model(variant)
+    twin.learn({"b": -1.0, "a": 1.0}, 1.0)
+    assert model_to_json(twin) == before
 
 
 def test_non_finite_target_is_rejected_before_any_change():

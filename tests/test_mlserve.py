@@ -5,9 +5,10 @@ import socket
 import threading
 import time
 import warnings
+from typing import NamedTuple
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from convergesim import mlcore, mlserve, workloads
@@ -343,6 +344,112 @@ def test_a_refused_train_changes_nothing(variant, prefix, refusal, data):
     assert (entry.scaler.to_state(), entry.model.to_state(), entry.seq) == before
     if not prefix:  # the refused sample fixed no feature set
         assert entry.scaler.feature_names is None and entry.model.feature_names is None
+
+
+class _Step(NamedTuple):
+    """One request to every pipeline in turn. `items` builds a new feature
+    dict in that insertion order, or is None to reuse the last one; before
+    pipeline i's request, `edits[i]` (a key and a value, or None) is set in
+    that dict in place. A "restore" step replaces pipeline `target`'s scaler
+    with one restored from its state."""
+
+    verb: str  # train | predict | restore
+    items: tuple | None = None
+    edits: tuple = ()
+    y: float = 0.0
+    target: int = 0
+
+
+# zeros of both signs, ints and floats that compare equal, and running means
+# that land on exactly 0, where the sign of a zero feature reaches the
+# scaled value
+PIPELINE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0, 1, -1, 1.0, -1.0, 2, 0.5]),
+                            st.integers(-10**6, 10**6),
+                            st.floats(-1e6, 1e6, allow_nan=False))
+# 1e308 overflows bayesian's update under beta=2 and no other model's
+PIPELINE_DEFAULTS = {"bayesian": {"beta": 2.0}}
+
+
+@st.composite
+def pipeline_runs(draw):
+    variants = draw(st.lists(st.sampled_from(sorted(mlcore.MODEL_VARIANTS)),
+                             min_size=2, max_size=4))
+    key_sets = st.one_of(st.permutations("abc"), st.lists(st.sampled_from("abc"), min_size=1,
+                                                          max_size=3, unique=True))
+    items = key_sets.flatmap(lambda keys: st.tuples(
+        *[st.tuples(st.just(k), PIPELINE_VALUES) for k in keys]))
+    edit = st.one_of(st.none(), st.tuples(st.sampled_from("abc"), PIPELINE_VALUES))
+    step = st.one_of(
+        st.builds(_Step, verb=st.sampled_from(["train", "train", "predict"]),
+                  items=st.one_of(st.none(), items),
+                  edits=st.lists(edit, min_size=len(variants), max_size=len(variants))
+                  .map(tuple),
+                  y=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e308, 0.0, -0.0]))),
+        st.builds(_Step, verb=st.just("restore"), target=st.integers(0, len(variants) - 1)))
+    return variants, draw(st.lists(step, max_size=14))
+
+
+def _record_learned(model, log):
+    """Log repr((names, values, y)) of every `learn_values` call on model."""
+    learn_values = model.learn_values
+
+    def recording(names, values, y):
+        log.append(repr((names, values, y)))
+        return learn_values(names, values, y)
+
+    model.learn_values = recording
+
+
+_ZERO_SIGN_RUN = (["linear_sgd", "linear_sgd"], [
+    _Step("train", (("a", 1.0),), (None, None), 1.0),
+    _Step("train", (("a", -1.0),), (None, None), 1.0),
+    # the running mean is then exactly 0, so a's sign reaches the scaled value
+    _Step("train", (("a", 0.0),), (None, ("a", -0.0)), 1.0),
+])
+_EDITED_RUN = (["bayesian", "bayesian"], [
+    _Step("train", (("a", 1.0),), (None, ("a", 2.0)), 1.0),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=pipeline_runs())
+@example(run=_ZERO_SIGN_RUN)
+@example(run=_EDITED_RUN)
+def test_pipelines_sharing_one_service_equal_pipelines_alone(run):
+    # the reference: each pipeline in a service of its own, whose prepare
+    # is never another pipeline's
+    variants, steps = run
+    names = [f"p{i}" for i in range(len(variants))]
+    shared = MLService(model_defaults=PIPELINE_DEFAULTS)
+    alone = [MLService(model_defaults=PIPELINE_DEFAULTS) for _ in variants]
+    learned = {}
+    for name, variant, service in zip(names, variants, alone):
+        for side in (shared, service):
+            assert side.create(name, variant).status == "ok"
+            _record_learned(side.entry(name).model, learned.setdefault((side, name), []))
+    features = {"a": 1.0}
+    for step in steps:
+        if step.verb == "restore":
+            name = names[step.target]
+            for side in (shared, alone[step.target]):
+                entry = side.entry(name)
+                entry.scaler = mlcore.model_from_json(model_to_json(entry.scaler))
+            continue
+        if step.items is not None:
+            features = dict(step.items)
+        for name, service, edit in zip(names, alone, step.edits):
+            if edit is not None:
+                features[edit[0]] = edit[1]
+            args = (features, step.y) if step.verb == "train" else (features,)
+            replies = [getattr(side, step.verb)(name, *args) for side in (shared, service)]
+            assert format_response(replies[0]) == format_response(replies[1]), (name, step)
+        for name, service in zip(names, alone):
+            ours, theirs = shared.entry(name), service.entry(name)
+            assert learned[shared, name] == learned[service, name], (name, step)
+            assert model_to_json(ours.model) == model_to_json(theirs.model), (name, step)
+            assert model_to_json(ours.scaler) == model_to_json(theirs.scaler), (name, step)
+            # scaler and model fix their names from the same first accepted sample
+            assert ours.scaler.feature_names == ours.model.feature_names, (name, step)
 
 
 # --- wire protocol -------------------------------------------------------------

@@ -10,6 +10,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convergesim import cli, hiersched, mlcore, mlserve, orchestrator, podlayer, workloads
 from convergesim.orchestrator import (
@@ -538,6 +539,59 @@ def test_hybrid_walltimes_are_an_independent_replay_of_the_job_streams():
     for variant in orchestrator.HYBRID_MODELS:
         actuals = [a for a, _ in bundle.hybrid["models"][variant]["pairs"]]
         assert actuals == walltimes[cfg.train_count:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), dim_min=st.integers(1, 64),
+       span=st.one_of(st.integers(0, 15), st.integers(0, 2**40)),
+       phases=st.lists(st.integers(0, 700), min_size=1, max_size=3),
+       block=st.sampled_from([1, 2, 3, 7, 100, orchestrator.SAMPLE_BATCH]))
+def test_dims_drawn_in_blocks_equal_one_draw_per_job(seed, dim_min, span, phases, block):
+    # run_hybrid draws a phase's dims in blocks of at most SAMPLE_BATCH jobs,
+    # never past the phase's last job; that keeps every bit only because
+    # numpy's bounded integers keep no spare random bits outside the bit
+    # generator's own state, so a block continues the stream where one
+    # size=3 draw per job would
+    high = dim_min + span + 1
+    per_job, blocked = RngStreams(seed).stream("d"), RngStreams(seed).stream("d")
+    for count in phases:
+        expected = [per_job.integers(dim_min, high, size=3).tolist() for _ in range(count)]
+        drawn = []
+        for start in range(0, count, block):
+            n = min(block, count - start)
+            drawn += blocked.integers(dim_min, high, size=(n, 3)).tolist()
+        assert drawn == expected, (
+            "numpy's integers(size=(n, 3)) no longer continues the stream as one "
+            "integers(size=3) per job; run_hybrid's block draws change the job dims")
+
+
+class _CountingDraws:
+    """A generator whose `integers` calls are recorded by size."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def integers(self, *args, size):
+        self._sizes.append(size)
+        return self._rng.integers(*args, size=size)
+
+
+def test_in_process_hybrid_scales_each_sample_once_and_draws_dims_in_blocks(monkeypatch):
+    cfg = hybrid_config(11, 6000, 300)
+    prepares, sizes = [], []
+    prepare, stream = mlcore.RunningScaler.prepare, RngStreams.stream
+    monkeypatch.setattr(orchestrator, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(mlcore.RunningScaler, "prepare",
+                        lambda self, x: prepares.append(1) or prepare(self, x))
+    monkeypatch.setattr(RngStreams, "stream", lambda self, label: (
+        _CountingDraws(stream(self, label), sizes) if label == "hybrid.dims"
+        else stream(self, label)))
+    bundle = run_hybrid(cfg)
+    assert all(m["samples_seen"] == 6000 for m in bundle.hybrid["models"].values())
+    assert len(prepares) == 6000  # one per sample, not one per model
+    batch = orchestrator.SAMPLE_BATCH
+    assert sizes == [(min(batch, count - start), 3)
+                     for count in (6000, 300) for start in range(0, count, batch)]
 
 
 # --- emission ----------------------------------------------------------------------

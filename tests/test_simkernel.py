@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import record_dispatches
 from convergesim.simkernel import CausalityError, Engine, RngStreams
@@ -143,3 +144,45 @@ def test_drain_stops_clock_at_last_event():
     engine.schedule(4.25, lambda: None)
     assert engine.drain() == 2
     assert engine.now == 4.25
+
+
+def _reference_drain(engine) -> int:
+    """Drain as one `run_until` per distinct fire time."""
+    count = 0
+    while engine.queue_size():
+        count += engine.run_until(engine.next_fire_time())
+    return count
+
+
+# an event's plan: for each child, the delay after the event's own fire
+# time (0 schedules it at the same time) and the child's plan
+PLANS = st.recursive(
+    st.just(()),
+    lambda plans: st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), plans),
+                           max_size=3).map(tuple),
+    max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(roots=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0]), PLANS), max_size=8),
+       start=st.sampled_from([None, 0.0, 0.5, 1.0]))
+def test_drain_dispatches_as_run_until_per_fire_time(roots, start):
+    def run(drain):
+        engine = Engine()
+        dispatched, clock = record_dispatches(engine), []
+
+        def event(plan):
+            def action():
+                clock.append(engine.now)
+                for delay, child in plan:
+                    engine.schedule(engine.now + delay, event(child))
+            return action
+
+        for fire_at, plan in roots:
+            engine.schedule(fire_at, event(plan))
+        if start is not None:  # drain from a clock that has already moved
+            engine.run_until(start)
+        count = drain(engine)
+        return dispatched, clock, count, engine.now, engine.dispatched
+
+    assert run(Engine.drain) == run(_reference_drain)
