@@ -34,8 +34,7 @@ mpi = podlayer.apply(graph, kube, podlayer.PodSpec(
 print(f"after daemonset: mpi pods use {mpi[0].network_path} "
       f"on {len({p.node_id for p in mpi})} distinct nodes")
 
-node, overhead = podlayer.resolve(kube, "mpi-17")
-print(f"headless lookup mpi-17 -> node {node} (overhead {overhead} s)")
+print(f"headless lookup mpi-17 -> node {podlayer.resolve(kube, 'mpi-17')}")
 
 # CPU ceilings throttle cycles instead of bounding core counts
 capped = podlayer.apply(graph, kube, podlayer.PodSpec(

@@ -34,13 +34,11 @@ while m <= netmodel.MIB_4:
     m *= 64
 
 print("\nbarrier time (us) with and without a background user-space cluster")
-quiet = netmodel.OverheadState(usernetes_running=False)
-busy = netmodel.OverheadState(usernetes_running=True)
 print(f"  {'nodes':>5s} {'bypass':>9s} {'bypass+bg':>10s} {'tap':>9s}")
 for p in (2, 4, 8, 16, 32):
-    print(f"  {p:5d} {netmodel.barrier_time(bypass, p, quiet) * 1e6:9.2f} "
-          f"{netmodel.barrier_time(bypass, p, busy) * 1e6:10.2f} "
-          f"{netmodel.barrier_time(tap, p, quiet) * 1e6:9.2f}")
+    print(f"  {p:5d} {netmodel.barrier_time(bypass, p) * 1e6:9.2f} "
+          f"{netmodel.barrier_time(bypass, p, background=True) * 1e6:10.2f} "
+          f"{netmodel.barrier_time(tap, p) * 1e6:9.2f}")
 
 print("\nallreduce multiplier of the relay path over the bypass baseline")
 print(f"  {'bytes':>9s} {'4 nodes':>8s} {'8':>6s} {'16':>6s} {'32 nodes':>9s}")

@@ -16,7 +16,7 @@ cluster:
   monolithic_partition two static halves with one scheduler each
   two_level            a broker pessimistically offers disjoint node
                        bundles to both schedulers each round; gang jobs
-                       may hoard partial offers, which can deadlock
+                       hoard partial offers, which can deadlock
   shared_state         both schedulers see all nodes and commit
                        optimistically from the same stale snapshot; a
                        collision rolls the higher-id scheduler back and
@@ -33,7 +33,7 @@ bit-identical to dispatching every round.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .resgraph import (
@@ -74,15 +74,22 @@ class Job:
 @dataclass
 class SchedMetrics:
     mode: str
-    throughput: float          # completed jobs per virtual second
-    conflict_fraction: float   # conflicts / placement attempts
-    busyness: float            # decision time / (makespan * schedulers)
+    throughput: float = field(init=False)         # completed jobs per virtual second
+    conflict_fraction: float = field(init=False)  # conflicts / placement attempts
+    busyness: float = field(init=False)           # decision time / (makespan * 2 schedulers)
     deadlocked: bool
     makespan_s: float
     completed: int
     attempts: int
     conflicts: int
     rejected: int
+    busy_s: InitVar[float]
+
+    def __post_init__(self, busy_s: float):
+        makespan = self.makespan_s
+        self.throughput = self.completed / makespan if makespan > 0 else 0.0
+        self.conflict_fraction = self.conflicts / self.attempts if self.attempts > 0 else 0.0
+        self.busyness = min(1.0, busy_s / (2 * makespan)) if makespan > 0 else 0.0
 
 
 class Instance:
@@ -226,25 +233,6 @@ def make_jobs(node_counts: list[int], duration_s: float = 0.0) -> list[Job]:
 # --- taxonomy comparators ---------------------------------------------------
 
 
-def _metrics(mode, *, completed, attempts, conflicts, rejected, busy_s,
-             makespan, deadlocked, schedulers=2) -> SchedMetrics:
-    throughput = completed / makespan if makespan > 0 else 0.0
-    busyness = min(1.0, busy_s / (schedulers * makespan)) if makespan > 0 else 0.0
-    conflict_fraction = conflicts / attempts if attempts > 0 else 0.0
-    return SchedMetrics(
-        mode=mode,
-        throughput=throughput,
-        conflict_fraction=conflict_fraction,
-        busyness=busyness,
-        deadlocked=deadlocked,
-        makespan_s=makespan,
-        completed=completed,
-        attempts=attempts,
-        conflicts=conflicts,
-        rejected=rejected,
-    )
-
-
 def _split_round_robin(workload: list[Job]) -> tuple[list[Job], list[Job]]:
     return list(workload[0::2]), list(workload[1::2])
 
@@ -265,16 +253,15 @@ def _run_hierarchical(workload, cluster, decision_cost, seed) -> SchedMetrics:
             except UnsatisfiableRequestError:
                 rejected += 1
     engine.drain()
-    makespan = engine.now
-    return _metrics(
+    return SchedMetrics(
         HIERARCHICAL,
+        deadlocked=False,
+        makespan_s=engine.now,
         completed=sum(i.completed for i in instances),
         attempts=sum(i.attempts for i in instances),
         conflicts=0,
         rejected=rejected,
         busy_s=sum(i.busy_s for i in instances),
-        makespan=makespan,
-        deadlocked=False,
     )
 
 
@@ -316,16 +303,15 @@ class _EpochRunner:
     def run(self) -> SchedMetrics:
         self._arm()
         self.engine.drain()
-        makespan = self.last_completion_t if self.completed else self.engine.now
-        return _metrics(
+        return SchedMetrics(
             self.mode,
+            deadlocked=self.deadlocked,
+            makespan_s=self.last_completion_t if self.completed else self.engine.now,
             completed=self.completed,
             attempts=self.attempts,
             conflicts=self.conflicts,
             rejected=self.rejected,
             busy_s=self.busy_s,
-            makespan=makespan,
-            deadlocked=self.deadlocked,
         )
 
     def _arm(self, fire_at: float | None = None):
@@ -443,13 +429,11 @@ class _MonolithicRunner(_EpochRunner):
 
 class _TwoLevelRunner(_EpochRunner):
     """Broker offers disjoint bundles of the free nodes to both schedulers
-    every round; offers are held until accepted or declined within the
-    round. Gang jobs hoard partial offers until their need is met."""
+    every round. A gang job hoards its offers, off the free list, until the
+    hoard meets its need and it launches."""
 
-    def __init__(self, mode, workload, cluster, decision_cost, seed, horizon_s,
-                 hoarding=True):
-        super().__init__(mode, workload, cluster, decision_cost, seed, horizon_s)
-        self.hoarding = hoarding
+    def __init__(self, *args):
+        super().__init__(*args)
         self.hoards: list[set[int]] = [set(), set()]
 
     def _holds_partial_resources(self) -> bool:
@@ -474,20 +458,13 @@ class _TwoLevelRunner(_EpochRunner):
             job = self.queues[sched_id][0]
             need = job.request.nodes
             hoard = self.hoards[sched_id]
-            if self.hoarding:
-                take = set(bundle[: max(0, need - len(hoard))])
-                hoard |= take
-                self.free -= take
-                if len(hoard) >= need:
-                    nodes = set(hoard)
-                    hoard.clear()
-                    self._launch(sched_id, nodes)
-            else:
-                # pessimistic accept-or-decline: the whole need in one offer
-                if len(bundle) >= need:
-                    nodes = set(bundle[:need])
-                    self.free -= nodes
-                    self._launch(sched_id, nodes)
+            take = set(bundle[: max(0, need - len(hoard))])
+            hoard |= take
+            self.free -= take
+            if len(hoard) >= need:
+                nodes = set(hoard)
+                hoard.clear()
+                self._launch(sched_id, nodes)
 
 
 class _SharedStateRunner(_EpochRunner):
@@ -522,24 +499,14 @@ class _SharedStateRunner(_EpochRunner):
             self._launch(sched_id, nodes)
 
 
-def _make_runner(mode: str, workload: list[Job], cluster: ClusterSpec,
-                 decision_cost_s: float, seed: int, deadlock_horizon_s: float,
-                 hoarding: bool) -> _EpochRunner:
-    args = (mode, workload, cluster, decision_cost_s, seed, deadlock_horizon_s)
-    if mode == MONOLITHIC_PARTITION:
-        return _MonolithicRunner(*args)
-    if mode == TWO_LEVEL:
-        return _TwoLevelRunner(*args, hoarding)
-    if mode == SHARED_STATE:
-        return _SharedStateRunner(*args)
-    raise ValueError(f"unknown taxonomy mode {mode!r}")
+_RUNNERS = {MONOLITHIC_PARTITION: _MonolithicRunner, TWO_LEVEL: _TwoLevelRunner,
+            SHARED_STATE: _SharedStateRunner}
 
 
 def run_taxonomy(mode: str, workload: list[Job], cluster: ClusterSpec,
                  decision_cost_s: float = DEFAULT_DECISION_COST_S,
                  seed: int = 0,
-                 deadlock_horizon_s: float = DEFAULT_DEADLOCK_HORIZON_S,
-                 hoarding: bool = True) -> SchedMetrics:
+                 deadlock_horizon_s: float = DEFAULT_DEADLOCK_HORIZON_S) -> SchedMetrics:
     """Simulate one comparator architecture over the given workload."""
     if not workload:
         raise ValueError("workload must be non-empty")
@@ -551,5 +518,7 @@ def run_taxonomy(mode: str, workload: list[Job], cluster: ClusterSpec,
             raise ValueError(f"{name} must be finite and positive, not {value}")
     if mode == HIERARCHICAL:
         return _run_hierarchical(workload, cluster, decision_cost_s, seed)
-    return _make_runner(mode, workload, cluster, decision_cost_s, seed,
-                        deadlock_horizon_s, hoarding).run()
+    if mode not in _RUNNERS:
+        raise ValueError(f"unknown taxonomy mode {mode!r}")
+    return _RUNNERS[mode](mode, workload, cluster, decision_cost_s, seed,
+                          deadlock_horizon_s).run()

@@ -51,14 +51,22 @@ class DimensionMismatchError(Exception):
     pass
 
 
+def _float(value, what: str) -> float:
+    """float(value), with ValueError for an int too large or a non-number."""
+    try:
+        return float(value)
+    except (TypeError, OverflowError) as err:
+        raise ValueError(f"{what}: {err}") from None
+
+
 def _sample_values(x: dict, names: tuple[str, ...]) -> list[float]:
     """The values of sample x in the order of names.
 
-    Raises ValueError if a value is not finite, then DimensionMismatchError
-    if the keys of x are not exactly names.
+    Raises ValueError if a value is not a finite float, then
+    DimensionMismatchError if the keys of x are not exactly names.
     """
     for name, value in x.items():
-        if not math.isfinite(float(value)):
+        if not math.isfinite(_float(value, f"feature {name!r}")):
             raise ValueError(f"non-finite value for feature {name!r}")
     if x.keys() != set(names):
         raise DimensionMismatchError(
@@ -216,7 +224,7 @@ class _RegressorBase(_FixedFeatures):
 
     def learn(self, x: dict, y: float) -> None:
         """Learn sample x, a {feature_name: value} dict, with target y."""
-        if not math.isfinite(float(y)):  # checked before x
+        if not math.isfinite(_float(y, "target")):  # checked before x
             raise ValueError("non-finite target")
         self.learn_values(self.feature_names or tuple(sorted(x)), self._values(x), y)
 
@@ -224,7 +232,10 @@ class _RegressorBase(_FixedFeatures):
         """Learn a sample given as its values in the order of `names`: the
         sorted feature names, which must be the model's once they are fixed.
         The list is neither kept nor changed."""
-        y = float(y)
+        try:
+            y = float(y)
+        except (TypeError, OverflowError) as err:
+            raise ValueError(f"target: {err}") from None
         if not math.isfinite(y):
             raise ValueError("non-finite target")
         if not all(map(math.isfinite, values)):

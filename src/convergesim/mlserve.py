@@ -209,7 +209,10 @@ class MLService:
             return _no_model(name)
         if y_true is None or y_pred is None:
             return _bad_request("missing_pair")
-        if not (math.isfinite(y_true) and math.isfinite(y_pred)):
+        try:
+            if not (math.isfinite(y_true) and math.isfinite(y_pred)):
+                return _bad_request("non_finite_pair")
+        except (TypeError, OverflowError):  # an int too large for a float, or a non-number
             return _bad_request("non_finite_pair")
         entry.truths.append((y_true, y_pred))
         entry.seq += 1

@@ -13,8 +13,8 @@ bandwidth. Model forms:
 
 where L0*/BW_inf* are the bypass-path constants (the tap path's allreduce
 is measured as a multiplier `mu` over the bypass baseline), and penalty
-is the background-cluster overhead factor (meaningful only for
-collectives; identically 1 for point-to-point).
+is the slowdown a background user-space cluster adds to collectives, in
+the fixed `PENALTY_STEPS` (1 without one; point-to-point never pays it).
 
 Bandwidth and latency are deliberately independent curves: the bandwidth
 benchmark pipelines a window of messages, so 1-byte bandwidth is not the
@@ -76,31 +76,20 @@ class NetworkPathParams:
     allreduce_base_bw_Bps: float
 
 
-@dataclass(frozen=True)
-class OverheadState:
-    """Background user-space-Kubernetes overhead on the host cluster.
+# (node count, factor): a background user-space cluster multiplies
+# collective times by the factor of the last step at or below the node count
+PENALTY_STEPS = ((16, 1.15), (32, 1.3))
 
-    The penalty multiplies collective times only and grows with scale;
-    point-to-point results are unaffected. With the cluster not running,
-    every factor is exactly 1 and all outputs equal the penalty-free
-    model bit for bit.
-    """
 
-    usernetes_running: bool = False
-    # step thresholds: factor applied for node_count >= key
-    penalty_steps: tuple[tuple[int, float], ...] = ((16, 1.15), (32, 1.3))
-
-    def collective_penalty(self, node_count: int) -> float:
-        if not self.usernetes_running:
-            return 1.0
-        factor = 1.0
-        for threshold, value in self.penalty_steps:
+def collective_penalty(node_count: int, background: bool) -> float:
+    """The collective-time factor; exactly 1 without a background cluster, so
+    outputs then equal the penalty-free model bit for bit."""
+    factor = 1.0
+    if background:
+        for threshold, value in PENALTY_STEPS:
             if node_count >= threshold:
                 factor = value
-        return factor
-
-
-NO_OVERHEAD = OverheadState(usernetes_running=False)
+    return factor
 
 
 def load_anchors(path=None) -> Anchors:
@@ -219,11 +208,11 @@ def p2p_bandwidth(params: NetworkPathParams, m: float) -> float:
 
 
 def barrier_time(params: NetworkPathParams, node_count: int,
-                 overhead: OverheadState = NO_OVERHEAD) -> float:
+                 background: bool = False) -> float:
     if node_count < 2:
         raise ValueError("barrier needs at least 2 nodes")
     scale = math.log2(node_count) / 2.0  # normalized to the 4-node anchor
-    return params.barrier_base_4node_s * scale * overhead.collective_penalty(node_count)
+    return params.barrier_base_4node_s * scale * collective_penalty(node_count, background)
 
 
 def allreduce_mu(params: NetworkPathParams, m: float, node_count: int) -> float:
@@ -251,7 +240,7 @@ def allreduce_mu(params: NetworkPathParams, m: float, node_count: int) -> float:
 
 
 def allreduce_time(params: NetworkPathParams, m: float, node_count: int,
-                   overhead: OverheadState = NO_OVERHEAD) -> float:
+                   background: bool = False) -> float:
     """Allreduce completion time in seconds for an m-byte payload on p nodes."""
     if node_count < 2:
         raise ValueError("allreduce needs at least 2 nodes")
@@ -259,4 +248,5 @@ def allreduce_time(params: NetworkPathParams, m: float, node_count: int,
     baseline = math.log2(node_count) * (
         params.allreduce_base_l0_s + m / params.allreduce_base_bw_Bps
     )
-    return baseline * allreduce_mu(params, m, node_count) * overhead.collective_penalty(node_count)
+    penalty = collective_penalty(node_count, background)
+    return baseline * allreduce_mu(params, m, node_count) * penalty

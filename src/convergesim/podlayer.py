@@ -19,9 +19,9 @@ runtime proportionally. The recommended configuration therefore requests
 only the bypass-NIC device and relies on anti-affinity instead of CPU
 limits.
 
-Headless-service name resolution walks a local hostname table; the
-per-lookup overhead is a sensitivity knob that defaults to zero because
-it is a hypothesis, not a measurement.
+Headless-service name resolution walks a local hostname table and is
+modeled as free: a per-lookup cost would be a hypothesis, not a
+measurement.
 """
 
 import math
@@ -88,11 +88,9 @@ class KubeCluster:
     worker_nodes: list[int]
     hostname_table: dict[str, int] = field(default_factory=dict)
     pods: dict[str, list[PodPlacement]] = field(default_factory=dict)  # by spec name
-    lookup_overhead_s: float = 0.0
 
 
-def start_usernetes(graph: ResourceGraph, alloc_id: int,
-                    lookup_overhead_s: float = 0.0) -> KubeCluster:
+def start_usernetes(graph: ResourceGraph, alloc_id: int) -> KubeCluster:
     """Bring up the pod layer inside an allocation of at least 2 nodes."""
     alloc = graph.allocation(alloc_id)
     nodes = alloc.node_ids
@@ -105,7 +103,6 @@ def start_usernetes(graph: ResourceGraph, alloc_id: int,
         allocation=alloc_id,
         control_plane_node=nodes[0],
         worker_nodes=nodes[1:],
-        lookup_overhead_s=lookup_overhead_s,
     )
 
 
@@ -187,9 +184,9 @@ def effective_cpu(pod: PodPlacement, demand_cores: float) -> tuple[float, float]
     return min(1.0, ceiling / demand), max(1.0, demand / ceiling)
 
 
-def resolve(kube: KubeCluster, hostname: str) -> tuple[int, float]:
-    """Headless-service lookup: (node_id, per-lookup overhead seconds)."""
+def resolve(kube: KubeCluster, hostname: str) -> int:
+    """Headless-service lookup: the node id the hostname runs on."""
     node_id = kube.hostname_table.get(hostname)
     if node_id is None:
         raise UnknownHostnameError(f"hostname {hostname!r} is not registered")
-    return node_id, kube.lookup_overhead_s
+    return node_id

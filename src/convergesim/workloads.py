@@ -154,21 +154,18 @@ def environment_ratio(env: str, nodes: int) -> float:
 
 
 def lammps_walltime(env: str, nodes: int, ranks: int, problem: LammpsProblem,
-                    rng: np.random.Generator, mode: str = "auto",
+                    rng: np.random.Generator, mode: str,
                     noise_sigma: float = 0.05) -> float:
     """Sample one realized walltime in seconds.
 
     Table mode requires a reference row for (env, nodes) and the reference
-    problem; model mode prices any problem box. mode="auto" picks table
-    mode whenever the row and problem match.
+    problem; model mode prices any problem box.
     """
-    if env not in ENVIRONMENTS:
-        raise UnknownEnvironmentError(f"unknown environment {env!r}")
-    in_table = (env, nodes) in _index() and (problem.x, problem.y, problem.z) == REFERENCE_PROBLEM
-    if mode == "auto":
-        mode = "table" if in_table else "model"
     if mode == "table":
         row = table_row(env, nodes)
+        if (problem.x, problem.y, problem.z) != REFERENCE_PROBLEM:
+            raise ValueError(f"table mode replays only the reference problem "
+                             f"{REFERENCE_PROBLEM}, not {problem}")
         if row.stddev_s == 0.0:
             return row.mean_s
         draw = rng.normal(row.mean_s, row.stddev_s)
@@ -183,10 +180,9 @@ def lammps_walltime(env: str, nodes: int, ranks: int, problem: LammpsProblem,
     raise ValueError(f"unknown walltime mode {mode!r}")
 
 
-def overhead_for(env: str) -> netmodel.OverheadState:
-    """The background-cluster overhead state implied by the environment."""
-    running = env in (BARE_METAL_WITH_USERNETES, CONTAINER_WITH_USERNETES)
-    return netmodel.OverheadState(usernetes_running=running)
+def background_cluster(env: str) -> bool:
+    """Whether a user-space cluster runs beside the environment's jobs."""
+    return env in (BARE_METAL_WITH_USERNETES, CONTAINER_WITH_USERNETES)
 
 
 def network_path_for(env: str) -> str:
@@ -195,7 +191,7 @@ def network_path_for(env: str) -> str:
 
 
 def osu_replay(env: str, benchmark: str, nodes: int, m: float,
-               network: netmodel.CalibratedNetwork | None = None) -> float:
+               network: netmodel.CalibratedNetwork) -> float:
     """Replay one micro-benchmark figure for an environment.
 
     Returns seconds for latency/barrier/allreduce and bytes/second for bw.
@@ -204,17 +200,14 @@ def osu_replay(env: str, benchmark: str, nodes: int, m: float,
         raise UnknownEnvironmentError(f"unknown environment {env!r}")
     if benchmark not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {benchmark!r}")
-    if network is None:
-        network = netmodel.default_network()
     params = network.params(network_path_for(env))
-    overhead = overhead_for(env)
     if benchmark == "latency":
         return netmodel.p2p_latency(params, m)
     if benchmark == "bw":
         return netmodel.p2p_bandwidth(params, m)
     if benchmark == "barrier":
-        return netmodel.barrier_time(params, nodes, overhead)
-    return netmodel.allreduce_time(params, m, nodes, overhead)
+        return netmodel.barrier_time(params, nodes, background_cluster(env))
+    return netmodel.allreduce_time(params, m, nodes, background_cluster(env))
 
 
 def cpu_utilization(env: str, nodes: int) -> float:

@@ -23,7 +23,7 @@ from convergesim.hiersched import (
     Instance,
     Job,
     UnsatisfiableRequestError,
-    _make_runner,
+    _RUNNERS,
     make_jobs,
     run_taxonomy,
 )
@@ -430,15 +430,6 @@ def test_long_job_blocking_the_queue_is_not_a_stall():
         assert metrics.makespan_s >= 120.0, mode
 
 
-def test_two_level_without_hoarding_declines_partial_offers():
-    workload = make_jobs([9, 9], duration_s=1.0)
-    metrics = run_taxonomy(TWO_LEVEL, workload, CLUSTER16,
-                           deadlock_horizon_s=10.0, hoarding=False)
-    # no hoards are held, so the no-progress stop is not a hoarding deadlock
-    assert metrics.deadlocked is False
-    assert metrics.completed == 0
-
-
 def test_shared_state_conflicts_grow_with_gang_size():
     fractions = []
     for gang in range(1, 9):
@@ -520,12 +511,12 @@ def test_nan_duration_raises_causality_error():
 
 def epoch_runner(mode, workload, cluster, decision_cost_s=DEFAULT_DECISION_COST_S,
                  seed=0, deadlock_horizon_s=DEFAULT_DEADLOCK_HORIZON_S,
-                 hoarding=True, skip_idle=True):
+                 skip_idle=True):
     """The runner `run_taxonomy` uses. With `skip_idle=False` the next round
     is always one decision cost away, so every round is dispatched: the
     reference for skipping idle rounds."""
-    runner = _make_runner(mode, workload, cluster, decision_cost_s, seed,
-                          deadlock_horizon_s, hoarding)
+    runner = _RUNNERS[mode](mode, workload, cluster, decision_cost_s, seed,
+                            deadlock_horizon_s)
     if not skip_idle:
         runner._next_round_t = lambda attempts: runner.engine.now + runner.decision_cost
     return runner
@@ -544,17 +535,14 @@ def comparator_runs(draw):
                 | st.floats(horizon, 2 * horizon) | st.floats(0.0, horizon))
     jobs = draw(st.lists(st.tuples(st.integers(1, nodes), duration),
                          min_size=1, max_size=8))
-    mode, hoarding = draw(st.sampled_from([
-        (MONOLITHIC_PARTITION, True), (TWO_LEVEL, True), (TWO_LEVEL, False),
-        (SHARED_STATE, True),
-    ]))
-    return mode, hoarding, ClusterSpec(nodes, 4), cost, horizon, jobs
+    mode = draw(st.sampled_from(sorted(_RUNNERS)))
+    return mode, ClusterSpec(nodes, 4), cost, horizon, jobs
 
 
 @settings(max_examples=200, deadline=None)
 @given(run=comparator_runs(), seed=st.integers(0, 2**16))
 def test_skipping_idle_rounds_changes_no_result(run, seed):
-    mode, hoarding, cluster, cost, horizon, jobs = run
+    mode, cluster, cost, horizon, jobs = run
 
     def workload():
         return [Job(job_id=i, request=ResourceRequest(nodes=n), duration=d)
@@ -562,8 +550,8 @@ def test_skipping_idle_rounds_changes_no_result(run, seed):
 
     fast_jobs, slow_jobs = workload(), workload()
     fast = run_taxonomy(mode, fast_jobs, cluster, decision_cost_s=cost, seed=seed,
-                        deadlock_horizon_s=horizon, hoarding=hoarding)
-    slow = epoch_runner(mode, slow_jobs, cluster, cost, seed, horizon, hoarding,
+                        deadlock_horizon_s=horizon)
+    slow = epoch_runner(mode, slow_jobs, cluster, cost, seed, horizon,
                         skip_idle=False).run()
     assert fast == slow
     assert [(j.start_t, j.end_t) for j in fast_jobs] == \

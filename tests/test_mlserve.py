@@ -226,6 +226,40 @@ def test_non_finite_truth_pair_is_bad_request():
     assert handle_line(service, "metrics name=m") == f"ok r_squared={r_squared(pairs)!r} pairs=2"
 
 
+# values float() refuses with an error other than ValueError; a None target
+# or truth is a missing value, answered before any conversion
+UNFLOATABLE = [10**400, -10**400, None, [1.0]]
+REFUSALS = {
+    "train_feature": lambda s, v: s.train("m", {"a": v}, 1.0),
+    "train_target": lambda s, v: s.train("m", {"a": 1.0}, v),
+    "predict": lambda s, v: s.predict("m", {"a": v}),
+    "record_truth_true": lambda s, v: s.record_truth("m", v, 1.0),
+    "record_truth_pred": lambda s, v: s.record_truth("m", 1.0, v),
+}
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
+@pytest.mark.parametrize("value", UNFLOATABLE, ids=["big", "minus_big", "none", "list"])
+@pytest.mark.parametrize("verb", sorted(REFUSALS))
+def test_an_in_process_verb_answers_a_value_float_refuses(verb, value, trained):
+    service = MLService()
+    service.create("m", "linear_sgd")
+    if trained:
+        service.train("m", {"a": 2.0}, 1.0)
+    entry = service.entry("m")
+    before = (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq,
+              list(entry.truths))
+    reply = format_response(REFUSALS[verb](service, value))
+    if verb.startswith("record_truth"):
+        expected = "missing_pair" if value is None else "non_finite_pair"
+    else:
+        expected = "missing_training_sample" if verb == "train_target" and value is None \
+            else "ValueError"
+    assert reply == f"bad_request error={expected}"
+    assert (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq,
+            list(entry.truths)) == before
+
+
 MODEL_NAMES = st.sampled_from(["m0", "m1"])
 # every float: nan, +-inf, subnormals and magnitudes up to 1.8e308
 VALUES = st.floats()

@@ -6,12 +6,12 @@ from convergesim.netmodel import (
     MIB_4,
     Anchors,
     CalibrationError,
-    OverheadState,
     PathAnchors,
     allreduce_mu,
     allreduce_time,
     barrier_time,
     calibrate,
+    collective_penalty,
     default_network,
     load_anchors,
     p2p_bandwidth,
@@ -148,13 +148,12 @@ def test_path_dominance_everywhere():
 
 
 def test_overhead_penalty_neutral_when_not_running():
-    off = OverheadState(usernetes_running=False)
-    on = OverheadState(usernetes_running=True)
+    off, on = False, True
     for p in (2, 4, 8, 16, 32, 64):
-        assert off.collective_penalty(p) == 1.0
-    assert on.collective_penalty(4) == 1.0
-    assert on.collective_penalty(16) == 1.15
-    assert on.collective_penalty(32) == 1.3
+        assert collective_penalty(p, off) == 1.0
+    assert collective_penalty(4, on) == 1.0
+    assert collective_penalty(16, on) == 1.15
+    assert collective_penalty(32, on) == 1.3
     # bit-exact equality against the default (no-overhead) evaluation
     assert barrier_time(NET.os_bypass, 32, off) == barrier_time(NET.os_bypass, 32)
     assert allreduce_time(NET.os_bypass, 1024, 32, off) == allreduce_time(

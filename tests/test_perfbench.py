@@ -40,3 +40,28 @@ def test_hybrid_stream_at_full_size_matches_its_digest(monkeypatch, tmp_path, on
     workload.check(checks)
     assert checks.problems == []
     assert workload.digest() == scenarios.EXPECTED_DIGESTS["hybrid_stream"]
+
+
+@pytest.mark.parametrize("one_cpu", [True, False], ids=["in_process", "forked"])
+def test_taxonomy_sweep_at_full_size_matches_its_digest(monkeypatch, tmp_path, one_cpu):
+    if one_cpu:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("with one usable CPU the cases run in this process")
+    workload = scenarios.TaxonomySweep(worker.import_convergesim(ROOT), scenarios.DEFAULT_SEED,
+                                       scenarios.SIZES["full"], tmp_path)
+    workload.run()
+    checks = scenarios.Checks()
+    workload.check(checks)
+    assert checks.problems == []
+    assert workload.digest() == scenarios.EXPECTED_DIGESTS["taxonomy_sweep"]
+
+
+def test_wide_placement_at_full_size_matches_its_digest():
+    workload = scenarios.WidePlacement(worker.import_convergesim(ROOT), scenarios.DEFAULT_SEED,
+                                       scenarios.SIZES["full"])
+    workload.run()
+    checks = scenarios.Checks()
+    workload.check(checks)
+    assert checks.problems == []
+    assert workload.digest() == scenarios.EXPECTED_DIGESTS["wide_placement"]

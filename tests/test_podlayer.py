@@ -1,6 +1,5 @@
 import pytest
 
-from convergesim import netmodel
 from convergesim.podlayer import (
     DAEMONSET,
     DEPLOYMENT,
@@ -224,9 +223,7 @@ def test_resolve_registered_hostname():
     graph, alloc = cluster_with_alloc(4)
     kube = start_usernetes(graph, alloc.alloc_id)
     pods = apply(graph, kube, PodSpec(name="app", kind=JOB_SET, replicas=2))
-    node, overhead = resolve(kube, "app-1")
-    assert node == pods[1].node_id
-    assert overhead == 0.0
+    assert resolve(kube, "app-1") == pods[1].node_id
 
 
 def test_resolve_unknown_hostname():
@@ -236,12 +233,3 @@ def test_resolve_unknown_hostname():
         resolve(kube, "ghost-0")
 
 
-def test_lookup_overhead_composes_additively():
-    graph, alloc = cluster_with_alloc(4)
-    kube = start_usernetes(graph, alloc.alloc_id, lookup_overhead_s=1e-6)
-    apply(graph, kube, PodSpec(name="app", kind=JOB_SET, replicas=1))
-    _, overhead = resolve(kube, "app-0")
-    net = netmodel.default_network()
-    base = netmodel.p2p_latency(net.tap_relay, 1)
-    first_message = overhead + base
-    assert first_message - base == pytest.approx(1e-6, abs=1e-18)

@@ -109,10 +109,11 @@ def test_model_mode_noise_is_multiplicative_lognormal():
 def test_table_mode_draws_replay_the_row():
     rng = np.random.default_rng(3)
     # zero-spread rows reproduce the mean exactly
-    assert lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(16, 16, 8), rng) == 82.0
+    assert lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(16, 16, 8), rng,
+                           mode="table") == 82.0
     # spread rows draw around the row mean, truncated at half the mean
     draws = [
-        lammps_walltime(BARE_METAL, 16, 256, LammpsProblem(16, 16, 8), rng)
+        lammps_walltime(BARE_METAL, 16, 256, LammpsProblem(16, 16, 8), rng, mode="table")
         for _ in range(4000)
     ]
     row = table_row(BARE_METAL, 16)
@@ -121,15 +122,17 @@ def test_table_mode_draws_replay_the_row():
     assert all(d > 0 for d in draws)
 
 
-def test_auto_mode_picks_table_only_for_reference_cells():
+@pytest.mark.parametrize("problem", [(2, 2, 2), (16, 16, 4), (8, 16, 16), (16, 16, 9)])
+def test_table_mode_rejects_any_other_problem(problem):
     rng = np.random.default_rng(5)
-    t_table = lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(16, 16, 8), rng,
-                              mode="auto")
-    assert t_table == 82.0
-    t_model = lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(2, 2, 2), rng,
-                              mode="auto", noise_sigma=0.0)
-    t_s, k = volumetric_fit()
-    assert t_model == pytest.approx(t_s + k * 8, rel=1e-12)
+    with pytest.raises(ValueError, match="reference problem"):
+        lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(*problem), rng, mode="table")
+
+
+def test_unknown_walltime_mode_rejected():
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="unknown walltime mode"):
+        lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(16, 16, 8), rng, mode="auto")
 
 
 def test_environment_ratio_uses_matching_row():
@@ -142,10 +145,11 @@ def test_environment_ratio_uses_matching_row():
 
 def test_unknown_environment_rejected():
     rng = np.random.default_rng(0)
+    for mode, problem in (("model", LammpsProblem(1, 1, 1)), ("table", LammpsProblem(16, 16, 8))):
+        with pytest.raises(UnknownEnvironmentError):
+            lammps_walltime("laptop", 4, 64, problem, rng, mode=mode)
     with pytest.raises(UnknownEnvironmentError):
-        lammps_walltime("laptop", 4, 64, LammpsProblem(1, 1, 1), rng)
-    with pytest.raises(UnknownEnvironmentError):
-        osu_replay("laptop", "latency", 4, 1)
+        osu_replay("laptop", "latency", 4, 1, NET)
 
 
 def test_problem_requires_positive_dimensions():
