@@ -117,10 +117,6 @@ class RunningScaler(_FixedFeatures):
     # fresh scaler holds this one tuple
     stats: tuple = (None, 0, (), ())
 
-    @property
-    def count(self) -> int:
-        return self.stats[1]
-
     def prepare(self, x: dict) -> tuple[tuple, list[float]]:
         """The statistics after learning x, and x scaled by them, in feature
         order. Nothing is stored: `commit` takes the statistics."""
@@ -148,12 +144,6 @@ class RunningScaler(_FixedFeatures):
         self.stats = stats
         self.feature_names = stats[0]
 
-    def learn_transform(self, x: dict) -> dict:
-        """Update the running statistics with x, then return the scaled x."""
-        stats, out = self.prepare(x)
-        self.commit(stats)
-        return dict(zip(stats[0], out))
-
     def transform(self, x: dict) -> dict:
         """Scale x with the current statistics, without learning from it."""
         values = self._values(x)
@@ -165,15 +155,6 @@ class RunningScaler(_FixedFeatures):
             std = math.sqrt(m2 / count)
             out[name] = (value - mean) / std if std > 0.0 else 0.0
         return out
-
-    def mean(self, name: str) -> float:
-        names, _, means, _ = self.stats
-        return dict(zip(names or (), means))[name]
-
-    def variance(self, name: str) -> float:
-        # population variance, the single-pass streaming convention
-        names, count, _, m2s = self.stats
-        return dict(zip(names or (), m2s))[name] / count
 
     def to_state(self) -> dict:
         names, count, means, m2s = self.stats

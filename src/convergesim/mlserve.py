@@ -22,6 +22,11 @@ shortest round-trip decimal text (Python ``repr``), booleans as
 items. Model and feature names are restricted to [A-Za-z0-9_.-]+ so no
 quoting is needed anywhere.
 
+A line parses to a verb and its parameters, by the names of the verb
+method's parameters, and `MLService.handle` calls that method: a
+parameter the line leaves out is None, and a key the verb does not take
+is ignored. So a verb has one code path whichever mount carries it.
+
 Every mutating verb bumps the model's sequence counter and echoes it, so
 a response trace makes interleaved partial updates detectable. A rejected
 request leaves the model unchanged: a train commits the scaler's new
@@ -56,17 +61,6 @@ NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 def _sendable(name) -> bool:
     """Whether the line protocol can carry `name`, a model or feature name."""
     return isinstance(name, str) and NAME_RE.fullmatch(name) is not None
-
-
-@dataclass(frozen=True)
-class ServiceRequest:
-    verb: str
-    name: str | None = None
-    model_type: str | None = None
-    features: dict | None = None
-    y: float | None = None
-    y_true: float | None = None
-    y_pred: float | None = None
 
 
 class ServiceResponse(NamedTuple):
@@ -111,8 +105,8 @@ class _ModelEntry:
 
 
 class MLService:
-    """In-process mount: the model registry, one method per verb. A verb's
-    parameters are named after the ServiceRequest fields it takes."""
+    """In-process mount: the model registry, one method per verb, whose
+    parameters are those of `parse_request`."""
 
     def __init__(self, model_defaults: dict | None = None):
         self._models: dict[str, _ModelEntry] = {}
@@ -126,12 +120,13 @@ class MLService:
     def entry(self, name: str) -> _ModelEntry:
         return self._models[name]
 
-    def handle(self, req: ServiceRequest) -> ServiceResponse:
-        verb = self._verbs.get(req.verb)
-        if verb is None:
+    def handle(self, verb: str, params: dict) -> ServiceResponse:
+        """Call the method of `verb` with its parameters from `params`."""
+        found = self._verbs.get(verb)
+        if found is None:
             return _bad_request("unknown_verb")
-        method, fields = verb
-        return method(*[getattr(req, field) for field in fields])
+        method, names = found
+        return method(*[params.get(name) for name in names])
 
     def create(self, name, model_type) -> ServiceResponse:
         if not _sendable(name):
@@ -250,60 +245,30 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def _parse_scalar(text: str):
-    if text == "null":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 class ProtocolError(Exception):
     pass
 
 
-def format_request(req: ServiceRequest) -> str:
-    parts = [req.verb]
-    if req.name is not None:
-        parts.append(f"name={req.name}")
-    if req.model_type is not None:
-        parts.append(f"type={req.model_type}")
-    for key in sorted(req.features or {}):
-        if not _sendable(key):
-            raise ValueError(f"feature name {key!r} cannot be sent")
-        parts.append(f"x:{key}={_render_value(float(req.features[key]))}")
-    for attr in ("y", "y_true", "y_pred"):
-        value = getattr(req, attr)
-        if value is not None:
-            parts.append(f"{attr}={_render_value(float(value))}")
-    return " ".join(parts)
+# wire key -> verb parameter; feature keys are x:<name>
+_PARAMS = dict(name="name", type="model_type", y="y", y_true="y_true", y_pred="y_pred")
 
 
-# wire key -> ServiceRequest field; feature keys are x:<name>
-_FIELDS = dict(name="name", type="model_type", y="y", y_true="y_true", y_pred="y_pred")
-
-
-def parse_request(line: str) -> ServiceRequest:
+def parse_request(line: str) -> tuple[str, dict]:
+    """(verb, parameters by name); `features` is there only if the line
+    has x: keys."""
     tokens = line.strip().split()
     if not tokens:
         raise ProtocolError("empty request line")
-    fields, features = {}, {}
+    params, features = {}, {}
     for token in tokens[1:]:
         key, eq, raw = token.partition("=")
-        target, field = (features, key[2:]) if key[:2] == "x:" else (fields, _FIELDS.get(key))
-        if not eq or not field or field in target:
+        target, param = (features, key[2:]) if key[:2] == "x:" else (params, _PARAMS.get(key))
+        if not eq or not param or param in target:
             raise ProtocolError(f"malformed, unknown or repeated key in {token!r}")
-        target[field] = raw if key in ("name", "type") else float(raw)
-    return ServiceRequest(tokens[0], features=features or None, **fields)
+        target[param] = raw if key in ("name", "type") else float(raw)
+    if features:
+        params["features"] = features
+    return tokens[0], params
 
 
 def format_response(resp: ServiceResponse) -> str:
@@ -312,28 +277,12 @@ def format_response(resp: ServiceResponse) -> str:
     return " ".join(parts)
 
 
-def parse_response(line: str) -> ServiceResponse:
-    tokens = line.strip().split()
-    if not tokens:
-        raise ProtocolError("empty response line")
-    body = []
-    for token in tokens[1:]:
-        key, eq, raw = token.partition("=")
-        if not eq:
-            raise ProtocolError(f"reply token {token!r} is not key=value")
-        if key == "models":
-            body.append((key, raw.split(",") if raw else []))
-        else:
-            body.append((key, _parse_scalar(raw)))
-    return ServiceResponse(tokens[0], tuple(body))
-
-
 def handle_line(service: MLService, line: str) -> str:
     try:
-        req = parse_request(line)
+        verb, params = parse_request(line)
     except (ProtocolError, ValueError):
         return _MALFORMED_LINE
-    return format_response(service.handle(req))
+    return format_response(service.handle(verb, params))
 
 
 # --- socket mount (demo mode) ----------------------------------------------
@@ -462,9 +411,6 @@ class ServiceClient:
         if not reply:
             raise ConnectionError("service closed the connection")
         return reply.decode("utf-8").strip()
-
-    def call(self, req: ServiceRequest) -> ServiceResponse:
-        return parse_response(self.call_line(format_request(req)))
 
     def close(self):
         self._file.close()

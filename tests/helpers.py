@@ -10,6 +10,8 @@ the `*_update_reference`s the numpy forms of the model updates.
 The library keeps no history of a run, so the recorders here wrap the
 methods of one live engine or graph and keep what a test checks.
 `serving` runs a socket mount for the length of a with-block.
+`learn_transform` and `moments` read and update a scaler through
+`prepare`, `commit` and `stats` only.
 """
 
 import contextlib
@@ -141,6 +143,19 @@ def passive_aggressive_update_reference(w: np.ndarray, b: float, x: np.ndarray,
         return w, b
     step = math.copysign(min(C, loss / norm_sq), y - y_hat)
     return w + step * x, b + step
+
+
+def learn_transform(scaler, x: dict) -> dict:
+    """Learn x by scaler.prepare and .commit; x scaled, by feature name."""
+    stats, out = scaler.prepare(x)
+    scaler.commit(stats)
+    return dict(zip(stats[0], out))
+
+
+def moments(scaler, name: str) -> tuple[float, float, int]:
+    """(mean, population variance, count) of one feature of scaler.stats."""
+    names, count, means, m2s = scaler.stats
+    return means[names.index(name)], m2s[names.index(name)] / count, count
 
 
 def assert_no_cross_instance_overlap(spans) -> None:

@@ -1,10 +1,12 @@
 import contextlib
 import json
 import math
+import re
 import socket
 import threading
 import time
 import warnings
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -15,37 +17,35 @@ from convergesim import mlcore, mlserve, workloads
 from convergesim.mlcore import model_to_json, r_squared
 from convergesim.mlserve import (
     MLService,
-    ServiceRequest,
-    format_request,
+    ServiceResponse,
     format_response,
     handle_line,
     parse_request,
-    parse_response,
     serve_tcp,
 )
 
-from helpers import serving
+from helpers import moments, serving
 
 
 def test_create_then_list():
     service = MLService()
-    resp = service.handle(ServiceRequest("create", name="linear", model_type="linear_sgd"))
+    resp = service.create("linear", "linear_sgd")
     assert resp.status == "ok"
-    listing = service.handle(ServiceRequest("list_models"))
+    listing = service.list_models()
     assert listing.get("models") == ["linear"]
 
 
 def test_duplicate_create_is_bad_request():
     service = MLService()
-    service.handle(ServiceRequest("create", name="m", model_type="bayesian"))
-    resp = service.handle(ServiceRequest("create", name="m", model_type="bayesian"))
+    service.create("m", "bayesian")
+    resp = service.create("m", "bayesian")
     assert resp.status == "bad_request"
     assert resp.get("error") == "duplicate_model"
 
 
 def test_create_unknown_type_is_bad_request():
     service = MLService()
-    resp = service.handle(ServiceRequest("create", name="m", model_type="forest"))
+    resp = service.create("m", "forest")
     assert resp.status == "bad_request"
 
 
@@ -55,11 +55,8 @@ def test_train_echoes_samples_seen():
     walltime = t_s + 8 * k
     assert walltime == pytest.approx(4.65, abs=0.01)
     service = MLService()
-    service.handle(ServiceRequest("create", name="linear", model_type="linear_sgd"))
-    resp = service.handle(
-        ServiceRequest("train", name="linear",
-                       features={"x": 2.0, "y": 2.0, "z": 2.0}, y=walltime)
-    )
+    service.create("linear", "linear_sgd")
+    resp = service.train("linear", {"x": 2.0, "y": 2.0, "z": 2.0}, walltime)
     assert resp.status == "ok"
     assert resp.get("samples_seen") == 1
     assert resp.get("seq") == 1
@@ -68,65 +65,60 @@ def test_train_echoes_samples_seen():
 def test_unknown_model_is_not_found():
     service = MLService()
     for verb in ("train", "predict", "metrics", "stats", "record_truth"):
-        resp = service.handle(ServiceRequest(verb, name="nope",
-                                             features={"x": 1.0}, y=1.0,
-                                             y_true=1.0, y_pred=1.0))
-        assert resp.status == "not_found", verb
+        reply = handle_line(service, f"{verb} name=nope x:x=1.0 y=1.0 y_true=1.0 y_pred=1.0")
+        assert reply.split()[0] == "not_found", verb
 
 
 def test_predict_reports_cold_flag():
     service = MLService()
-    service.handle(ServiceRequest("create", name="m", model_type="linear_sgd"))
-    resp = service.handle(ServiceRequest("predict", name="m", features={"x": 1.0}))
+    service.create("m", "linear_sgd")
+    resp = service.predict("m", {"x": 1.0})
     assert resp.status == "ok"
     assert resp.get("prediction") == 0.0
     assert resp.get("cold") is True
-    service.handle(ServiceRequest("train", name="m", features={"x": 1.0}, y=2.0))
-    resp = service.handle(ServiceRequest("predict", name="m", features={"x": 1.0}))
+    service.train("m", {"x": 1.0}, 2.0)
+    resp = service.predict("m", {"x": 1.0})
     assert resp.get("cold") is False
 
 
 def test_predict_does_not_leak_into_scaler():
     service = MLService()
-    service.handle(ServiceRequest("create", name="m", model_type="linear_sgd"))
-    service.handle(ServiceRequest("train", name="m", features={"x": 1.0}, y=1.0))
-    before = service.entry("m").scaler.count
+    service.create("m", "linear_sgd")
+    service.train("m", {"x": 1.0}, 1.0)
+    before = moments(service.entry("m").scaler, "x")[2]
     for _ in range(5):
-        service.handle(ServiceRequest("predict", name="m", features={"x": 99.0}))
-    assert service.entry("m").scaler.count == before
+        service.predict("m", {"x": 99.0})
+    assert moments(service.entry("m").scaler, "x")[2] == before
 
 
 def test_metrics_over_recorded_truths():
     service = MLService()
-    service.handle(ServiceRequest("create", name="m", model_type="linear_sgd"))
-    resp = service.handle(ServiceRequest("metrics", name="m"))
+    service.create("m", "linear_sgd")
+    resp = service.metrics("m")
     assert resp.get("r_squared") is None
     pairs = [(1.0, 1.1), (2.0, 1.9), (3.0, 3.2)]
     for y_true, y_pred in pairs:
-        service.handle(ServiceRequest("record_truth", name="m",
-                                      y_true=y_true, y_pred=y_pred))
-    resp = service.handle(ServiceRequest("metrics", name="m"))
+        service.record_truth("m", y_true, y_pred)
+    resp = service.metrics("m")
     assert resp.get("pairs") == 3
     assert resp.get("r_squared") == pytest.approx(r_squared(pairs))
 
 
 def test_sequence_counter_marks_each_mutation():
     service = MLService()
-    service.handle(ServiceRequest("create", name="m", model_type="linear_sgd"))
+    service.create("m", "linear_sgd")
     seqs = []
     for i in range(5):
-        resp = service.handle(ServiceRequest("train", name="m",
-                                             features={"x": float(i)}, y=float(i)))
+        resp = service.train("m", {"x": float(i)}, float(i))
         seqs.append(resp.get("seq"))
     assert seqs == [1, 2, 3, 4, 5]  # strictly monotone: updates are atomic
 
 
 def test_train_with_wrong_dimension_is_bad_request():
     service = MLService()
-    service.handle(ServiceRequest("create", name="m", model_type="linear_sgd"))
-    service.handle(ServiceRequest("train", name="m", features={"x": 1.0}, y=1.0))
-    resp = service.handle(ServiceRequest("train", name="m",
-                                         features={"x": 1.0, "y": 2.0}, y=1.0))
+    service.create("m", "linear_sgd")
+    service.train("m", {"x": 1.0}, 1.0)
+    resp = service.train("m", {"x": 1.0, "y": 2.0}, 1.0)
     assert resp.status == "bad_request"
 
 
@@ -139,8 +131,7 @@ def test_train_with_non_finite_target_changes_nothing(y):
     before = (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq)
     assert handle_line(service, f"train name=m x:x=3.0 y={y}") == "bad_request error=ValueError"
     assert (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq) == before
-    assert math.isfinite(service.handle(
-        ServiceRequest("predict", name="m", features={"x": 3.0})).get("prediction"))
+    assert math.isfinite(service.predict("m", {"x": 3.0}).get("prediction"))
 
 
 def state_numbers(model) -> list[float]:
@@ -169,8 +160,7 @@ def test_train_that_would_overflow_the_model_changes_nothing():
     assert replies == ["ok samples_seen=1 seq=1", "ok samples_seen=2 seq=2",
                        *["bad_request error=ValueError"] * 4]
     assert all(map(math.isfinite, state_numbers(entry.scaler) + state_numbers(entry.model)))
-    assert math.isfinite(service.handle(
-        ServiceRequest("predict", name="m", features={"a": 1.0})).get("prediction"))
+    assert math.isfinite(service.predict("m", {"a": 1.0}).get("prediction"))
 
 
 def test_non_finite_prediction_is_bad_request():
@@ -264,6 +254,24 @@ MODEL_NAMES = st.sampled_from(["m0", "m1"])
 # every float: nan, +-inf, subnormals and magnitudes up to 1.8e308
 VALUES = st.floats()
 FEATURES = st.dictionaries(st.sampled_from("abc"), VALUES, min_size=1, max_size=3)
+# the wire key of each verb parameter but `features`, which is x:<name> keys
+WIRE_KEYS = {"name": "name", "model_type": "type", "y": "y", "y_true": "y_true",
+             "y_pred": "y_pred"}
+
+
+def wire_tokens(params: dict) -> list[str]:
+    """The key=value tokens of a request line carrying `params`."""
+    tokens = []
+    for param, value in params.items():
+        if param == "features":
+            tokens += [f"x:{key}={v!r}" for key, v in value.items()]
+        else:
+            tokens.append(f"{WIRE_KEYS[param]}={value if isinstance(value, str) else repr(value)}")
+    return tokens
+
+
+def request_line(verb: str, **params) -> str:
+    return " ".join([verb, *wire_tokens(params)])
 
 
 class ServiceAtomicity(RuleBasedStateMachine):
@@ -280,47 +288,46 @@ class ServiceAtomicity(RuleBasedStateMachine):
 
     @staticmethod
     def state(service):
-        entries = [(name, service.entry(name))
-                   for name in service.handle(ServiceRequest("list_models")).get("models")]
+        entries = [(name, service.entry(name)) for name in service.list_models().get("models")]
         return {name: (model_to_json(e.scaler), model_to_json(e.model), repr(e.truths), e.seq)
                 for name, e in entries}
 
-    def send(self, req):
-        line = format_request(req)
+    def send(self, line):
+        """The reply's status and its fields, as text."""
         before = self.state(self.service)
-        reply = parse_response(handle_line(self.service, line))
-        if reply.status == "ok":
+        status, *tokens = handle_line(self.service, line).split()
+        if status == "ok":
             self.accepted.append(line)
         else:
             assert self.state(self.service) == before, line
-        return reply
+        return status, dict(token.split("=", 1) for token in tokens)
 
     @rule(name=MODEL_NAMES,
           model_type=st.sampled_from([*mlcore.MODEL_VARIANTS, "forest"]))
     def create(self, name, model_type):
-        self.send(ServiceRequest("create", name=name, model_type=model_type))
+        self.send(request_line("create", name=name, model_type=model_type))
 
     @rule(name=MODEL_NAMES, features=FEATURES, y=VALUES)
     def train(self, name, features, y):
-        if self.send(ServiceRequest("train", name=name, features=features, y=y)).status == "ok":
+        if self.send(request_line("train", name=name, features=features, y=y))[0] == "ok":
             entry = self.service.entry(name)
             numbers = state_numbers(entry.scaler) + state_numbers(entry.model)
             assert all(map(math.isfinite, numbers)), numbers
 
     @rule(name=MODEL_NAMES, features=FEATURES)
     def predict(self, name, features):
-        reply = self.send(ServiceRequest("predict", name=name, features=features))
-        if reply.status == "ok":
-            assert math.isfinite(reply.get("prediction")), reply
+        status, reply = self.send(request_line("predict", name=name, features=features))
+        if status == "ok":
+            assert math.isfinite(float(reply["prediction"])), reply
 
     @rule(name=MODEL_NAMES, y_true=VALUES, y_pred=VALUES)
     def record_truth(self, name, y_true, y_pred):
-        self.send(ServiceRequest("record_truth", name=name, y_true=y_true, y_pred=y_pred))
+        self.send(request_line("record_truth", name=name, y_true=y_true, y_pred=y_pred))
 
     @rule(name=MODEL_NAMES)
     def metrics(self, name):
-        r2 = self.send(ServiceRequest("metrics", name=name)).get("r_squared")
-        assert r2 is None or not math.isnan(r2)
+        r2 = self.send(request_line("metrics", name=name))[1].get("r_squared", "null")
+        assert r2 == "null" or not math.isnan(float(r2))
 
     def teardown(self):
         replay = MLService()
@@ -368,8 +375,8 @@ def test_a_refused_train_changes_nothing(variant, prefix, refusal, data):
         if variant == "passive_aggressive":
             assume(len(prefix) >= 2)
             # a thousandth of a standard deviation off the mean
-            features = {k: entry.scaler.mean(k) + 1e-3 * math.sqrt(entry.scaler.variance(k))
-                        for k in features}
+            features = {k: moments(entry.scaler, k)[0]
+                        + 1e-3 * math.sqrt(moments(entry.scaler, k)[1]) for k in features}
     else:
         features = {**features, data.draw(st.sampled_from(["a b", "", "x=1", "\u00e9"])): 1.0}
     before = (entry.scaler.to_state(), entry.model.to_state(), entry.seq)
@@ -490,29 +497,30 @@ def test_pipelines_sharing_one_service_equal_pipelines_alone(run):
 
 
 def test_request_line_roundtrip():
-    req = ServiceRequest("train", name="m", features={"x": 2.0, "z": 0.5}, y=4.65)
-    line = format_request(req)
-    assert line == "train name=m x:x=2.0 x:z=0.5 y=4.65"
-    parsed = parse_request(line)
-    assert parsed == req
+    line = "train name=m x:x=2.0 x:z=0.5 y=4.65"
+    verb, params = parse_request(line)
+    assert (verb, params) == ("train", {"name": "m", "y": 4.65,
+                                        "features": {"x": 2.0, "z": 0.5}})
+    # the parameters are the verb method's own
+    by_line, by_method = MLService(), MLService()
+    for service in (by_line, by_method):
+        service.create("m", "linear_sgd")
+    assert handle_line(by_line, line) == format_response(by_method.train(**params))
 
 
 def test_response_line_roundtrip():
-    service = MLService()
-    service.handle(ServiceRequest("create", name="m", model_type="linear_sgd"))
-    resp = service.handle(ServiceRequest("predict", name="m", features={"x": 1.0}))
-    line = format_response(resp)
-    parsed = parse_response(line)
-    assert parsed.status == "ok"
-    assert parsed.get("cold") is True
-    assert parsed.get("prediction") == 0.0
+    service, twin = MLService(), MLService()
+    service.create("m", "linear_sgd")
+    line = format_response(service.predict("m", {"x": 1.0}))
+    assert line == "ok prediction=0.0 cold=true samples_seen=0"
+    handle_line(twin, "create name=m type=linear_sgd")
+    assert handle_line(twin, "predict name=m x:x=1.0") == line
 
 
 def test_floats_render_shortest_roundtrip():
-    req = ServiceRequest("train", name="m", features={"x": 0.1}, y=1e-7)
-    line = format_request(req)
-    assert "x:x=0.1" in line and "y=1e-07" in line
-    assert parse_request(line).y == 1e-7
+    assert format_response(ServiceResponse("ok", (("x", 0.1), ("y", 1e-7)))) == "ok x=0.1 y=1e-07"
+    assert parse_request("train name=m x:x=0.1 y=1e-07") == (
+        "train", {"name": "m", "y": 1e-7, "features": {"x": 0.1}})
 
 
 def test_malformed_line_is_bad_request():
@@ -542,30 +550,27 @@ def test_repeated_unknown_or_empty_key_is_malformed(line):
 
 
 def test_feature_names_may_spell_request_keys():
-    req = parse_request("predict name=m x:name=1.0 x:type=2.0 x:y=3.0")
-    assert req == ServiceRequest("predict", name="m",
-                                 features={"name": 1.0, "type": 2.0, "y": 3.0})
+    assert parse_request("predict name=m x:name=1.0 x:type=2.0 x:y=3.0") == (
+        "predict", {"name": "m", "features": {"name": 1.0, "type": 2.0, "y": 3.0}})
 
 
 @pytest.mark.parametrize("feature", ["a b", "a=b", "x:y", "", "a\n", 3])
 def test_a_feature_name_the_wire_cannot_carry_is_refused_on_both_mounts(feature):
-    req = ServiceRequest("train", name="m", features={feature: 1.0}, y=1.0)
-    with pytest.raises(ValueError, match="feature name"):
-        format_request(req)
     service = MLService()
-    service.handle(ServiceRequest("create", name="m", model_type="linear_sgd"))
-    assert format_response(service.handle(req)) == "bad_request error=bad_feature_name"
-    # the refused sample fixed nothing: a sendable one is the model's first
-    first = ServiceRequest("train", name="m", features={"a": 1.0}, y=1.0)
-    assert format_response(service.handle(first)) == "ok samples_seen=1 seq=1"
+    service.create("m", "linear_sgd")
+    reply = format_response(service.train("m", {feature: 1.0}, 1.0))
+    assert reply == "bad_request error=bad_feature_name"
+    assert handle_line(service, "train name=m x:a:b=1.0 y=1.0") == reply
+    # the refused samples fixed nothing: a sendable one is the model's first
+    assert format_response(service.train("m", {"a": 1.0}, 1.0)) == "ok samples_seen=1 seq=1"
 
 
 @pytest.mark.parametrize("feature", ["a b", "a=b", "x:y", "", "a\n", 3])
 def test_a_cold_predict_refuses_a_feature_name_the_wire_cannot_carry(feature):
     service = MLService()
-    service.handle(ServiceRequest("create", name="m", model_type="linear_sgd"))
-    req = ServiceRequest("predict", name="m", features={feature: 1.0})
-    assert format_response(service.handle(req)) == "bad_request error=bad_feature_name"
+    service.create("m", "linear_sgd")
+    reply = format_response(service.predict("m", {feature: 1.0}))
+    assert reply == "bad_request error=bad_feature_name"
 
 
 def test_a_cold_predict_answers_alike_on_the_line_protocol():
@@ -578,15 +583,84 @@ def test_a_cold_predict_answers_alike_on_the_line_protocol():
 
 def test_a_model_name_the_wire_cannot_carry_is_refused():
     service = MLService()
-    resp = service.handle(ServiceRequest("create", name="m\n", model_type="linear_sgd"))
+    resp = service.create("m\n", "linear_sgd")
     assert format_response(resp) == "bad_request error=bad_name"
-    assert service.handle(ServiceRequest("list_models")).get("models") == []
+    assert service.list_models().get("models") == []
 
 
-@pytest.mark.parametrize("line", ["ok junk", "ok seq=1 junk", "bad_request error"])
-def test_a_reply_token_without_equals_is_a_protocol_error(line):
-    with pytest.raises(mlserve.ProtocolError, match="not key=value"):
-        parse_response(line)
+# each verb's parameters, written out rather than read from the service
+VERB_PARAMS = {"create": ("name", "model_type"), "list_models": (),
+               "train": ("name", "features", "y"), "predict": ("name", "features"),
+               "record_truth": ("name", "y_true", "y_pred"), "metrics": ("name",),
+               "stats": ("name",)}
+ORACLE_VALUES = st.one_of(st.floats(-100, 100),
+                          st.sampled_from([math.nan, math.inf, -math.inf, 1e308]))
+# "m:0", "\u00e9" and "a:b" reach the service whole, but it takes none as a name
+ORACLE_PARAMS = {
+    "name": st.sampled_from(["m0", "m0", "m1", "m:0", "\u00e9"]),
+    "model_type": st.sampled_from([*mlcore.MODEL_VARIANTS, "forest"]),
+    "features": st.dictionaries(st.sampled_from(["a", "a", "b", "a:b"]), ORACLE_VALUES,
+                                min_size=1, max_size=2),
+    "y": ORACLE_VALUES, "y_true": ORACLE_VALUES, "y_pred": ORACLE_VALUES,
+}
+@st.composite
+def oracle_requests(draw):
+    """(verb, params, line): a verb, or an unknown one, with some of its
+    parameters left out and some it does not take added, in any key order."""
+    verb = draw(st.sampled_from([*VERB_PARAMS, "train", "train", "predict", "frobnicate"]))
+    own = set(VERB_PARAMS.get(verb, ()))
+    left_out = draw(st.one_of(st.just(set()), st.sets(st.sampled_from(sorted(own))))) \
+        if own else set()
+    added = draw(st.one_of(st.just(set()), st.sets(st.sampled_from(sorted(ORACLE_PARAMS)))))
+    params = {param: draw(ORACLE_PARAMS[param]) for param in sorted((own - left_out) | added)}
+    return verb, params, " ".join([verb, *draw(st.permutations(wire_tokens(params)))])
+
+
+@st.composite
+def oracle_streams(draw):
+    """Two creates, of m0 and m1, then any `oracle_requests`."""
+    variants = st.sampled_from(sorted(mlcore.MODEL_VARIANTS))
+    creates = [("create", {"name": name, "model_type": draw(variants)}) for name in ("m0", "m1")]
+    return ([(verb, params, request_line(verb, **params)) for verb, params in creates]
+            + draw(st.lists(oracle_requests(), max_size=30)))
+
+
+def reply_of_the_method(service, verb, params) -> str:
+    """The reply of the method of `verb`, given its parameters from
+    `params` and None for the ones left out."""
+    if verb not in VERB_PARAMS:
+        return "bad_request error=unknown_verb"
+    method = getattr(service, verb)
+    return format_response(method(**{param: params.get(param) for param in VERB_PARAMS[verb]}))
+
+
+_ONE_PATH_RUN = [
+    ("create", {"name": "m0", "model_type": "linear_sgd"}),
+    ("train", {"name": "m0", "features": {"a": 1.0}, "y": 2.0}),
+    ("train", {"name": "m0", "features": {"a": 3.0}}),  # y left out
+    ("predict", {"name": "m0", "features": {"a": 1.0}, "y": 3.0}),  # y ignored
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=oracle_streams())
+@example(stream=[(verb, params, request_line(verb, **params))
+                 for verb, params in _ONE_PATH_RUN])
+def test_the_line_protocol_and_the_verb_methods_are_one_path(stream):
+    by_line, by_method = MLService(), MLService()
+    for verb, params, line in stream:
+        assert handle_line(by_line, line) == reply_of_the_method(by_method, verb, params), line
+    assert ServiceAtomicity.state(by_line) == ServiceAtomicity.state(by_method)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_readme_grammar_lists_exactly_the_service_verbs():
+    grammar = re.findall(r"^verb +:=(.*)$", README.read_text(), re.MULTILINE)
+    assert len(grammar) == 1
+    verbs = sorted(verb.strip() for verb in grammar[0].split("|"))
+    assert verbs == sorted(mlserve._VERBS) == sorted(VERB_PARAMS)
 
 
 # --- socket mount ----------------------------------------------------------------
