@@ -16,19 +16,33 @@ Weight updates:
 
   linear_sgd           e = yhat - y;  w -= lr * e * x;  b -= lr * e
   bayesian             A += beta * x x^T;  c += beta * y * x
-                       (A starts at alpha * I; weights on demand solve
-                       A w = c, so after any stream the weights equal the
-                       batch ridge solution with lambda = alpha / beta)
+                       (A starts at alpha * I; the weights solve A w = c,
+                       so after any stream they equal the batch ridge
+                       solution with lambda = alpha / beta)
   passive_aggressive   PA-I: l = max(0, |yhat - y| - eps);
                        tau = min(C, l / (x.x));  w += sign(y - yhat) tau x;
                        the intercept moves by sign(y - yhat) tau
 
 Defaults (lr=0.01, alpha=beta=1, C=1, eps=0.1) follow the documented
-defaults of the streaming-ML ecosystem these mirror. The plain
-(unclipped) passive-aggressive update is available via C = inf.
+defaults of the streaming-ML ecosystem these mirror. Each constructor
+checks its parameters (ValueError): the learning rate, alpha and beta
+must be finite and positive, C positive (the plain, unclipped
+passive-aggressive update is C = inf) and epsilon finite and not
+negative.
 
-Bayesian weights are obtained by solving A w = c per prediction rather
-than maintaining an explicit inverse; feature counts here are tiny.
+Bayesian weights solve A w = c, without an explicit inverse (feature
+counts here are tiny), once per model state: `weights()` keeps the last
+solution, read-only, with the A and c lists it was solved from, and
+solves again only when those are no longer the model's lists. This is
+sound because a model's state lists are replaced, never changed in
+place: an accepted learn, `_init_state` and `from_state` each store new
+lists, as a scaler's commit stores a new statistics tuple.
+
+Prediction has the two forms that learning has: a scaler's
+`transform_values` scales a sample into a list in feature order, and a
+model's `predict_values` predicts from such a list. `transform` and
+`predict` are their dict forms, as `learn` is of `learn_values`; the
+service uses the list forms.
 
 All model state is float lists: an update without a reduction does, per
 element, the IEEE operations numpy would. The one reduction is `_dot`,
@@ -144,17 +158,22 @@ class RunningScaler(_FixedFeatures):
         self.stats = stats
         self.feature_names = stats[0]
 
-    def transform(self, x: dict) -> dict:
-        """Scale x with the current statistics, without learning from it."""
+    def transform_values(self, x: dict) -> list[float]:
+        """x scaled by the current statistics, without learning from it, as
+        a list in feature order (all 0 before the first commit)."""
         values = self._values(x)
         names, count, means, m2s = self.stats
         if names is None:
-            return dict.fromkeys(sorted(x), 0.0)
-        out = {}
-        for name, value, mean, m2 in zip(names, values, means, m2s):
+            return [0.0] * len(values)
+        out = []
+        for value, mean, m2 in zip(values, means, m2s):
             std = math.sqrt(m2 / count)
-            out[name] = (value - mean) / std if std > 0.0 else 0.0
+            out.append((value - mean) / std if std > 0.0 else 0.0)
         return out
+
+    def transform(self, x: dict) -> dict:
+        """The dict form of `transform_values`."""
+        return dict(zip(self.feature_names or sorted(x), self.transform_values(x)))
 
     def to_state(self) -> dict:
         names, count, means, m2s = self.stats
@@ -188,9 +207,9 @@ class _RegressorBase(_FixedFeatures):
 
     A subclass declares its state once: `params` are its constructor
     parameters, `arrays` its per-feature state (None until the feature set
-    is fixed, then made by `_init_state`) and `scalars` its float state;
-    `_update` returns new values by name, and `_finite` whether they are
-    all finite.
+    is fixed, then made by `_init_state`) and `scalars` its float state.
+    `_update` stores the state after a sample and returns True, or stores
+    nothing and returns False when that state would not be finite.
     """
 
     variant = "base"
@@ -213,10 +232,8 @@ class _RegressorBase(_FixedFeatures):
         """Learn a sample given as its values in the order of `names`: the
         sorted feature names, which must be the model's once they are fixed.
         The list is neither kept nor changed."""
-        try:
-            y = float(y)
-        except (TypeError, OverflowError) as err:
-            raise ValueError(f"target: {err}") from None
+        if type(y) is not float:
+            y = _float(y, "target")
         if not math.isfinite(y):
             raise ValueError("non-finite target")
         if not all(map(math.isfinite, values)):
@@ -229,20 +246,25 @@ class _RegressorBase(_FixedFeatures):
         if fresh:
             self.feature_names = names
             self._init_state(len(names))
-        new = self._update(values, y)  # stores nothing
-        if not self._finite(new):
+        if not self._update(values, y):
             if fresh:  # undo the feature set this sample fixed
                 self.feature_names = None
                 vars(self).update(dict.fromkeys(self.arrays))
             raise ValueError("update overflows the model state")
-        vars(self).update(new)
         self.samples_seen += 1
 
-    def predict(self, x: dict) -> float:
-        """Point prediction; an untrained model answers 0 (see `cold`)."""
+    def predict_values(self, values: list[float]) -> float:
+        """Point prediction from values in the model's feature order; an
+        untrained model answers 0 (see `cold`)."""
         if self.cold:
             return 0.0
-        return self._predict_vec(self._values(x))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("non-finite feature value")
+        return self._predict_vec(values)
+
+    def predict(self, x: dict) -> float:
+        """The dict form of `predict_values`."""
+        return 0.0 if self.cold else self.predict_values(self._values(x))
 
     def to_state(self) -> dict:
         state = {
@@ -286,9 +308,11 @@ class _LinearModel(_RegressorBase):
     def _predict_vec(self, x: list[float]) -> float:
         return _dot(self.w, x) + self.b
 
-    @staticmethod
-    def _finite(new: dict) -> bool:
-        return not new or math.isfinite(new["b"]) and all(map(math.isfinite, new["w"]))
+    def _store(self, w: list[float], b: float) -> bool:
+        if not (math.isfinite(b) and all(map(math.isfinite, w))):
+            return False
+        self.w, self.b = w, b
+        return True
 
 
 class LinearSGD(_LinearModel):
@@ -298,12 +322,14 @@ class LinearSGD(_LinearModel):
     params = ("learning_rate",)
 
     def __init__(self, learning_rate: float = 0.01):
+        if not 0 < learning_rate < math.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be finite and positive, not {learning_rate}")
         self.learning_rate = learning_rate
 
-    def _update(self, x: list[float], y: float):
+    def _update(self, x: list[float], y: float) -> bool:
         error = _dot(self.w, x) + self.b - y
         step = self.learning_rate * error
-        return {"w": [w - step * xi for w, xi in zip(self.w, x)], "b": self.b - step}
+        return self._store([w - step * xi for w, xi in zip(self.w, x)], self.b - step)
 
 
 class BayesianLinear(_RegressorBase):
@@ -316,10 +342,13 @@ class BayesianLinear(_RegressorBase):
     variant = "bayesian"
     params = ("alpha", "beta")
     arrays = ("A", "c")
+    # (A, c, weights) of the last solve; see the module docstring
+    _solved: tuple = (None, None, None)
 
     def __init__(self, alpha: float = 1.0, beta: float = 1.0):
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive, not {value}")
         self.alpha = alpha
         self.beta = beta
         self.A: list[list[float]] | None = None
@@ -329,20 +358,30 @@ class BayesianLinear(_RegressorBase):
         self.A = [[self.alpha * float(i == j) for j in range(dim)] for i in range(dim)]
         self.c = [0.0] * dim
 
-    def _update(self, x: list[float], y: float):
+    def _update(self, x: list[float], y: float) -> bool:
         beta = self.beta
+        A = []
+        for row, xi in zip(self.A, x):  # loops, not a comprehension frame per row
+            new_row = []
+            for a, xj in zip(row, x):
+                new_row.append(a + beta * (xi * xj))
+            A.append(new_row)
         by = beta * y
-        return {"A": [[a + beta * (xi * xj) for a, xj in zip(row, x)]
-                      for row, xi in zip(self.A, x)],
-                "c": [c + by * xi for c, xi in zip(self.c, x)]}
-
-    @staticmethod
-    def _finite(new: dict) -> bool:
-        return (all(map(math.isfinite, new["c"]))
-                and all(map(math.isfinite, itertools.chain.from_iterable(new["A"]))))
+        c = [c + by * xi for c, xi in zip(self.c, x)]
+        if not (all(map(math.isfinite, c))
+                and all(map(math.isfinite, itertools.chain.from_iterable(A)))):
+            return False
+        self.A, self.c = A, c
+        return True
 
     def weights(self) -> np.ndarray:
-        return np.linalg.solve(np.array(self.A), np.array(self.c))
+        """The solution of A w = c, read-only, solved once per state."""
+        A, c, w = self._solved
+        if w is None or A is not self.A or c is not self.c:
+            w = np.linalg.solve(np.array(self.A), np.array(self.c))
+            w.flags.writeable = False
+            self._solved = (self.A, self.c, w)
+        return w
 
     def _predict_vec(self, x: list[float]) -> float:
         return _dot(self.weights(), x)
@@ -356,20 +395,24 @@ class PassiveAggressive(_LinearModel):
     params = ("C", "epsilon")
 
     def __init__(self, C: float = 1.0, epsilon: float = 0.1):
+        if not C > 0:  # NaN fails too; inf is the unclipped update
+            raise ValueError(f"C must be positive, not {C}")
+        if not 0 <= epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, not {epsilon}")
         self.C = C
         self.epsilon = epsilon
 
-    def _update(self, x: list[float], y: float):
+    def _update(self, x: list[float], y: float) -> bool:
         y_hat = _dot(self.w, x) + self.b
         loss = abs(y_hat - y) - self.epsilon
         if loss <= 0.0:
-            return {}  # inside the insensitive band: state untouched
+            return True  # inside the insensitive band: state untouched
         norm_sq = _dot(x, x)
         if norm_sq == 0.0:
-            return {}
+            return True
         tau = min(self.C, loss / norm_sq)
         step = math.copysign(tau, y - y_hat)
-        return {"w": [w + step * xi for w, xi in zip(self.w, x)], "b": self.b + step}
+        return self._store([w + step * xi for w, xi in zip(self.w, x)], self.b + step)
 
 
 MODEL_VARIANTS = {

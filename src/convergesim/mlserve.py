@@ -30,10 +30,15 @@ is ignored. So a verb has one code path whichever mount carries it.
 Every mutating verb bumps the model's sequence counter and echoes it, so
 a response trace makes interleaved partial updates detectable. A rejected
 request leaves the model unchanged: a train commits the scaler's new
-statistics only after the model accepts the sample. A socket mount
-serves every connection from one selector loop, one request at a time,
-and closes a connection whose unterminated line passes MAX_LINE_BYTES
-after answering malformed_request.
+statistics only after the model accepts the sample. Both verbs that carry
+features hand the model a list in feature order: a `train` the scaled
+list from the scaler's `prepare` for `learn_values`, a `predict` the one
+from its `transform_values` for `predict_values`. A predict whose scaled
+value or prediction is not finite answers non_finite_prediction.
+
+A socket mount serves every connection from one selector loop, one
+request at a time, and closes a connection whose unterminated line
+passes MAX_LINE_BYTES after answering malformed_request.
 
 A `train` reuses the result of the service's last scaler `prepare` when
 its scaler holds the very statistics tuple (`is`) that prepare started
@@ -112,7 +117,7 @@ class MLService:
         self._models: dict[str, _ModelEntry] = {}
         self._model_defaults = model_defaults or {}
         # (statistics, a copy of the features, result) of the last prepare
-        self._last_prepare: tuple | None = None
+        self._last_prepare: tuple = (None, None, None)
         methods = [getattr(self, verb) for verb in _VERBS]
         self._verbs = {verb: (method, tuple(inspect.signature(method).parameters))
                        for verb, method in zip(_VERBS, methods)}
@@ -167,12 +172,13 @@ class MLService:
     def _prepare(self, scaler: mlcore.RunningScaler, features: dict) -> tuple:
         """`scaler.prepare(features)`, reused under the rule in the module
         docstring."""
-        last = self._last_prepare
-        if (last is not None and last[0] is scaler.stats and last[1] == features
-                and 0 not in last[1].values()):
-            return last[2]
+        stats, copy, result = self._last_prepare
+        if stats is scaler.stats and copy == features:
+            return result
         result = scaler.prepare(features)
-        self._last_prepare = (scaler.stats, dict(features), result)
+        copy = dict(features)
+        # a copy with a zero value is never reused: None equals no features
+        self._last_prepare = (scaler.stats, None if 0 in copy.values() else copy, result)
         return result
 
     def predict(self, name, features) -> ServiceResponse:
@@ -187,17 +193,18 @@ class MLService:
         try:
             # the scaler is frozen here: test-phase features must not leak
             # into the training statistics
-            scaled = entry.scaler.transform(features)
+            scaled = entry.scaler.transform_values(features)
         except (mlcore.DimensionMismatchError, ValueError) as err:
             return _bad_request(type(err).__name__)
+        model = entry.model
         try:
-            value = entry.model.predict(scaled)
+            value = model.predict_values(scaled)
         except ValueError:  # the scaler let only finite input through: an overflow
             return _bad_request("non_finite_prediction")
         if not math.isfinite(value):
             return _bad_request("non_finite_prediction")
-        return _ok(("prediction", value), ("cold", entry.model.cold),
-                   ("samples_seen", entry.model.samples_seen))
+        return _ok(("prediction", value), ("cold", model.cold),
+                   ("samples_seen", model.samples_seen))
 
     def record_truth(self, name, y_true, y_pred) -> ServiceResponse:
         if (entry := self._models.get(name)) is None:

@@ -191,6 +191,13 @@ class ScenarioConfig:
         unknown_models = set(self.model_params) - set(HYBRID_MODELS)
         if unknown_models:
             raise ConfigError(f"unknown model variants {sorted(unknown_models)}")
+        for variant, params in self.model_params.items():
+            try:
+                mlcore.make_model(variant, **params)  # each regressor checks its parameters
+            except ValueError as err:
+                raise ConfigError(f"bad [models] value for {variant}: {err}") from err
+        if self.anchors_path is not None and not os.path.isfile(self.anchors_path):
+            raise ConfigError(f"anchor file {self.anchors_path} does not exist")
 
     def summary(self) -> dict:
         """The config as embedded in every bundle.json: each field declared
@@ -431,8 +438,7 @@ def run_taxonomy_suite(cfg: ScenarioConfig) -> ReportBundle:
 SAMPLE_BATCH = 256
 
 
-def _call(service: mlserve.MLService, verb: str, *args) -> mlserve.ServiceResponse:
-    resp = getattr(service, verb)(*args)
+def _check(resp: mlserve.ServiceResponse, verb: str) -> mlserve.ServiceResponse:
     if resp.status != "ok":
         raise ScenarioError(f"{verb} failed: {resp}")
     return resp
@@ -442,12 +448,13 @@ def _replay(service: mlserve.MLService, phase: str, features: dict, y: float):
     """The service requests for one completed job: in the train phase a
     `train` per model; in the test phase a `predict` per model, then a
     `record_truth` of the realized walltime `y` against that prediction."""
-    for variant in HYBRID_MODELS:
-        if phase == "train":
-            _call(service, "train", variant, features, y)
-        else:
-            pred = _call(service, "predict", variant, features)
-            _call(service, "record_truth", variant, y, pred.get("prediction"))
+    if phase == "train":
+        for variant in HYBRID_MODELS:
+            _check(service.train(variant, features, y), "train")
+    else:
+        for variant in HYBRID_MODELS:
+            pred = _check(service.predict(variant, features), "predict")
+            _check(service.record_truth(variant, y, pred.get("prediction")), "record_truth")
 
 
 def _hybrid_models(service: mlserve.MLService) -> dict:
@@ -455,7 +462,7 @@ def _hybrid_models(service: mlserve.MLService) -> dict:
     models = {}
     for variant in HYBRID_MODELS:
         entry = service.entry(variant)
-        metrics = _call(service, "metrics", variant)
+        metrics = _check(service.metrics(variant), "metrics")
         models[variant] = {
             "pairs": [[float(a), float(p)] for a, p in entry.truths],
             "r_squared": metrics.get("r_squared"),
@@ -569,7 +576,7 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
 
     service = mlserve.MLService(model_defaults=cfg.model_params)
     for variant in HYBRID_MODELS:
-        _call(service, "create", variant, variant)
+        _check(service.create(variant, variant), "create")
 
     instance = Instance(engine, graph, sim_alloc.alloc_id, cfg.decision_cost_s)
     dims_rng = engine.rng.stream("hybrid.dims")

@@ -8,7 +8,7 @@ timestamps), so reports can be diffed across runs.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 FORMATS = ("csv", "json", "svg")
@@ -38,7 +38,9 @@ class ReportBundle:
     hybrid: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # the fields as they are: `asdict` would deep-copy every row first
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                          sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "ReportBundle":

@@ -11,14 +11,16 @@ The library keeps no history of a run, so the recorders here wrap the
 methods of one live engine or graph and keep what a test checks.
 `serving` runs a socket mount for the length of a with-block.
 `learn_transform` and `moments` read and update a scaler through
-`prepare`, `commit` and `stats` only.
+`prepare`, `commit` and `stats` only. `bundle_json_reference` is a
+bundle's JSON text by `dataclasses.asdict`.
 """
 
 import contextlib
 import itertools
+import json
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -150,6 +152,11 @@ def learn_transform(scaler, x: dict) -> dict:
     stats, out = scaler.prepare(x)
     scaler.commit(stats)
     return dict(zip(stats[0], out))
+
+
+def bundle_json_reference(bundle) -> str:
+    """A report bundle's JSON text as `dataclasses.asdict` gives it."""
+    return json.dumps(asdict(bundle), sort_keys=True, separators=(",", ":"))
 
 
 def moments(scaler, name: str) -> tuple[float, float, int]:

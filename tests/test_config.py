@@ -103,6 +103,41 @@ def test_pod_cpu_values_must_be_finite(tmp_path, values, key):
         load_config(write(tmp_path, BASE + f"[pod:x]\n{values}\n"))
 
 
+@pytest.mark.parametrize("key, value, param", [
+    ("alpha", "-1", "alpha"),  # used to fail only when the service created the model
+    ("alpha", "0", "alpha"),
+    ("learning_rate", "nan", "learning_rate"),  # these failed the first train
+    ("learning_rate", "inf", "learning_rate"),
+    ("beta", "inf", "beta"),
+    ("aggressiveness", "-1", "C"),  # these ran under an undefined update rule
+    ("aggressiveness", "nan", "C"),
+    ("epsilon", "-5", "epsilon"),
+    ("epsilon", "inf", "epsilon"),
+])
+def test_bad_model_value_is_config_error(tmp_path, capsys, key, value, param):
+    path = write(tmp_path, BASE + f"[models]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"bad \\[models\\] value .*{param} must be"):
+        load_config(path)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_model_values_at_their_bounds_are_accepted(tmp_path):
+    cfg = load_config(write(tmp_path, BASE + "[models]\nlearning_rate = 1e-300\n"
+                            "alpha = 1e-300\nbeta = 1e300\naggressiveness = inf\n"
+                            "epsilon = 0\n"))
+    assert cfg.model_params["passive_aggressive"] == {"C": float("inf"), "epsilon": 0.0}
+
+
+def test_missing_anchors_file_is_config_error(tmp_path, capsys):
+    # `calibrate --anchors` already said so; `run` failed with exit 2
+    path = write(tmp_path, BASE + f"anchors = {tmp_path / 'none.json'}\n")
+    with pytest.raises(ConfigError, match="anchor file .*none.json does not exist"):
+        load_config(path)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_counts_at_their_bounds_are_accepted(tmp_path):
     cfg = load_config(write(tmp_path, BASE + "iterations = 1\n"
                             "[taxonomy]\nnodes = 2\njobs_per_scheduler = 1\n"

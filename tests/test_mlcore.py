@@ -258,6 +258,47 @@ def test_bayesian_rejects_bad_hyperparameters():
         BayesianLinear(alpha=0.0)
 
 
+@pytest.mark.parametrize("variant, param, value", [
+    ("linear_sgd", "learning_rate", 0.0),
+    ("linear_sgd", "learning_rate", math.nan),
+    ("linear_sgd", "learning_rate", math.inf),
+    ("bayesian", "alpha", -1.0),
+    ("bayesian", "beta", math.inf),
+    ("bayesian", "beta", math.nan),
+    ("passive_aggressive", "C", 0.0),
+    ("passive_aggressive", "C", math.nan),
+    ("passive_aggressive", "epsilon", -0.5),
+    ("passive_aggressive", "epsilon", math.inf),
+])
+def test_a_regressor_refuses_parameters_its_update_does_not_define(variant, param, value):
+    with pytest.raises(ValueError, match=f"{param} must be"):
+        make_model(variant, **{param: value})
+
+
+def solve_bytes(model) -> bytes:
+    """The bytes of a fresh solve of the model's A w = c."""
+    return np.linalg.solve(np.array(model.A), np.array(model.c)).tobytes()
+
+
+@given(dim=st.integers(1, 4), alpha=st.floats(1e-3, 1e3), beta=st.floats(1e-3, 1e3),
+       data=st.data())
+def test_bayesian_weights_are_solved_once_per_state(dim, alpha, beta, data):
+    model = BayesianLinear(alpha=alpha, beta=beta)
+    names = tuple(f"f{i}" for i in range(dim))
+    for _ in range(data.draw(st.integers(1, 5))):
+        model.learn_values(names, data.draw(vectors(dim)), data.draw(SIGNED))
+        weights = model.weights()
+        assert weights.tobytes() == solve_bytes(model)  # after an accepted learn
+        assert model.weights() is weights  # the same state is not solved again
+    with pytest.raises(ValueError, match="overflows"):
+        model.learn_values(names, [1e300] * dim, 1e300)
+    assert model.weights() is weights and weights.tobytes() == solve_bytes(model)
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 1.0
+    restored = model_from_json(model_to_json(model))
+    assert restored.weights().tobytes() == weights.tobytes() == solve_bytes(restored)
+
+
 # --- linear sgd ---------------------------------------------------------------
 
 

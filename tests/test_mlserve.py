@@ -194,6 +194,34 @@ def test_an_overflowing_predict_is_answered_without_a_warning(variant, expected)
     assert reply == expected
 
 
+# a spread of 1e-160 gives a scaled 1e200 of about 2e360, which overflows
+_SCALED_OVERFLOW = dict(train=[(0.0, 1.0, 1.0), (1e-160, 1.0, 2.0)], query=(1e200, 1.0))
+VALUES = st.floats(-1e308, 1e308) | st.sampled_from([0.0, -0.0, 1e-160, 1e200])
+
+
+@pytest.mark.parametrize("variant", sorted(mlcore.MODEL_VARIANTS))
+@settings(max_examples=60, deadline=None)
+@given(train=st.lists(st.tuples(VALUES, VALUES, st.floats(-1e6, 1e6)), max_size=6),
+       query=st.tuples(VALUES, VALUES))
+@example(**_SCALED_OVERFLOW)
+def test_the_list_predict_equals_the_dict_predict(variant, train, query):
+    service = MLService()
+    service.create("m", variant)
+    for a, b, y in train:
+        service.train("m", {"a": a, "b": b}, y)
+    x = {"a": query[0], "b": query[1]}
+    reply = service.predict("m", x)
+    entry = service.entry("m")
+    try:
+        expected = entry.model.predict(entry.scaler.transform(x))
+    except ValueError:  # a scaled value overflows
+        expected = math.inf
+    if math.isfinite(expected):
+        assert reply.status == "ok" and reply.get("prediction").hex() == expected.hex()
+    else:
+        assert reply == ServiceResponse("bad_request", (("error", "non_finite_prediction"),))
+
+
 def test_metrics_of_an_overflowing_spread_is_null_without_a_warning():
     service = MLService()
     handle_line(service, "create name=m type=linear_sgd")

@@ -9,6 +9,7 @@ import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +31,8 @@ from convergesim.orchestrator import (
 from convergesim.reporting import ReportBundle, emit_report
 from convergesim.resgraph import ClusterSpec
 from convergesim.simkernel import RngStreams
+
+from helpers import bundle_json_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -578,17 +581,19 @@ class _CountingDraws:
 
 def test_in_process_hybrid_scales_each_sample_once_and_draws_dims_in_blocks(monkeypatch):
     cfg = hybrid_config(11, 6000, 300)
-    prepares, sizes = [], []
-    prepare, stream = mlcore.RunningScaler.prepare, RngStreams.stream
+    prepares, sizes, solves = [], [], []
+    prepare, stream, solve = mlcore.RunningScaler.prepare, RngStreams.stream, np.linalg.solve
     monkeypatch.setattr(orchestrator, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(mlcore.RunningScaler, "prepare",
                         lambda self, x: prepares.append(1) or prepare(self, x))
+    monkeypatch.setattr(np.linalg, "solve", lambda A, c: solves.append(1) or solve(A, c))
     monkeypatch.setattr(RngStreams, "stream", lambda self, label: (
         _CountingDraws(stream(self, label), sizes) if label == "hybrid.dims"
         else stream(self, label)))
     bundle = run_hybrid(cfg)
     assert all(m["samples_seen"] == 6000 for m in bundle.hybrid["models"].values())
     assert len(prepares) == 6000  # one per sample, not one per model
+    assert len(solves) == 1  # the bayesian weights of 300 predictions, one model state
     batch = orchestrator.SAMPLE_BATCH
     assert sizes == [(min(batch, count - start), 3)
                      for count in (6000, 300) for start in range(0, count, batch)]
@@ -606,6 +611,12 @@ def test_emit_report_files_and_table_columns(tmp_path):
     header = (tmp_path / "out" / "lammps_table.csv").read_text().splitlines()[0]
     assert header == "environment,nodes,ranks,mean_s,stddev_s,cpu_pct"
     assert len((tmp_path / "out" / "lammps_table.csv").read_text().splitlines()) == 11
+
+
+@pytest.mark.parametrize("experiment", orchestrator.EXPERIMENTS)
+def test_bundle_json_equals_the_asdict_reference(experiment):
+    bundle = run_scenario(default_config(experiment))
+    assert bundle.to_json() == bundle_json_reference(bundle)
 
 
 def test_csv_formats_numpy_scalars_as_plain_floats(tmp_path):
