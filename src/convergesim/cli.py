@@ -12,8 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import netmodel
-from .orchestrator import ConfigError, load_config, run_scenario
+from .orchestrator import ConfigError, load_config, load_network, run_scenario
 from .reporting import FORMATS, ReportBundle, emit_report
 
 
@@ -70,10 +69,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    anchors_path = Path(args.anchors)
-    if not anchors_path.is_file():
-        raise ConfigError(f"anchor file {anchors_path} does not exist")
-    network = netmodel.calibrate(netmodel.load_anchors(anchors_path))
+    network = load_network(args.anchors)
     for params in (network.os_bypass, network.tap_relay):
         print(f"path {params.path}")
         print(f"  base_latency_s        {params.l0_s!r}")

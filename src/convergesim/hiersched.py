@@ -117,7 +117,7 @@ class Instance:
         self.completed = 0
         self.busy_s = 0.0
         self._armed = False
-        self._fitting_nodes: dict[tuple[int, bool], int] = {}  # by (cores, NIC)
+        self._fitting_nodes: dict[int, int] = {}  # by cores needed per node
 
     def submit(self, job: Job) -> int:
         """Queue a job; requests that can never fit are rejected here. While
@@ -150,15 +150,13 @@ class Instance:
     def _check(self, job: Job):
         request, graph = job.request, self.graph
         need = graph.spec.cores_per_node if request.exclusive else request.cores_per_node
-        shape = (need, request.require_bypass_nic)
-        fits = self._fitting_nodes.get(shape)
+        fits = self._fitting_nodes.get(need)
         if fits is None:
-            # nodes whose grant could hold the request with no live children
+            # nodes whose grant could hold `need` cores with no live children
             # (an exclusive job needs the whole node); grants never change
-            fits = self._fitting_nodes[shape] = sum(
-                1 for node_id, granted in graph.allocation(self.alloc_id).node_slices.items()
+            fits = self._fitting_nodes[need] = sum(
+                1 for granted in graph.allocation(self.alloc_id).node_slices.values()
                 if granted >= need
-                and (not request.require_bypass_nic or graph.has_bypass_nic(node_id))
             )
         if request.nodes > fits:
             raise UnsatisfiableRequestError(

@@ -35,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
 
 OS_BYPASS = "os_bypass"
 TAP_RELAY = "tap_relay"
@@ -43,7 +44,8 @@ MIB_4 = 4 * 1024 * 1024
 
 
 class CalibrationError(Exception):
-    """Anchor set is inconsistent (non-positive or non-dominant solutions)."""
+    """Anchor file is malformed, or its anchor set is inconsistent
+    (non-positive or non-dominant solutions)."""
 
 
 @dataclass(frozen=True)
@@ -93,35 +95,57 @@ def collective_penalty(node_count: int, background: bool) -> float:
 
 
 def load_anchors(path=None) -> Anchors:
-    """Read the anchor table (packaged default, or an override file)."""
+    """Read the anchor table (packaged default, or an override file).
+
+    A file that is not JSON, or lacks a key, or holds something other than
+    a finite number where one belongs, raises CalibrationError naming the
+    file and the key.
+    """
     if path is None:
-        text = resources.files("convergesim.data").joinpath("network_anchors.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    raw = json.loads(text)
-    paths = raw["paths"]
+        path = resources.files("convergesim.data").joinpath("network_anchors.json")
+    source = f"anchor file {path}"
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as err:  # undecodable bytes too
+        raise CalibrationError(f"{source} is not JSON: {err}") from err
+
+    def number(*keys):
+        node = raw
+        try:
+            for key in keys:
+                node = node[key]
+            value = float(node)
+            if math.isfinite(value):
+                return value
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise CalibrationError(
+            f"{source}: key {'.'.join(keys)} is missing or not a finite number")
 
     def path_anchors(name):
-        p = paths[name]
         return PathAnchors(
-            latency_1b_s=float(p["latency_1b"]),
-            bw_1b_Bps=float(p["bw_1b"]),
-            bw_4mib_Bps=float(p["bw_4mib"]),
+            latency_1b_s=number("paths", name, "latency_1b"),
+            bw_1b_Bps=number("paths", name, "bw_1b"),
+            bw_4mib_Bps=number("paths", name, "bw_4mib"),
         )
 
-    mu = tuple(
-        sorted(
-            (int(nodes), float(band["min"]), float(band["max"]))
-            for nodes, band in raw["allreduce_multiplier"].items()
-        )
-    )
+    bands = raw.get("allreduce_multiplier") if isinstance(raw, dict) else None
+    if not isinstance(bands, dict) or not bands:
+        raise CalibrationError(
+            f"{source}: key allreduce_multiplier is missing or maps no node counts")
+    mu = []
+    for nodes in bands:
+        if not nodes.isdigit() or int(nodes) < 1:
+            raise CalibrationError(
+                f"{source}: allreduce_multiplier key {nodes!r} is not a node count")
+        mu.append((int(nodes), number("allreduce_multiplier", nodes, "min"),
+                   number("allreduce_multiplier", nodes, "max")))
     return Anchors(
         os_bypass=path_anchors(OS_BYPASS),
         tap_relay=path_anchors(TAP_RELAY),
-        barrier_gap_4node_s=float(raw["barrier_4node"]["tap_minus_bypass_seconds"]),
-        barrier_excess_fraction=float(raw["barrier_4node"]["tap_excess_fraction"]),
-        allreduce_mu=mu,
+        barrier_gap_4node_s=number("barrier_4node", "tap_minus_bypass_seconds"),
+        barrier_excess_fraction=number("barrier_4node", "tap_excess_fraction"),
+        allreduce_mu=tuple(sorted(mu)),
     )
 
 
@@ -157,6 +181,8 @@ def calibrate(anchors: Anchors) -> CalibratedNetwork:
     barrier_bypass, barrier_tap = solve_barrier_base(
         anchors.barrier_gap_4node_s, anchors.barrier_excess_fraction
     )
+    if not all(0 < mu_min <= mu_max for _, mu_min, mu_max in anchors.allreduce_mu):
+        raise CalibrationError("allreduce multiplier bands must satisfy 0 < min <= max")
     identity_mu = tuple((nodes, 1.0, 1.0) for nodes, _, _ in anchors.allreduce_mu)
 
     def solve_path(name, pa, barrier_base, mu):

@@ -196,8 +196,8 @@ class ScenarioConfig:
                 mlcore.make_model(variant, **params)  # each regressor checks its parameters
             except ValueError as err:
                 raise ConfigError(f"bad [models] value for {variant}: {err}") from err
-        if self.anchors_path is not None and not os.path.isfile(self.anchors_path):
-            raise ConfigError(f"anchor file {self.anchors_path} does not exist")
+        if self.anchors_path is not None:
+            load_network(self.anchors_path)
 
     def summary(self) -> dict:
         """The config as embedded in every bundle.json: each field declared
@@ -212,6 +212,21 @@ class ScenarioConfig:
             elif f.metadata.get("report", True):
                 out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
+
+
+def load_network(anchors_path) -> netmodel.CalibratedNetwork:
+    """The network calibrated from an anchor file (None: the packaged one);
+    a file that is missing, malformed or inconsistent is a ConfigError."""
+    if anchors_path is not None and not os.path.isfile(anchors_path):
+        raise ConfigError(f"anchor file {anchors_path} does not exist")
+    try:
+        anchors = netmodel.load_anchors(anchors_path)
+    except netmodel.CalibrationError as err:  # names the file itself
+        raise ConfigError(str(err)) from err
+    try:
+        return netmodel.calibrate(anchors)
+    except netmodel.CalibrationError as err:
+        raise ConfigError(f"anchor file {anchors_path}: {err}") from err
 
 
 def _parse(sec, key: str, kind):
@@ -337,9 +352,8 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
     engine = Engine(cfg.seed)
     graph = build_cluster(cfg.cluster)
     rng = engine.rng.stream("workloads.lammps")
-    network = netmodel.calibrate(netmodel.load_anchors(cfg.anchors_path))
+    network = load_network(cfg.anchors_path)
     bundle = ReportBundle(kind=SCALING_STUDY, seed=cfg.seed, config=cfg.summary())
-    problem = workloads.LammpsProblem(*workloads.REFERENCE_PROBLEM)
     for env in workloads.ENVIRONMENTS:
         for size in cfg.sizes:
             need = size + 1 if env == workloads.USERNETES else size
@@ -354,9 +368,7 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
                 if kube is not None:
                     podlayer.apply(graph, kube, PodSpec(name=job_set, kind=podlayer.JOB_SET,
                                                         replicas=size, requires_bypass_nic=True))
-                walltime = workloads.lammps_walltime(
-                    env, size, ranks, problem, rng, mode="table"
-                )
+                walltime = workloads.table_walltime(env, size, rng)
                 engine.run_until(engine.now + walltime)
                 if kube is not None:
                     podlayer.remove(kube, job_set)
@@ -595,10 +607,7 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
             dims = dims_rng.integers(cfg.dim_min, cfg.dim_max + 1, size=(len(block), 3))
             for job_id, (x, y, z) in zip(block, dims.tolist()):
                 walltime = workloads.lammps_walltime(
-                    workloads.BARE_METAL, cfg.sim_nodes, ranks,
-                    workloads.LammpsProblem(x, y, z),
-                    noise_rng, mode="model", noise_sigma=cfg.noise_sigma,
-                )
+                    ranks, workloads.LammpsProblem(x, y, z), noise_rng, cfg.noise_sigma)
                 features = {"x": float(x), "y": float(y), "z": float(z)}
 
                 def on_complete(job, features=features):

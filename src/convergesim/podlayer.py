@@ -5,8 +5,8 @@ to accept no workload pods) and the rest as workers. Pod sets place with
 anti-affinity (one pod per node) by default; a daemonset places exactly
 one pod on every worker and is the mechanism that exposes the host's
 kernel-bypass NIC to pods. A pod's traffic uses the bypass path only if
-it asked for the device, the node has one, and the exposing daemonset is
-deployed; otherwise it falls back to the user-space TAP relay.
+it asked for the device, the cluster has one, and the exposing daemonset
+is deployed; otherwise it falls back to the user-space TAP relay.
 
 The nodes themselves (cores, NIC) are read from the graph's
 `ClusterSpec`. A cluster keeps only its pods, indexed by pod-set name,
@@ -106,12 +106,12 @@ def start_usernetes(graph: ResourceGraph, alloc_id: int) -> KubeCluster:
     )
 
 
-def _resolve_path(graph: ResourceGraph, spec: PodSpec, node_id: int,
-                  exposed: bool) -> str:
+def _resolve_path(graph: ResourceGraph, spec: PodSpec, exposed: bool) -> str:
     if not spec.requires_bypass_nic:
         return TAP_RELAY
-    if not graph.has_bypass_nic(node_id):
-        raise PodLayerError(f"node {node_id} has no bypass NIC device")
+    if not graph.spec.has_bypass_nic:
+        raise PodLayerError(f"pod set {spec.name!r} asks for the bypass NIC; "
+                            "the cluster has none")
     return OS_BYPASS if exposed else TAP_RELAY
 
 
@@ -140,6 +140,7 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
     exposed = spec.kind == DAEMONSET or any(
         pods[0].kind == DAEMONSET and pods[0].network_path == OS_BYPASS
         for pods in kube.pods.values())
+    network_path = _resolve_path(graph, spec, exposed)  # the same on every node
     placements = []
     for i, node_id in enumerate(targets):
         hostname = f"{spec.name}-{i}"
@@ -152,7 +153,7 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
             node_id=node_id,
             node_cores=node_cores,
             cpu_limit=spec.cpu_limit,
-            network_path=_resolve_path(graph, spec, node_id, exposed),
+            network_path=network_path,
         ))
     # register only once every pod has placed, so a failed apply leaves nothing
     kube.hostname_table.update((p.name, p.node_id) for p in placements)

@@ -1,8 +1,8 @@
 """Cluster resource graph and nested allocations.
 
 A `ClusterSpec` is the only description of the nodes: every node has
-`cores_per_node` cores, and the kernel-bypass NIC is on every node
-unless the cluster has none or lists the node in `nodes_without_nic`.
+`cores_per_node` cores, and the kernel-bypass NIC is on every node or,
+with `has_bypass_nic` off, on none.
 An allocation is a per-node grant of core counts carved out of a parent
 allocation. The carve/release rules enforce hierarchical bounding: a
 child's node set is a subset of its parent's, and on every node the core
@@ -38,18 +38,12 @@ class ClusterSpec:
     node_count: int
     cores_per_node: int
     has_bypass_nic: bool = True
-    # the device flag is per node: ids listed here lack the NIC even when
-    # the cluster-wide flag is on
-    nodes_without_nic: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         if self.cores_per_node < 1:
             raise ValueError("cores_per_node must be >= 1")
-        bad = [i for i in self.nodes_without_nic if not 0 <= i < self.node_count]
-        if bad:
-            raise ValueError(f"nodes_without_nic out of range: {bad}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,6 @@ class ResourceRequest:
     nodes: int
     cores_per_node: int = 0  # ignored when exclusive
     exclusive: bool = True
-    require_bypass_nic: bool = False
 
     def __post_init__(self):
         if self.nodes < 1:
@@ -106,9 +99,6 @@ class ResourceGraph:
         self._next_alloc_id += 1
         return self._next_alloc_id
 
-    def has_bypass_nic(self, node_id: int) -> bool:
-        return self.spec.has_bypass_nic and node_id not in self.spec.nodes_without_nic
-
     def allocation(self, alloc_id: int) -> Allocation:
         alloc = self._allocations.get(alloc_id)
         if alloc is None:
@@ -146,8 +136,6 @@ class ResourceGraph:
         for node_id in parent.node_ids:
             if len(chosen) == request.nodes:
                 break
-            if request.require_bypass_nic and not self.has_bypass_nic(node_id):
-                continue
             free = self.free_cores(parent_id, node_id)
             if request.exclusive:
                 if free == cores and parent.node_slices[node_id] == cores:

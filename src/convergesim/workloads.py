@@ -2,16 +2,16 @@
 point-to-point / collective micro-benchmarks, across the five measured
 execution environments.
 
-Walltimes come in two modes:
+Walltimes come from two samplers:
 
-* table mode replays the measured reference table (one row per
+* `table_walltime` replays the measured reference table (one row per
   environment and cluster size at the 16x16x8 problem), drawing
   Normal(mean, stddev) truncated below at half the mean so rows with
   large spreads cannot produce nonphysical near-zero runs;
-* model mode prices an arbitrary problem box as
-  T = ratio(env) * (t_s + k * x*y*z * (64 / ranks)), the simplest cost
-  surface that strong-scales through the 64- and 512-rank reference
-  points, with multiplicative lognormal noise.
+* `lammps_walltime` prices an arbitrary problem box on bare metal as
+  T = t_s + k * x*y*z * (64 / ranks), the simplest cost surface that
+  strong-scales through the 64- and 512-rank reference points, with
+  multiplicative lognormal noise.
 
 The reference table ships as a CSV data file; the report generator reads
 the same file, so measured-vs-simulated comparisons share one source of
@@ -136,48 +136,25 @@ def volumetric_fit() -> tuple[float, float]:
     return t_s, k
 
 
-def environment_ratio(env: str, nodes: int) -> float:
-    """Walltime ratio of `env` to bare metal, taken from the reference table."""
-    if env == BARE_METAL:
-        return 1.0
-    index = _index()
-    if (env, nodes) in index and (BARE_METAL, nodes) in index:
-        return index[(env, nodes)].mean_s / index[(BARE_METAL, nodes)].mean_s
-    ratios = [
-        index[(env, n)].mean_s / index[(BARE_METAL, n)].mean_s
-        for n in table_sizes()
-        if (env, n) in index
-    ]
-    if not ratios:
-        raise UnknownEnvironmentError(f"unknown environment {env!r}")
-    return float(np.mean(ratios))
+def table_walltime(env: str, nodes: int, rng: np.random.Generator) -> float:
+    """Sample one realized walltime in seconds of the reference problem from
+    the (env, nodes) reference row."""
+    row = table_row(env, nodes)
+    if row.stddev_s == 0.0:
+        return row.mean_s
+    draw = rng.normal(row.mean_s, row.stddev_s)
+    return max(draw, 0.5 * row.mean_s)
 
 
-def lammps_walltime(env: str, nodes: int, ranks: int, problem: LammpsProblem,
-                    rng: np.random.Generator, mode: str,
-                    noise_sigma: float = 0.05) -> float:
-    """Sample one realized walltime in seconds.
-
-    Table mode requires a reference row for (env, nodes) and the reference
-    problem; model mode prices any problem box.
-    """
-    if mode == "table":
-        row = table_row(env, nodes)
-        if (problem.x, problem.y, problem.z) != REFERENCE_PROBLEM:
-            raise ValueError(f"table mode replays only the reference problem "
-                             f"{REFERENCE_PROBLEM}, not {problem}")
-        if row.stddev_s == 0.0:
-            return row.mean_s
-        draw = rng.normal(row.mean_s, row.stddev_s)
-        return max(draw, 0.5 * row.mean_s)
-    if mode == "model":
-        t_s, k = volumetric_fit()
-        base = t_s + k * problem.volume * (REFERENCE_RANKS / float(ranks))
-        base *= environment_ratio(env, nodes)
-        if noise_sigma > 0.0:
-            base *= math.exp(rng.normal(0.0, noise_sigma))
-        return base
-    raise ValueError(f"unknown walltime mode {mode!r}")
+def lammps_walltime(ranks: int, problem: LammpsProblem, rng: np.random.Generator,
+                    noise_sigma: float) -> float:
+    """Sample one realized bare-metal walltime in seconds of any problem box;
+    `noise_sigma` 0 draws nothing."""
+    t_s, k = volumetric_fit()
+    base = t_s + k * problem.volume * (REFERENCE_RANKS / float(ranks))
+    if noise_sigma > 0.0:
+        base *= math.exp(rng.normal(0.0, noise_sigma))
+    return base
 
 
 def background_cluster(env: str) -> bool:

@@ -109,9 +109,6 @@ def reference_carve(mirror: AccountingMirror, spec, parent_id: int,
     for node in sorted(parent):
         if len(chosen) == request.nodes:
             break
-        if request.require_bypass_nic and (
-                not spec.has_bypass_nic or node in spec.nodes_without_nic):
-            continue
         free = mirror._free(parent_id, node)
         if request.exclusive:
             if free == spec.cores_per_node == parent[node]:

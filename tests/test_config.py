@@ -2,6 +2,7 @@
 the README's INI block, which must parse and show the defaults."""
 
 import inspect
+import json
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -12,6 +13,7 @@ from convergesim import cli, mlcore, podlayer
 from convergesim.orchestrator import ConfigError, ScenarioConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGED_ANCHORS = README.parent / "src" / "convergesim" / "data" / "network_anchors.json"
 BASE = "[experiment]\nkind = taxonomy\nseed = 1\n"
 
 
@@ -136,6 +138,47 @@ def test_missing_anchors_file_is_config_error(tmp_path, capsys):
         load_config(path)
     assert cli.main(["run", "--config", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def anchors_text(edit):
+    """The packaged anchor file, as JSON text, after `edit` of its dict."""
+    raw = json.loads(PACKAGED_ANCHORS.read_text())
+    edit(raw)
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{ not json", "is not JSON"),
+    (anchors_text(lambda raw: raw.pop("allreduce_multiplier")),
+     "key allreduce_multiplier is missing"),
+    (anchors_text(lambda raw: raw["paths"]["tap_relay"].update(bw_1b=3e10)),
+     "inconsistent anchors for path tap_relay"),
+    (anchors_text(lambda raw: raw["allreduce_multiplier"]["4"].update(min=-3.6)),
+     "allreduce multiplier bands must satisfy 0 < min <= max"),
+    (anchors_text(lambda raw: raw["paths"]["os_bypass"].pop("bw_4mib")),
+     "key paths.os_bypass.bw_4mib is missing or not a finite number"),
+    (anchors_text(lambda raw: raw["paths"]["os_bypass"].update(latency_1b=float("nan"))),
+     "key paths.os_bypass.latency_1b is missing or not a finite number"),
+    (anchors_text(lambda raw: raw["allreduce_multiplier"].update(x={"min": 1, "max": 2})),
+     "allreduce_multiplier key 'x' is not a node count"),
+], ids=["not_json", "no_multiplier", "inconsistent", "negative_band", "no_bandwidth", "nan",
+        "bad_nodes"])
+def test_malformed_anchors_file_is_config_error(tmp_path, capsys, text, message):
+    # the file is checked when the config loads, even for a scenario that
+    # never reads the network, and `calibrate` applies the same rule
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(text)
+    path = write(tmp_path, BASE + f"anchors = {anchors}\n")
+    with pytest.raises(ConfigError, match=f"anchor file {re.escape(str(anchors))}"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert cli.main(["calibrate", "--anchors", str(anchors)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("config error: anchor file") and message in line
+               for line in err)
 
 
 def test_counts_at_their_bounds_are_accepted(tmp_path):

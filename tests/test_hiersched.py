@@ -316,8 +316,6 @@ def test_unsatisfiable_core_request_rejected():
     cases = [
         (ClusterSpec(4, 8), None,
          ResourceRequest(nodes=1, cores_per_node=9, exclusive=False)),
-        (ClusterSpec(4, 8, has_bypass_nic=False), None,
-         ResourceRequest(nodes=1, require_bypass_nic=True)),
         (ClusterSpec(4, 8), slices,
          ResourceRequest(nodes=1, cores_per_node=8, exclusive=False)),
         (ClusterSpec(4, 8), slices, ResourceRequest(nodes=1)),
@@ -334,7 +332,6 @@ requests = st.builds(
     nodes=st.integers(1, 6),
     cores_per_node=st.integers(1, 9),
     exclusive=st.booleans(),
-    require_bypass_nic=st.booleans(),
 )
 
 
@@ -342,15 +339,11 @@ requests = st.builds(
 @given(
     node_count=st.integers(1, 5),
     cores=st.integers(1, 8),
-    nic=st.booleans(),
-    without_nic=st.sets(st.integers(0, 4)),
     parent_request=st.none() | requests,
     batch=st.lists(requests, min_size=1, max_size=4),
 )
-def test_submit_accepts_iff_a_fresh_carve_succeeds(node_count, cores, nic, without_nic,
-                                                    parent_request, batch):
-    spec = ClusterSpec(node_count, cores, nic,
-                       tuple(sorted(i for i in without_nic if i < node_count)))
+def test_submit_accepts_iff_a_fresh_carve_succeeds(node_count, cores, parent_request, batch):
+    spec = ClusterSpec(node_count, cores)
     try:
         inst = instance_on(spec, parent_request)
     except InsufficientCapacityError:

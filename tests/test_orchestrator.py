@@ -198,6 +198,27 @@ def test_scaling_pod_layers_end_each_cell_with_only_the_daemonset(monkeypatch):
         assert sorted(kube.hostname_table) == sorted(p.name for p in pods)
 
 
+@pytest.mark.parametrize("seed, sizes, iterations", [
+    (0, None, None), (42, None, None), (2**32 - 1, None, None), (9, (16, 4, 32), 3),
+])
+def test_scaling_walltimes_are_an_independent_replay_of_the_table_stream(seed, sizes,
+                                                                         iterations):
+    # the lammps stream is drawn once per iteration of a spread row, in
+    # environment x size x iteration order; nothing else draws from it
+    cfg = default_config(SCALING_STUDY, seed=seed)
+    if sizes is not None:
+        cfg.sizes, cfg.iterations = sizes, iterations
+    bundle = run_scaling_study(cfg)
+    rng = RngStreams(seed).stream("workloads.lammps")
+    expected = [
+        [env, size, size * cfg.cluster.cores_per_node, it,
+         workloads.table_walltime(env, size, rng)]
+        for env in workloads.ENVIRONMENTS for size in cfg.sizes
+        for it in range(cfg.iterations)
+    ]
+    assert bundle.lammps_samples == expected
+
+
 # --- taxonomy ----------------------------------------------------------------------
 
 
@@ -537,8 +558,7 @@ def test_hybrid_walltimes_are_an_independent_replay_of_the_job_streams():
     for _ in range(cfg.train_count + cfg.test_count):
         x, y, z = dims.integers(cfg.dim_min, cfg.dim_max + 1, size=3).tolist()
         walltimes.append(workloads.lammps_walltime(
-            workloads.BARE_METAL, cfg.sim_nodes, ranks, workloads.LammpsProblem(x, y, z),
-            noise, mode="model", noise_sigma=cfg.noise_sigma))
+            ranks, workloads.LammpsProblem(x, y, z), noise, cfg.noise_sigma))
     for variant in orchestrator.HYBRID_MODELS:
         actuals = [a for a, _ in bundle.hybrid["models"][variant]["pairs"]]
         assert actuals == walltimes[cfg.train_count:]

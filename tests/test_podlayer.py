@@ -150,16 +150,14 @@ def test_duplicate_hostnames_rejected():
 
 
 def test_failed_apply_registers_nothing():
-    graph = build_cluster(ClusterSpec(4, 16, nodes_without_nic=(2,)))
-    alloc = graph.carve(graph.root_allocation, ResourceRequest(nodes=4))
+    graph, alloc = cluster_with_alloc(4, nic=False)
     kube = start_usernetes(graph, alloc.alloc_id)
-    # the second of three pods lands on node 2, which has no NIC
-    with pytest.raises(PodLayerError):
+    # the cluster has no NIC to give the pods
+    with pytest.raises(PodLayerError, match="bypass NIC"):
         apply(graph, kube, PodSpec(name="mpi", kind=JOB_SET, replicas=3,
                                    requires_bypass_nic=True))
-    assert kube.hostname_table == {}
-    pods = apply(graph, kube, PodSpec(name="mpi", kind=JOB_SET, replicas=1,
-                                      requires_bypass_nic=True))
+    assert kube.hostname_table == {} and kube.pods == {}
+    pods = apply(graph, kube, PodSpec(name="mpi", kind=JOB_SET, replicas=1))
     assert kube.hostname_table == {"mpi-0": pods[0].node_id}
 
 

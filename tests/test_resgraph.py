@@ -130,33 +130,6 @@ def test_exclusive_carve_requires_untouched_nodes():
     graph.carve(graph.root_allocation, ResourceRequest(nodes=1))
 
 
-def test_bypass_nic_requirement():
-    graph = build_cluster(ClusterSpec(4, 8, has_bypass_nic=False))
-    with pytest.raises(InsufficientCapacityError):
-        graph.carve(graph.root_allocation,
-                    ResourceRequest(nodes=1, require_bypass_nic=True))
-    nic_graph = build_cluster(ClusterSpec(4, 8, has_bypass_nic=True))
-    child = nic_graph.carve(nic_graph.root_allocation,
-                            ResourceRequest(nodes=1, require_bypass_nic=True))
-    assert nic_graph.has_bypass_nic(child.node_ids[0])
-
-
-def test_per_node_nic_heterogeneity():
-    spec = ClusterSpec(4, 8, has_bypass_nic=True, nodes_without_nic=(0, 2))
-    graph = build_cluster(spec)
-    assert [graph.has_bypass_nic(i) for i in range(4)] == [
-        False, True, False, True,
-    ]
-    child = graph.carve(graph.root_allocation,
-                        ResourceRequest(nodes=2, require_bypass_nic=True))
-    assert child.node_ids == [1, 3]
-    with pytest.raises(InsufficientCapacityError):
-        graph.carve(graph.root_allocation,
-                    ResourceRequest(nodes=1, require_bypass_nic=True))
-    with pytest.raises(ValueError):
-        ClusterSpec(4, 8, nodes_without_nic=(9,))
-
-
 def test_randomized_carve_release_against_accounting_mirror():
     rng = np.random.default_rng(1234)
     graph = build_cluster(ClusterSpec(8, 4))
@@ -205,20 +178,17 @@ def test_audit_recomputes_lent_cores():
 
 
 REQUESTS = st.builds(ResourceRequest, nodes=st.integers(1, 4),
-                     cores_per_node=st.integers(1, 5), exclusive=st.booleans(),
-                     require_bypass_nic=st.booleans())
+                     cores_per_node=st.integers(1, 5), exclusive=st.booleans())
 
 
 class CarveAgainstReference(RuleBasedStateMachine):
-    """Random nested carves and releases of exclusive, shared and NIC
-    requests on clusters with NIC gaps: each carve grants exactly the
-    node -> cores map of `reference_carve`, or both fail."""
+    """Random nested carves and releases of exclusive and shared requests:
+    each carve grants exactly the node -> cores map of `reference_carve`,
+    or both fail."""
 
-    @initialize(node_count=st.integers(1, 6), cores=st.integers(1, 4),
-                has_nic=st.booleans(), data=st.data())
-    def build(self, node_count, cores, has_nic, data):
-        gaps = data.draw(st.sets(st.integers(0, node_count - 1)))
-        self.spec = ClusterSpec(node_count, cores, has_nic, tuple(sorted(gaps)))
+    @initialize(node_count=st.integers(1, 6), cores=st.integers(1, 4))
+    def build(self, node_count, cores):
+        self.spec = ClusterSpec(node_count, cores)
         self.graph = build_cluster(self.spec)
         self.mirror = mirror_for(self.graph)
         self.live = [self.graph.root_allocation]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convergesim import netmodel, workloads
+from convergesim import netmodel
 from convergesim.workloads import (
     BARE_METAL,
     BARE_METAL_CONTAINER,
@@ -13,11 +13,11 @@ from convergesim.workloads import (
     UnknownEnvironmentError,
     UnknownTableRowError,
     cpu_utilization,
-    environment_ratio,
     lammps_walltime,
     osu_replay,
     reference_table,
     table_row,
+    table_walltime,
     volumetric_fit,
 )
 
@@ -81,22 +81,18 @@ def test_volumetric_fit_against_independent_solve():
 def test_model_mode_prices_problem_volume():
     rng = np.random.default_rng(0)
     t_s, k = volumetric_fit()
-    t = lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(8, 8, 8), rng,
-                        mode="model", noise_sigma=0.0)
+    t = lammps_walltime(64, LammpsProblem(8, 8, 8), rng, 0.0)
     assert t == pytest.approx(t_s + k * 512, rel=1e-12)
     assert t == pytest.approx(23.8, abs=0.1)
     # rank scaling: doubling ranks halves the parallel term
-    t2 = lammps_walltime(BARE_METAL, 8, 128, LammpsProblem(8, 8, 8), rng,
-                         mode="model", noise_sigma=0.0)
-    ratio = workloads.environment_ratio(BARE_METAL, 8)
-    assert t2 == pytest.approx(ratio * (t_s + k * 512 * 64 / 128), rel=1e-12)
+    t2 = lammps_walltime(128, LammpsProblem(8, 8, 8), rng, 0.0)
+    assert t2 == pytest.approx(t_s + k * 512 * 64 / 128, rel=1e-12)
 
 
 def test_model_mode_noise_is_multiplicative_lognormal():
     rng = np.random.default_rng(7)
     values = [
-        lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(4, 4, 4), rng,
-                        mode="model", noise_sigma=0.05)
+        lammps_walltime(64, LammpsProblem(4, 4, 4), rng, 0.05)
         for _ in range(500)
     ]
     t_s, k = volumetric_fit()
@@ -109,45 +105,21 @@ def test_model_mode_noise_is_multiplicative_lognormal():
 def test_table_mode_draws_replay_the_row():
     rng = np.random.default_rng(3)
     # zero-spread rows reproduce the mean exactly
-    assert lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(16, 16, 8), rng,
-                           mode="table") == 82.0
+    assert table_walltime(BARE_METAL, 4, rng) == 82.0
     # spread rows draw around the row mean, truncated at half the mean
-    draws = [
-        lammps_walltime(BARE_METAL, 16, 256, LammpsProblem(16, 16, 8), rng, mode="table")
-        for _ in range(4000)
-    ]
+    draws = [table_walltime(BARE_METAL, 16, rng) for _ in range(4000)]
     row = table_row(BARE_METAL, 16)
     assert min(draws) >= 0.5 * row.mean_s
     assert np.mean(draws) == pytest.approx(row.mean_s, abs=0.6)
     assert all(d > 0 for d in draws)
 
 
-@pytest.mark.parametrize("problem", [(2, 2, 2), (16, 16, 4), (8, 16, 16), (16, 16, 9)])
-def test_table_mode_rejects_any_other_problem(problem):
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError, match="reference problem"):
-        lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(*problem), rng, mode="table")
-
-
-def test_unknown_walltime_mode_rejected():
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError, match="unknown walltime mode"):
-        lammps_walltime(BARE_METAL, 4, 64, LammpsProblem(16, 16, 8), rng, mode="auto")
-
-
-def test_environment_ratio_uses_matching_row():
-    assert environment_ratio(BARE_METAL, 4) == 1.0
-    assert environment_ratio(USERNETES, 32) == pytest.approx(17.4 / 14.05, rel=1e-12)
-    # sizes outside the table fall back to the average ratio
-    fallback = environment_ratio(USERNETES, 6)
-    assert 1.0 < fallback < 1.3
-
-
 def test_unknown_environment_rejected():
     rng = np.random.default_rng(0)
-    for mode, problem in (("model", LammpsProblem(1, 1, 1)), ("table", LammpsProblem(16, 16, 8))):
-        with pytest.raises(UnknownEnvironmentError):
-            lammps_walltime("laptop", 4, 64, problem, rng, mode=mode)
+    with pytest.raises(UnknownEnvironmentError):
+        table_walltime("laptop", 4, rng)
+    with pytest.raises(UnknownTableRowError):
+        table_walltime(BARE_METAL, 64, rng)
     with pytest.raises(UnknownEnvironmentError):
         osu_replay("laptop", "latency", 4, 1, NET)
 
