@@ -1,7 +1,7 @@
 """Nested allocations and a user-space cluster living inside one of them.
 
-Builds the 33-node cluster, carves a 32-node partition for the pod
-layer plus a leftover node, brings up the control plane and the
+Builds the 33-node cluster, carves all 33 nodes for the pod layer
+(a control plane and 32 workers), brings up the control plane and the
 NIC-exposing daemonset, and shows how placement resolves each pod's
 network path.
 """
@@ -13,7 +13,7 @@ graph = build_cluster(ClusterSpec(node_count=33, cores_per_node=16))
 root = graph.root_allocation
 print(f"cluster: 33 nodes x 16 cores = {graph.allocation(root).total_cores} cores")
 
-# a batch allocation for the user-space cluster; one node stays free
+# a batch allocation for the user-space cluster, taking every node
 kube_alloc = graph.carve(root, ResourceRequest(nodes=33))
 print(f"carved {len(kube_alloc.node_ids)} nodes for the pod layer")
 
@@ -38,8 +38,7 @@ print(f"headless lookup mpi-17 -> node {podlayer.resolve(kube, 'mpi-17')}")
 
 # CPU ceilings throttle cycles instead of bounding core counts
 capped = podlayer.apply(graph, kube, podlayer.PodSpec(
-    name="capped", kind=podlayer.DEPLOYMENT, replicas=1,
-    cpu_request=1.0, cpu_limit=8.0))[0]
+    name="capped", kind=podlayer.DEPLOYMENT, replicas=1, cpu_limit=8.0))[0]
 fraction, inflation = podlayer.effective_cpu(capped, demand_cores=16.0)
 print(f"demand 16 cores under a limit of 8: {fraction:.0%} of cycles, "
       f"runtime x{inflation:.1f}")

@@ -79,8 +79,7 @@ OSU_CASES = (
 # [section] and key (see _ini); the tables below cover the rest. Defaults
 # live on the dataclasses and regressor constructors, never here.
 # [cluster] key -> ClusterSpec field of `cluster`
-CLUSTER_KEYS = {"nodes": "node_count", "cores_per_node": "cores_per_node",
-                "bypass_nic": "has_bypass_nic"}
+CLUSTER_KEYS = {"nodes": "node_count", "cores_per_node": "cores_per_node"}
 # [models] key -> (regressor variant, constructor parameter)
 MODEL_KEYS = {
     "learning_rate": ("linear_sgd", "learning_rate"),
@@ -89,8 +88,7 @@ MODEL_KEYS = {
     "aggressiveness": ("passive_aggressive", "C"),
     "epsilon": ("passive_aggressive", "epsilon"),
 }
-# [pod:<name>] keys are the PodSpec fields; a section without `kind` is a
-# deployment, unlike PodSpec's own default
+# [pod:<name>] keys are the PodSpec fields
 POD_KEYS = {f.name: f.name for f in fields(PodSpec) if f.name != "name"}
 
 
@@ -102,10 +100,12 @@ class ScenarioError(Exception):
     pass
 
 
-def _ini(section: str, key: str, default=MISSING, *, report: bool = True):
+def _ini(section: str, key: str, default=MISSING, *, report: bool = True, low=None):
     """A scalar ScenarioConfig field read from `key` of INI `[section]`;
-    `report=False` leaves it out of summary()."""
-    return field(default=default, metadata={"ini": (section, key), "report": report})
+    `report=False` leaves it out of summary(), and a count below `low`
+    fails validate()."""
+    return field(default=default,
+                 metadata={"ini": (section, key), "report": report, "low": low})
 
 
 @dataclass
@@ -117,24 +117,24 @@ class ScenarioConfig:
     anchors_path: str | None = _ini("experiment", "anchors", None, report=False)
     # scaling study
     sizes: tuple[int, ...] = _ini("experiment", "sizes", (4, 8, 16, 32))
-    iterations: int = _ini("experiment", "iterations", 20)
+    iterations: int = _ini("experiment", "iterations", 20, low=1)
     # taxonomy
-    taxonomy_nodes: int = _ini("taxonomy", "nodes", 16)
+    taxonomy_nodes: int = _ini("taxonomy", "nodes", 16, low=2)  # a node per scheduler
     gang_min: int = _ini("taxonomy", "gang_min", 1)
     gang_max: int = _ini("taxonomy", "gang_max", 8)
-    jobs_per_scheduler: int = _ini("taxonomy", "jobs_per_scheduler", 200)
+    jobs_per_scheduler: int = _ini("taxonomy", "jobs_per_scheduler", 200, low=1)
     decision_cost_s: float = _ini("taxonomy", "decision_cost", hiersched.DEFAULT_DECISION_COST_S)
     deadlock_horizon_s: float = _ini("taxonomy", "deadlock_horizon",
                                      hiersched.DEFAULT_DEADLOCK_HORIZON_S, report=False)
     # hybrid
-    train_count: int = _ini("hybrid", "train_count", 1000)
-    test_count: int = _ini("hybrid", "test_count", 250)
+    train_count: int = _ini("hybrid", "train_count", 1000, low=1)
+    test_count: int = _ini("hybrid", "test_count", 250, low=1)
     dim_min: int = _ini("hybrid", "dim_min", 1)
     dim_max: int = _ini("hybrid", "dim_max", 8)
-    train_width: int = _ini("hybrid", "train_width", 1)
+    train_width: int = _ini("hybrid", "train_width", 1, low=1)
     noise_sigma: float = _ini("hybrid", "noise_sigma", 0.05)
-    sim_nodes: int = _ini("hybrid", "sim_nodes", 4)
-    service_nodes: int = _ini("hybrid", "service_nodes", 1)
+    sim_nodes: int = _ini("hybrid", "sim_nodes", 4, low=1)
+    service_nodes: int = _ini("hybrid", "service_nodes", 1, low=1)
     # per-variant regressor hyperparameters, e.g. {"linear_sgd": {"learning_rate": 0.02}}
     model_params: dict = field(default_factory=dict)
     # extra pod sets ([pod:<name>] sections) applied to any pod layer a
@@ -146,20 +146,15 @@ class ScenarioConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.seed is None:
             raise ConfigError("a seed is mandatory (runs never self-seed)")
-        for key, value, low in (
-            ("[experiment] iterations", self.iterations, 1),
-            ("[taxonomy] nodes", self.taxonomy_nodes, 2),  # a node per scheduler
-            ("[taxonomy] jobs_per_scheduler", self.jobs_per_scheduler, 1),
-            ("[hybrid] train_count", self.train_count, 1),
-            ("[hybrid] test_count", self.test_count, 1),
-            ("[hybrid] train_width", self.train_width, 1),
-            ("[hybrid] sim_nodes", self.sim_nodes, 1),
-            ("[hybrid] service_nodes", self.service_nodes, 1),
-        ):
-            if value < low:
-                raise ConfigError(f"{key} must be >= {low}, not {value}")
+        for f in fields(self):
+            low, value = f.metadata.get("low"), getattr(self, f.name)
+            if low is not None and value < low:
+                section, key = f.metadata["ini"]
+                raise ConfigError(f"[{section}] {key} must be >= {low}, not {value}")
         if not self.sizes:
             raise ConfigError("sizes must be non-empty")
+        if len(set(self.sizes)) < len(self.sizes):
+            raise ConfigError(f"[experiment] sizes must be distinct, not {list(self.sizes)}")
         if self.experiment == SCALING_STUDY:
             table_sizes = set(workloads.table_sizes())
             bad = [s for s in self.sizes if s not in table_sizes]
@@ -287,9 +282,8 @@ def load_config(path) -> ScenarioConfig:
                         model_params.setdefault(variant, {})[param] = sec.getfloat(key)
             elif section.startswith("pod:"):
                 name = section[len("pod:"):]
-                spec = {"kind": podlayer.DEPLOYMENT, **_read(sec, POD_KEYS, PodSpec)}
                 try:
-                    pod_specs.append(PodSpec(name=name, **spec))
+                    pod_specs.append(PodSpec(name=name, **_read(sec, POD_KEYS, PodSpec)))
                 except ValueError as err:
                     raise ConfigError(f"bad pod spec {name!r}: {err}") from err
         cfg = ScenarioConfig(**values, model_params=model_params, pod_specs=pod_specs)
@@ -344,9 +338,9 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
     clock advances (an in-cluster iteration's job set is removed once its
     walltime has elapsed), records the benchmark curves, and releases the
     carve.
-    Background-cluster environments toggle the overhead state instead of
-    carving a second allocation; the background pods contend for the
-    network, not for exclusive cores.
+    Background-cluster environments set the collective models'
+    `background` flag instead of carving a second allocation; the
+    background pods contend for the network, not for exclusive cores.
     """
     cfg.validate()
     engine = Engine(cfg.seed)

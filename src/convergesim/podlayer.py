@@ -1,17 +1,19 @@
 """User-space Kubernetes modeled inside one allocation.
 
 A cluster takes the allocation's first node as a control plane (labeled
-to accept no workload pods) and the rest as workers. Pod sets place with
-anti-affinity (one pod per node) by default; a daemonset places exactly
-one pod on every worker and is the mechanism that exposes the host's
-kernel-bypass NIC to pods. A pod's traffic uses the bypass path only if
-it asked for the device, the cluster has one, and the exposing daemonset
-is deployed; otherwise it falls back to the user-space TAP relay.
+to accept no workload pods) and the rest as workers. Job sets and
+deployments place with anti-affinity (one pod per node); a daemonset
+places exactly one pod on every worker and is the mechanism that exposes
+the host's kernel-bypass NIC, which every node has, to pods. A pod's
+traffic uses the bypass path only if it asked for the device and the
+exposing daemonset is deployed; otherwise it falls back to the
+user-space TAP relay.
 
-The nodes themselves (cores, NIC) are read from the graph's
-`ClusterSpec`. A cluster keeps only its pods, indexed by pod-set name,
-and their hostnames. Exposure is read from the pods: an exposing
-daemonset covers every worker, so exposure is all or nothing.
+The nodes themselves (cores) are read from the graph's `ClusterSpec`. A
+cluster keeps one index: its pods, by pod-set name. A pod's hostname is
+`<pod set>-<index>`, so a lookup splits off the index and reads that
+pod set. Exposure is read from the pods: an exposing daemonset covers
+every worker, so exposure is all or nothing.
 
 CPU limits are modeled as a hard ceiling on the share of cycles, not a
 CPU-count bound and not burstable: demand above the ceiling inflates
@@ -19,9 +21,8 @@ runtime proportionally. The recommended configuration therefore requests
 only the bypass-NIC device and relies on anti-affinity instead of CPU
 limits.
 
-Headless-service name resolution walks a local hostname table and is
-modeled as free: a per-lookup cost would be a hypothesis, not a
-measurement.
+Headless-service name resolution is modeled as free: a per-lookup cost
+would be a hypothesis, not a measurement.
 """
 
 import math
@@ -47,27 +48,19 @@ class UnknownHostnameError(PodLayerError):
 @dataclass(frozen=True)
 class PodSpec:
     name: str
-    kind: str = JOB_SET
+    kind: str = DEPLOYMENT
     replicas: int = 1
-    cpu_request: float = 0.0
     cpu_limit: float | None = None
     requires_bypass_nic: bool = False
-    anti_affinity: bool = True
 
     def __post_init__(self):
         if self.kind not in POD_KINDS:
             raise ValueError(f"unknown pod kind {self.kind!r}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if not 0 <= self.cpu_request < math.inf:  # NaN fails too
-            raise ValueError(f"cpu_request must be finite and >= 0, not {self.cpu_request}")
-        if self.cpu_limit is not None:
-            # a zero limit would divide by zero in effective_cpu
-            if not 0 < self.cpu_limit < math.inf:
-                raise ValueError(
-                    f"cpu_limit must be finite and positive, not {self.cpu_limit}")
-            if self.cpu_request > self.cpu_limit:
-                raise ValueError("cpu_request must not exceed cpu_limit")
+        # a zero limit would divide by zero in effective_cpu
+        if self.cpu_limit is not None and not 0 < self.cpu_limit < math.inf:
+            raise ValueError(f"cpu_limit must be finite and positive, not {self.cpu_limit}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,6 @@ class KubeCluster:
     allocation: int
     control_plane_node: int
     worker_nodes: list[int]
-    hostname_table: dict[str, int] = field(default_factory=dict)
     pods: dict[str, list[PodPlacement]] = field(default_factory=dict)  # by spec name
 
 
@@ -106,57 +98,40 @@ def start_usernetes(graph: ResourceGraph, alloc_id: int) -> KubeCluster:
     )
 
 
-def _resolve_path(graph: ResourceGraph, spec: PodSpec, exposed: bool) -> str:
-    if not spec.requires_bypass_nic:
-        return TAP_RELAY
-    if not graph.spec.has_bypass_nic:
-        raise PodLayerError(f"pod set {spec.name!r} asks for the bypass NIC; "
-                            "the cluster has none")
-    return OS_BYPASS if exposed else TAP_RELAY
-
-
 def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPlacement]:
     """Place a pod set on the workers and register its hostnames.
 
-    Daemonsets land one pod on every worker; job sets and deployments use
-    anti-affinity placement (distinct nodes, error when replicas exceed
-    the worker count). The control plane never receives workload pods.
+    Daemonsets land one pod on every worker; job sets and deployments
+    land on distinct workers (an error when replicas exceed the worker
+    count). The control plane never receives workload pods. A pod-set
+    name already applied is an error, checked before anything places.
     """
+    if spec.name in kube.pods:
+        raise PodLayerError(f"pod set {spec.name!r} is already applied")
     if spec.kind == DAEMONSET:
-        targets = list(kube.worker_nodes)
-    elif spec.anti_affinity:
-        if spec.replicas > len(kube.worker_nodes):
-            raise PodLayerError(
-                f"{spec.replicas} replicas do not fit {len(kube.worker_nodes)} "
-                "workers with anti-affinity"
-            )
-        targets = kube.worker_nodes[: spec.replicas]
+        targets = kube.worker_nodes
+    elif spec.replicas > len(kube.worker_nodes):
+        raise PodLayerError(
+            f"{spec.replicas} replicas do not fit {len(kube.worker_nodes)} "
+            "workers with anti-affinity"
+        )
     else:
-        targets = [kube.worker_nodes[i % len(kube.worker_nodes)]
-                   for i in range(spec.replicas)]
-    node_cores = graph.spec.cores_per_node
+        targets = kube.worker_nodes[: spec.replicas]
     # a daemonset asking for the NIC exposes it; later pod sets see it
     # while any such daemonset is deployed
     exposed = spec.kind == DAEMONSET or any(
         pods[0].kind == DAEMONSET and pods[0].network_path == OS_BYPASS
         for pods in kube.pods.values())
-    network_path = _resolve_path(graph, spec, exposed)  # the same on every node
-    placements = []
-    for i, node_id in enumerate(targets):
-        hostname = f"{spec.name}-{i}"
-        if hostname in kube.hostname_table:
-            raise PodLayerError(f"hostname {hostname!r} already registered")
-        placements.append(PodPlacement(
-            name=hostname,
-            spec_name=spec.name,
-            kind=spec.kind,
-            node_id=node_id,
-            node_cores=node_cores,
-            cpu_limit=spec.cpu_limit,
-            network_path=network_path,
-        ))
-    # register only once every pod has placed, so a failed apply leaves nothing
-    kube.hostname_table.update((p.name, p.node_id) for p in placements)
+    network_path = OS_BYPASS if spec.requires_bypass_nic and exposed else TAP_RELAY
+    placements = [PodPlacement(
+        name=f"{spec.name}-{i}",
+        spec_name=spec.name,
+        kind=spec.kind,
+        node_id=node_id,
+        node_cores=graph.spec.cores_per_node,
+        cpu_limit=spec.cpu_limit,
+        network_path=network_path,
+    ) for i, node_id in enumerate(targets)]
     kube.pods[spec.name] = placements
     return placements
 
@@ -166,8 +141,6 @@ def remove(kube: KubeCluster, spec_name: str) -> int:
     pods = kube.pods.pop(spec_name, None)
     if pods is None:
         raise PodLayerError(f"no pod set named {spec_name!r}")
-    for placement in pods:
-        kube.hostname_table.pop(placement.name, None)
     return len(pods)
 
 
@@ -187,7 +160,8 @@ def effective_cpu(pod: PodPlacement, demand_cores: float) -> tuple[float, float]
 
 def resolve(kube: KubeCluster, hostname: str) -> int:
     """Headless-service lookup: the node id the hostname runs on."""
-    node_id = kube.hostname_table.get(hostname)
-    if node_id is None:
-        raise UnknownHostnameError(f"hostname {hostname!r} is not registered")
-    return node_id
+    spec_name, _, _ = hostname.rpartition("-")  # the index has no "-"
+    for pod in kube.pods.get(spec_name, ()):
+        if pod.name == hostname:
+            return pod.node_id
+    raise UnknownHostnameError(f"hostname {hostname!r} is not registered")

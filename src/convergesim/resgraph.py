@@ -1,8 +1,7 @@
 """Cluster resource graph and nested allocations.
 
 A `ClusterSpec` is the only description of the nodes: every node has
-`cores_per_node` cores, and the kernel-bypass NIC is on every node or,
-with `has_bypass_nic` off, on none.
+`cores_per_node` cores, and the kernel-bypass NIC is on every node.
 An allocation is a per-node grant of core counts carved out of a parent
 allocation. The carve/release rules enforce hierarchical bounding: a
 child's node set is a subset of its parent's, and on every node the core
@@ -37,7 +36,6 @@ class AllocationInUseError(ResourceError):
 class ClusterSpec:
     node_count: int
     cores_per_node: int
-    has_bypass_nic: bool = True
 
     def __post_init__(self):
         if self.node_count < 1:

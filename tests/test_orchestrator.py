@@ -195,7 +195,7 @@ def test_scaling_pod_layers_end_each_cell_with_only_the_daemonset(monkeypatch):
         assert {(p.kind, p.spec_name) for p in pods} == {
             (podlayer.DAEMONSET, f"nic-exposer-{len(kube.worker_nodes)}")}
         assert sorted(p.node_id for p in pods) == sorted(kube.worker_nodes)
-        assert sorted(kube.hostname_table) == sorted(p.name for p in pods)
+        assert all(podlayer.resolve(kube, p.name) == p.node_id for p in pods)
 
 
 @pytest.mark.parametrize("seed, sizes, iterations", [
@@ -505,8 +505,8 @@ def test_pod_sections_declare_extra_pod_sets(tmp_path):
         "[cluster]\nnodes = 7\n"
         "[experiment]\nkind = hybrid\nseed = 4\n"
         "[hybrid]\ntrain_count = 5\ntest_count = 2\nservice_nodes = 3\n"
-        "[pod:task-queue]\nkind = deployment\nreplicas = 2\ncpu_request = 1\n"
-        "[pod:db]\nkind = deployment\nreplicas = 1\ncpu_request = 2\ncpu_limit = 4\n"
+        "[pod:task-queue]\nkind = deployment\nreplicas = 2\n"
+        "[pod:db]\nkind = deployment\nreplicas = 1\ncpu_limit = 4\n"
     )
     cfg = load_config(path)
     assert [s.name for s in cfg.pod_specs] == ["task-queue", "db"]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convergesim.podlayer import (
     DAEMONSET,
@@ -18,8 +19,8 @@ from convergesim.podlayer import (
 from convergesim.resgraph import ClusterSpec, ResourceRequest, build_cluster
 
 
-def cluster_with_alloc(nodes, cores=16, nic=True):
-    graph = build_cluster(ClusterSpec(nodes, cores, has_bypass_nic=nic))
+def cluster_with_alloc(nodes, cores=16):
+    graph = build_cluster(ClusterSpec(nodes, cores))
     alloc = graph.carve(graph.root_allocation, ResourceRequest(nodes=nodes))
     return graph, alloc
 
@@ -30,7 +31,7 @@ def test_start_splits_control_plane_and_workers():
     assert kube.control_plane_node == alloc.node_ids[0]
     assert len(kube.worker_nodes) == 32
     assert kube.control_plane_node not in kube.worker_nodes
-    assert kube.hostname_table == {}
+    assert kube.pods == {}
 
 
 def test_start_minimum_two_nodes():
@@ -78,7 +79,8 @@ def test_removing_daemonset_flips_placements_back():
     second = apply(graph, kube, PodSpec(name="b", kind=JOB_SET, replicas=2,
                                         requires_bypass_nic=True))
     assert all(p.network_path == TAP_RELAY for p in second)
-    assert "nic-0" not in kube.hostname_table
+    with pytest.raises(UnknownHostnameError):
+        resolve(kube, "nic-0")
 
 
 def test_bypass_lasts_while_any_exposing_daemonset_is_deployed():
@@ -99,14 +101,6 @@ def test_bypass_lasts_while_any_exposing_daemonset_is_deployed():
     assert paths("after-b") == {TAP_RELAY}
 
 
-def test_bypass_on_cluster_without_device_errors():
-    graph, alloc = cluster_with_alloc(4, nic=False)
-    kube = start_usernetes(graph, alloc.alloc_id)
-    with pytest.raises(PodLayerError):
-        apply(graph, kube, PodSpec(name="nic", kind=DAEMONSET,
-                                   requires_bypass_nic=True))
-
-
 def test_anti_affinity_places_one_pod_per_node():
     graph, alloc = cluster_with_alloc(33)
     kube = start_usernetes(graph, alloc.alloc_id)
@@ -122,15 +116,6 @@ def test_anti_affinity_rejects_overflow():
         apply(graph, kube, PodSpec(name="app", kind=JOB_SET, replicas=33))
 
 
-def test_without_anti_affinity_pods_stack():
-    graph, alloc = cluster_with_alloc(3)
-    kube = start_usernetes(graph, alloc.alloc_id)
-    pods = apply(graph, kube, PodSpec(name="app", kind=DEPLOYMENT, replicas=5,
-                                      anti_affinity=False))
-    assert len(pods) == 5
-    assert {p.node_id for p in pods} == set(kube.worker_nodes)
-
-
 def test_control_plane_never_hosts_workload_pods():
     graph, alloc = cluster_with_alloc(6)
     kube = start_usernetes(graph, alloc.alloc_id)
@@ -144,28 +129,30 @@ def test_control_plane_never_hosts_workload_pods():
 def test_duplicate_hostnames_rejected():
     graph, alloc = cluster_with_alloc(4)
     kube = start_usernetes(graph, alloc.alloc_id)
-    apply(graph, kube, PodSpec(name="app", kind=JOB_SET, replicas=1))
-    with pytest.raises(PodLayerError):
+    first = apply(graph, kube, PodSpec(name="app", kind=JOB_SET, replicas=1))
+    with pytest.raises(PodLayerError, match="already applied"):
         apply(graph, kube, PodSpec(name="app", kind=JOB_SET, replicas=1))
+    assert kube.pods == {"app": first}
 
 
 def test_failed_apply_registers_nothing():
-    graph, alloc = cluster_with_alloc(4, nic=False)
+    graph, alloc = cluster_with_alloc(4)
     kube = start_usernetes(graph, alloc.alloc_id)
-    # the cluster has no NIC to give the pods
-    with pytest.raises(PodLayerError, match="bypass NIC"):
-        apply(graph, kube, PodSpec(name="mpi", kind=JOB_SET, replicas=3,
+    # four replicas do not fit three workers
+    with pytest.raises(PodLayerError, match="do not fit"):
+        apply(graph, kube, PodSpec(name="mpi", kind=JOB_SET, replicas=4,
                                    requires_bypass_nic=True))
-    assert kube.hostname_table == {} and kube.pods == {}
+    assert kube.pods == {}
+    with pytest.raises(UnknownHostnameError):
+        resolve(kube, "mpi-0")
     pods = apply(graph, kube, PodSpec(name="mpi", kind=JOB_SET, replicas=1))
-    assert kube.hostname_table == {"mpi-0": pods[0].node_id}
+    assert kube.pods == {"mpi": pods}
+    assert resolve(kube, "mpi-0") == pods[0].node_id
 
 
 def test_pod_spec_validation():
     with pytest.raises(ValueError):
         PodSpec(name="x", replicas=0)
-    with pytest.raises(ValueError):
-        PodSpec(name="x", cpu_request=4.0, cpu_limit=2.0)
     with pytest.raises(ValueError):
         PodSpec(name="x", kind="cronjob")
 
@@ -177,7 +164,7 @@ def placed_pod(cpu_limit=None):
     graph, alloc = cluster_with_alloc(2)
     kube = start_usernetes(graph, alloc.alloc_id)
     return apply(graph, kube, PodSpec(name="p", kind=JOB_SET, replicas=1,
-                                      cpu_request=1.0, cpu_limit=cpu_limit))[0]
+                                      cpu_limit=cpu_limit))[0]
 
 
 def test_effective_cpu_without_limit():
@@ -231,3 +218,46 @@ def test_resolve_unknown_hostname():
         resolve(kube, "ghost-0")
 
 
+# names with "-" and digits, few enough that they repeat
+NAMES = st.text(alphabet="a1-0", min_size=1, max_size=4)
+OPS = st.one_of(
+    st.tuples(st.just("apply"), NAMES, st.sampled_from([JOB_SET, DEPLOYMENT, DAEMONSET]),
+              st.integers(1, 4), st.booleans()),
+    st.tuples(st.just("remove"), NAMES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(OPS, max_size=20), probes=st.lists(NAMES, max_size=10))
+def test_resolve_matches_a_reference_of_the_applied_placements(ops, probes):
+    graph, alloc = cluster_with_alloc(4)  # three workers
+    kube = start_usernetes(graph, alloc.alloc_id)
+    live = {}      # pod-set name -> {hostname: node id}, from what apply returned
+    removed = set()
+    for op in ops:
+        if op[0] == "remove":
+            if op[1] in live:
+                assert remove(kube, op[1]) == len(live[op[1]])
+                removed |= set(live.pop(op[1]))
+            else:
+                with pytest.raises(PodLayerError):
+                    remove(kube, op[1])
+        else:
+            _, name, kind, replicas, nic = op
+            spec = PodSpec(name=name, kind=kind, replicas=replicas, requires_bypass_nic=nic)
+            before = {key: list(pods) for key, pods in kube.pods.items()}
+            if name in live or (kind != DAEMONSET and replicas > 3):
+                with pytest.raises(PodLayerError):
+                    apply(graph, kube, spec)
+                assert kube.pods == before
+            else:
+                live[name] = {p.name: p.node_id for p in apply(graph, kube, spec)}
+        reference = {host: node for hosts in live.values() for host, node in hosts.items()}
+        for hostname, node_id in reference.items():
+            assert resolve(kube, hostname) == node_id
+        # removed hosts, zero-padded indexes, bare names and random probes
+        padded = {"-0".join(h.rsplit("-", 1)) for h in reference}  # x-1 -> x-01
+        absent = removed | padded | set(probes) | set(live)
+        for hostname in absent - set(reference):
+            with pytest.raises(UnknownHostnameError):
+                resolve(kube, hostname)
