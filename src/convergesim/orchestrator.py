@@ -46,6 +46,7 @@ are the same either way.
 
 import configparser
 import functools
+import itertools
 import math
 import os
 import typing
@@ -90,6 +91,25 @@ MODEL_KEYS = {
 }
 # [pod:<name>] keys are the PodSpec fields
 POD_KEYS = {f.name: f.name for f in fields(PodSpec) if f.name != "name"}
+
+# The pod sets the scenarios apply themselves, each name written once:
+# the runs apply them, and validate refuses a [pod:*] section reusing one.
+HYBRID_NIC, HYBRID_SERVER = "nic-exposer", "ml-server"
+
+
+def _nic_name(size: int) -> str:
+    return f"nic-exposer-{size}"
+
+
+def _job_set_name(size: int, iteration: int) -> str:
+    return f"lammps-{size}-{iteration}"
+
+
+# Most decision rounds (deadlock_horizon / decision_cost) a taxonomy run
+# may take. The two-level hoarding case steps one round at a time up to the
+# horizon: 10^7 rounds took 0.9-1.2 s on a 2-vCPU x86-64 Xeon, the default
+# 48,000 rounds 0.006 s.
+MAX_TAXONOMY_ROUNDS = 10**7
 
 
 class ConfigError(Exception):
@@ -183,6 +203,12 @@ class ScenarioConfig:
                            ("deadlock_horizon", self.deadlock_horizon_s)):
             if not 0 < value < math.inf:  # NaN fails too
                 raise ConfigError(f"{key} must be finite and positive, not {value}")
+        rounds = self.deadlock_horizon_s / self.decision_cost_s
+        if self.experiment == TAXONOMY and rounds > MAX_TAXONOMY_ROUNDS:
+            raise ConfigError(
+                f"deadlock_horizon / decision_cost must be <= {MAX_TAXONOMY_ROUNDS} "
+                f"rounds, not {rounds}")
+        self._validate_pod_specs()
         unknown_models = set(self.model_params) - set(HYBRID_MODELS)
         if unknown_models:
             raise ConfigError(f"unknown model variants {sorted(unknown_models)}")
@@ -193,6 +219,29 @@ class ScenarioConfig:
                 raise ConfigError(f"bad [models] value for {variant}: {err}") from err
         if self.anchors_path is not None:
             load_network(self.anchors_path)
+
+    def _validate_pod_specs(self):
+        """Each [pod:*] section must fit every pod layer the run brings up,
+        and must not reuse a name the scenario applies itself."""
+        if not self.pod_specs:
+            return
+        if self.experiment == HYBRID and self.service_nodes >= 2:
+            workers, own = self.service_nodes - 1, (HYBRID_NIC, HYBRID_SERVER)
+        elif self.experiment == SCALING_STUDY:
+            workers = min(self.sizes)
+            own = itertools.chain(
+                map(_nic_name, self.sizes),
+                (_job_set_name(s, it) for s in self.sizes for it in range(self.iterations)))
+        else:
+            return  # no pod layer
+        for spec in self.pod_specs:
+            if spec.kind != podlayer.DAEMONSET and spec.replicas > workers:
+                raise ConfigError(
+                    f"[pod:{spec.name}] replicas = {spec.replicas} do not fit the "
+                    f"{workers} worker(s) of the smallest pod layer")
+        taken = sorted({spec.name for spec in self.pod_specs}.intersection(own))
+        if taken:
+            raise ConfigError(f"[pod:*] names {taken} are the {self.experiment}'s own pod sets")
 
     def summary(self) -> dict:
         """The config as embedded in every bundle.json: each field declared
@@ -354,11 +403,11 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
             alloc = graph.carve(graph.root_allocation, ResourceRequest(nodes=need))
             kube = None
             if env == workloads.USERNETES:
-                kube = _start_pod_layer(graph, alloc.alloc_id, cfg, f"nic-exposer-{size}")
+                kube = _start_pod_layer(graph, alloc.alloc_id, cfg, _nic_name(size))
             ranks = size * cfg.cluster.cores_per_node
             values = []
             for it in range(cfg.iterations):
-                job_set = f"lammps-{size}-{it}"
+                job_set = _job_set_name(size, it)
                 if kube is not None:
                     podlayer.apply(graph, kube, PodSpec(name=job_set, kind=podlayer.JOB_SET,
                                                         replicas=size, requires_bypass_nic=True))
@@ -577,8 +626,8 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
         ResourceRequest(nodes=cfg.sim_nodes * cfg.train_width),
     )
     if cfg.service_nodes >= 2:
-        _start_pod_layer(graph, service_alloc.alloc_id, cfg, "nic-exposer",
-                         PodSpec(name="ml-server", kind=podlayer.DEPLOYMENT, replicas=1))
+        _start_pod_layer(graph, service_alloc.alloc_id, cfg, HYBRID_NIC,
+                         PodSpec(name=HYBRID_SERVER, kind=podlayer.DEPLOYMENT, replicas=1))
 
     service = mlserve.MLService(model_defaults=cfg.model_params)
     for variant in HYBRID_MODELS:

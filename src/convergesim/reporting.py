@@ -8,6 +8,7 @@ timestamps), so reports can be diffed across runs.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -49,9 +50,9 @@ class ReportBundle:
 
     def verify_aggregates(self) -> None:
         """Recompute every aggregate cell from the raw samples (and check
-        that each cell carries exactly the configured iteration count)."""
-        import numpy as np
-
+        that each cell carries exactly the configured iteration count).
+        Each sum is rounded once (`math.fsum`), so the check shares no
+        arithmetic with the numpy mean and stddev that made the cells."""
         by_cell: dict[tuple, list[float]] = {}
         for env, nodes, ranks, _, value in self.lammps_samples:
             by_cell.setdefault((env, int(nodes), int(ranks)), []).append(float(value))
@@ -66,8 +67,10 @@ class ReportBundle:
                     f"aggregate cell {key} has {len(values)} samples, "
                     f"expected {iterations}"
                 )
-            mean = float(np.mean(values))
-            std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+            n = len(values)
+            mean = math.fsum(values) / n
+            squares = math.fsum((v - mean) ** 2 for v in values)
+            std = math.sqrt(squares / (n - 1)) if n > 1 else 0.0
             if abs(mean - cell["mean_s"]) > 1e-9 or abs(std - cell["stddev_s"]) > 1e-9:
                 raise ReportError(f"aggregate cell {key} does not match its samples")
 

@@ -8,9 +8,13 @@ child's node set is a subset of its parent's, and on every node the core
 counts granted to children never exceed the parent's own grant.
 
 Core grants are counts per node, not individual core identities; nothing
-here binds to specific core IDs, which keeps the accounting (and its
-brute-force audit) simple. The bypass NIC is a pass-through device
-shareable by all allocations on a node, not a partitioned resource.
+here binds to specific core IDs, which keeps the accounting simple. The
+bypass NIC is a pass-through device shareable by all allocations on a
+node, not a partitioned resource.
+
+`check_grants` is the one accounting checker: it rebuilds the tree from
+parent pointers and node slices alone. `ResourceGraph.audit` and the
+tests' replayed mirror both check through it.
 """
 
 from dataclasses import dataclass, field
@@ -103,9 +107,6 @@ class ResourceGraph:
             raise UnknownAllocationError(f"allocation {alloc_id} does not exist")
         return alloc
 
-    def live_allocations(self) -> list[Allocation]:
-        return list(self._allocations.values())
-
     def free_cores(self, alloc_id: int, node_id: int) -> int:
         """Cores of `node_id` granted to `alloc_id` and not re-granted to a child."""
         alloc = self.allocation(alloc_id)
@@ -167,54 +168,66 @@ class ResourceGraph:
         parent.lent -= alloc.total_cores
 
     def audit(self) -> None:
-        """Assert the bounding and conservation invariants on the live tree.
-
-        Per node: the root grant equals the node's core count, every
-        allocation's children stay within its grant, and summing each live
-        allocation's free cores recovers the node's core count exactly.
-        Each allocation's `lent` equals its children's summed node slices.
-        """
-        cores = self.spec.cores_per_node
-        nodes = range(self.spec.node_count)
-        root = self._allocations[self.root_allocation]
-        for node_id in nodes:
-            if root.node_slices.get(node_id) != cores:
-                raise AssertionError(f"root does not own all cores of node {node_id}")
-        for alloc in self.live_allocations():
-            lent = sum(sum(self._allocations[c].node_slices.values()) for c in alloc.children)
-            if lent != alloc.lent:
-                raise AssertionError(f"allocation {alloc.alloc_id} lent {lent}, not {alloc.lent}")
-            for node_id in alloc.node_slices:
-                if self.free_cores(alloc.alloc_id, node_id) < 0:
-                    raise AssertionError(
-                        f"children of allocation {alloc.alloc_id} oversubscribe node {node_id}"
-                    )
-            if alloc.parent is not None:
-                parent = self._allocations[alloc.parent]
-                for node_id, count in alloc.node_slices.items():
-                    if node_id not in parent.node_slices:
-                        raise AssertionError(
-                            f"allocation {alloc.alloc_id} uses node {node_id} "
-                            f"outside its parent"
-                        )
-                    if count > parent.node_slices[node_id]:
-                        raise AssertionError(
-                            f"allocation {alloc.alloc_id} exceeds parent grant on node {node_id}"
-                        )
-        for node_id in nodes:
-            free_sum = sum(
-                self.free_cores(a.alloc_id, node_id)
-                for a in self.live_allocations()
-                if node_id in a.node_slices
-            )
-            if free_sum != cores:
+        """Check the live tree with `check_grants`, then the state kept
+        beside the grants: each allocation's `children` set and `lent`
+        must match the tree the grants rebuild."""
+        allocs = self._allocations
+        children, _ = check_grants(
+            self.spec, {a.alloc_id: (a.parent, a.node_slices) for a in allocs.values()})
+        for alloc_id, alloc in allocs.items():
+            if alloc.children != children[alloc_id]:
                 raise AssertionError(
-                    f"conservation broken on node {node_id}: free sum {free_sum} "
-                    f"!= {cores}"
-                )
+                    f"allocation {alloc_id} lists children {sorted(alloc.children)}, "
+                    f"not {sorted(children[alloc_id])}")
+            lent = sum(sum(allocs[c].node_slices.values()) for c in children[alloc_id])
+            if lent != alloc.lent:
+                raise AssertionError(f"allocation {alloc_id} lent {lent}, not {alloc.lent}")
 
     def root_fully_free(self) -> bool:
         return not self._allocations[self.root_allocation].children
+
+
+def check_grants(spec: ClusterSpec, grants: dict) -> tuple[dict, dict]:
+    """Check a tree of grants, `{alloc_id: (parent, node_slices)}`, and
+    return it rebuilt as `(children, free)`: each allocation's set of
+    child ids, and its per-node cores not re-granted to a child.
+
+    Reads nothing but `grants`. Raises AssertionError naming the broken rule:
+    - exactly one root, and it owns every core of every node;
+    - every parent is live;
+    - every node of a child lies in its parent;
+    - on every node, an allocation's children hold at most its grant.
+
+    Two further invariants follow. A child never holds more of a node than
+    its parent's grant, by the last rule. Conservation, that the free cores
+    of a node's allocations sum to the node's core count, holds because
+    children come from the parent pointers: each grant is added once as an
+    allocation's own and taken once from its parent's free count, so the
+    sum telescopes to the root's grant.
+    """
+    roots = [a for a, (parent, _) in grants.items() if parent is None]
+    full = dict.fromkeys(range(spec.node_count), spec.cores_per_node)
+    if len(roots) != 1 or grants[roots[0]][1] != full:
+        raise AssertionError(f"roots {roots}: need one, owning all cores of every node")
+    children = {alloc_id: set() for alloc_id in grants}
+    free = {alloc_id: dict(slices) for alloc_id, (_, slices) in grants.items()}
+    for alloc_id, (parent, slices) in grants.items():
+        if parent is None:
+            continue
+        if parent not in grants:
+            raise AssertionError(f"allocation {alloc_id} has parent {parent}, not live")
+        children[parent].add(alloc_id)
+        for node_id, count in slices.items():
+            if node_id not in free[parent]:
+                raise AssertionError(
+                    f"allocation {alloc_id} uses node {node_id} outside its parent")
+            free[parent][node_id] -= count
+    for alloc_id, nodes in free.items():
+        for node_id, cores in nodes.items():
+            if cores < 0:
+                raise AssertionError(
+                    f"children of allocation {alloc_id} oversubscribe node {node_id}")
+    return children, free
 
 
 def build_cluster(spec: ClusterSpec) -> ResourceGraph:

@@ -1,9 +1,11 @@
 """Independent oracles shared by the test modules.
 
-These deliberately avoid the library's own code paths: combinatorial
-enumeration for conflict probabilities, a replayed per-node accounting
-mirror for allocation conservation, closed-form batch solutions for the
-incremental learners, and a pairwise interval scan for placement overlap.
+Most avoid the library's own code paths: combinatorial enumeration for
+conflict probabilities, closed-form batch solutions for the incremental
+learners, and a pairwise interval scan for placement overlap.
+`AccountingMirror` replays a run's carves and releases into grants of
+its own and checks them with `resgraph.check_grants`, the one accounting
+checker, which reads nothing but those grants.
 `reference_carve` is a carve without the graph's capacity shortcut, and
 the `*_update_reference`s the numpy forms of the model updates.
 
@@ -23,6 +25,8 @@ import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from convergesim.resgraph import check_grants
 
 
 def exhaustive_conflict_probability(node_count: int, gang: int) -> float:
@@ -45,58 +49,30 @@ def batch_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 
 
 class AccountingMirror:
-    """Brute-force per-node interval accounting driven purely by the carve
-    and release ops a `GraphRecorder` saw; audits sibling bounding and
-    exact conservation after every event."""
+    """Replays the carve and release ops a `GraphRecorder` saw into grants
+    of its own, and checks them with `resgraph.check_grants` after every
+    event; `children` and `free` are the tree that check rebuilt."""
 
-    def __init__(self, node_cores: dict[int, int], root_id: int,
-                 root_slices: dict[int, int]):
-        self.node_cores = dict(node_cores)
-        self.parents = {root_id: None}
-        self.slices = {root_id: dict(root_slices)}
-        self.children: dict[int, set[int]] = {root_id: set()}
+    def __init__(self, spec, root_id: int, root_slices: dict[int, int]):
+        self.spec = spec
+        self.grants = {root_id: (None, dict(root_slices))}
+        self.children, self.free = check_grants(spec, self.grants)
         self.events = 0
 
     def apply(self, op: tuple) -> None:
         kind, alloc_id, other_id, slices = op
         if kind == "carve":
-            assert other_id in self.slices, "carve from unknown parent"
-            assert alloc_id not in self.slices, "allocation id reused"
-            self.parents[alloc_id] = other_id
-            self.slices[alloc_id] = dict(slices)
-            self.children[alloc_id] = set()
-            self.children[other_id].add(alloc_id)
+            assert other_id in self.grants, "carve from unknown parent"
+            assert alloc_id not in self.grants, "allocation id reused"
+            self.grants[alloc_id] = (other_id, dict(slices))
         elif kind == "release":
-            assert alloc_id in self.slices, "release of unknown allocation"
+            assert alloc_id in self.grants, "release of unknown allocation"
             assert not self.children[alloc_id], "release with live children"
-            del self.slices[alloc_id]
-            del self.parents[alloc_id]
-            self.children[other_id].discard(alloc_id)
-            del self.children[alloc_id]
+            del self.grants[alloc_id]
         else:
             raise AssertionError(f"unknown op {kind!r}")
         self.events += 1
-        self.audit()
-
-    def _free(self, alloc_id: int, node: int) -> int:
-        held = self.slices[alloc_id].get(node, 0)
-        for child in self.children[alloc_id]:
-            held -= self.slices[child].get(node, 0)
-        return held
-
-    def audit(self) -> None:
-        for node, cores in self.node_cores.items():
-            total_free = 0
-            for alloc_id in self.slices:
-                free = self._free(alloc_id, node)
-                assert free >= 0, (
-                    f"sibling allocations overlap on node {node} "
-                    f"under allocation {alloc_id}"
-                )
-                total_free += free
-            assert total_free == cores, (
-                f"conservation broken on node {node}: {total_free} != {cores}"
-            )
+        self.children, self.free = check_grants(self.spec, self.grants)
 
 
 def reference_carve(mirror: AccountingMirror, spec, parent_id: int,
@@ -104,12 +80,12 @@ def reference_carve(mirror: AccountingMirror, spec, parent_id: int,
     """The node -> cores map a carve of `request` from `parent_id` must
     grant, or None if it must fail: an ascending first-fit scan over the
     mirror's per-node free counts, with no shortcut."""
-    parent = mirror.slices[parent_id]
+    parent = mirror.grants[parent_id][1]
     chosen = {}
     for node in sorted(parent):
         if len(chosen) == request.nodes:
             break
-        free = mirror._free(parent_id, node)
+        free = mirror.free[parent_id][node]
         if request.exclusive:
             if free == spec.cores_per_node == parent[node]:
                 chosen[node] = spec.cores_per_node

@@ -130,7 +130,7 @@ def test_c05_contention_freedom_oracle():
     graph = build_cluster(ClusterSpec(8, 4))
     root = graph.allocation(graph.root_allocation)
     mirror = AccountingMirror(
-        dict.fromkeys(range(graph.spec.node_count), graph.spec.cores_per_node),
+        graph.spec,
         graph.root_allocation,
         dict(root.node_slices),
     )

@@ -207,6 +207,47 @@ def test_repeated_size_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+HYBRID_POD_LAYER = ("[experiment]\nkind = hybrid\nseed = 1\n"
+                    "[hybrid]\nservice_nodes = 2\ntrain_count = 1\ntest_count = 1\n")
+SCALING_4_8 = "[experiment]\nkind = scaling_study\nseed = 1\nsizes = 4 8\niterations = 2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HYBRID_POD_LAYER + "[pod:q]\nreplicas = 2\n",
+     "[pod:q] replicas = 2 do not fit the 1 worker(s)"),
+    (HYBRID_POD_LAYER + "[pod:nic-exposer]\n", "['nic-exposer'] are the hybrid's own"),
+    (HYBRID_POD_LAYER + "[pod:ml-server]\n", "['ml-server'] are the hybrid's own"),
+    (SCALING_4_8 + "[pod:q]\nreplicas = 5\n", "[pod:q] replicas = 5 do not fit the 4 worker(s)"),
+    (SCALING_4_8 + "[pod:lammps-4-0]\n", "['lammps-4-0'] are the scaling_study's own"),
+], ids=["hybrid_replicas", "hybrid_nic", "hybrid_server", "scaling_replicas", "scaling_job_set"])
+def test_pod_section_that_cannot_apply_is_config_error(tmp_path, capsys, text, message):
+    # each passed validate and then exited 2 when its pod layer came up
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pod_sections_that_apply_are_accepted(tmp_path):
+    # a daemonset fits any layer; a job set's name with an iteration the
+    # run never reaches is free; without a pod layer nothing is applied
+    load_config(write(tmp_path, HYBRID_POD_LAYER + "[pod:d]\nkind = daemonset\n"))
+    load_config(write(tmp_path, SCALING_4_8 + "[pod:lammps-4-2]\n[pod:q]\nreplicas = 4\n"))
+    load_config(write(tmp_path, HYBRID_POD_LAYER.replace("= 2", "= 1")
+                      + "[pod:ml-server]\nreplicas = 9\n"))
+
+
+@pytest.mark.parametrize("key, value", [("deadlock_horizon", "1e300"),
+                                        ("decision_cost", "1e-300")])
+def test_taxonomy_rounds_are_bounded(tmp_path, key, value):
+    # either value ran the two-level hoarding case for ever
+    with pytest.raises(ConfigError, match=re.escape("must be <= 10000000 rounds")):
+        load_config(write(tmp_path, BASE + f"[taxonomy]\n{key} = {value}\n"))
+    load_config(write(tmp_path, BASE + "[taxonomy]\ndeadlock_horizon = 12500\n"))  # 10^7
+
+
 def test_malformed_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, BASE + "[experiment]\nseed = 2\n"))

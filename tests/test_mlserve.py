@@ -1,8 +1,12 @@
 import contextlib
 import json
 import math
+import os
 import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -752,6 +756,34 @@ def test_unix_socket_mount_agrees_too(tmp_path):
         got = [client.call_line(line) for line in SCRIPT]
         client.close()
     assert got == expected
+
+
+def test_serve_command_answers_on_its_socket_until_sigint(tmp_path):
+    path = str(tmp_path / "s.sock")
+    src = str(Path(mlserve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen([sys.executable, "-m", "convergesim.cli", "serve", "--socket", path],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                client = mlserve.ServiceClient(path=path)
+                break
+            except (FileNotFoundError, ConnectionRefusedError):
+                assert proc.poll() is None and time.monotonic() < deadline, proc.poll()
+                time.sleep(0.02)
+        assert client.call_line("create name=m type=linear_sgd").startswith("ok")
+        assert client.call_line("list_models") == "ok models=m"
+        client.close()
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30.0)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err
+    assert f"serving on unix socket {path}" in out
 
 
 @pytest.mark.parametrize("sep", ["\n", "\r", "\r\n"])

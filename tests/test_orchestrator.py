@@ -28,7 +28,7 @@ from convergesim.orchestrator import (
     run_scenario,
     run_taxonomy_suite,
 )
-from convergesim.reporting import ReportBundle, emit_report
+from convergesim.reporting import ReportBundle, ReportError, emit_report
 from convergesim.resgraph import ClusterSpec
 from convergesim.simkernel import RngStreams
 
@@ -154,6 +154,27 @@ def test_scaling_study_counts_and_aggregates():
     # ranks column mirrors cores-per-node times size
     for cell in bundle.lammps_cells:
         assert cell["ranks"] == cell["nodes"] * 16
+
+
+def _drop_cell(bundle):
+    bundle.lammps_samples = [s for s in bundle.lammps_samples if s[:2] != ["bare_metal", 8]]
+
+
+def _shift_mean(bundle):
+    bundle.lammps_cells[0]["mean_s"] += 1e-6
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_cell, r"\('bare_metal', 8, 128\) has no raw samples"),
+    (lambda bundle: bundle.lammps_samples.pop(), "has 2 samples, expected 3"),
+    (_shift_mean, r"\('bare_metal', 4, 64\) does not match its samples"),
+], ids=["no_samples", "sample_count", "mean"])
+def test_verify_aggregates_names_each_broken_cell(corrupt, message):
+    bundle = run_scaling_study(small_scaling())
+    bundle.verify_aggregates()
+    corrupt(bundle)
+    with pytest.raises(ReportError, match=message):
+        bundle.verify_aggregates()
 
 
 def test_scaling_study_emits_benchmark_series():

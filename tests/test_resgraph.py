@@ -17,13 +17,14 @@ from convergesim.resgraph import (
     ResourceRequest,
     UnknownAllocationError,
     build_cluster,
+    check_grants,
 )
 
 
 def mirror_for(graph):
     root = graph.allocation(graph.root_allocation)
     return AccountingMirror(
-        dict.fromkeys(range(graph.spec.node_count), graph.spec.cores_per_node),
+        graph.spec,
         graph.root_allocation,
         dict(root.node_slices),
     )
@@ -175,6 +176,57 @@ def test_audit_recomputes_lent_cores():
     graph.allocation(graph.root_allocation).lent += 1
     graph.release(child.alloc_id)
     graph.audit()
+
+
+def nested_tree():
+    """root (4 nodes of 8 cores) -> a (nodes 0 and 1) -> b (2 cores of node 0)."""
+    graph = build_cluster(ClusterSpec(4, 8))
+    a = graph.carve(graph.root_allocation, ResourceRequest(nodes=2))
+    b = graph.carve(a.alloc_id, ResourceRequest(nodes=1, cores_per_node=2, exclusive=False))
+    return graph, a, b
+
+
+def _set_slice(alloc, node_id, cores):
+    alloc.node_slices[node_id] = cores
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda g, a, b: _set_slice(g.allocation(g.root_allocation), 3, 7), "roots"),
+    (lambda g, a, b: setattr(b, "parent", 999), "parent 999, not live"),
+    (lambda g, a, b: _set_slice(b, 3, 1), "node 3 outside its parent"),
+    (lambda g, a, b: _set_slice(b, 0, 9), "children of allocation 2 oversubscribe node 0"),
+    (lambda g, a, b: a.children.discard(b.alloc_id), "lists children"),
+], ids=["root", "parent", "outside", "oversubscribe", "children"])
+def test_audit_names_each_broken_rule(corrupt, message):
+    # one corrupted field of a valid tree trips its own branch; the lent
+    # branch has test_audit_recomputes_lent_cores
+    graph, a, b = nested_tree()
+    graph.audit()
+    corrupt(graph, a, b)
+    with pytest.raises(AssertionError, match=message):
+        graph.audit()
+
+
+def test_audit_reads_no_free_cores(monkeypatch):
+    # the audit must not check the graph's accounting against itself
+    graph, a, b = nested_tree()
+
+    def refuse(*args):
+        raise RuntimeError("audit called free_cores")
+
+    monkeypatch.setattr(graph, "free_cores", refuse)
+    graph.audit()
+    graph.release(b.alloc_id)
+    graph.audit()
+
+
+def test_check_grants_rebuilds_children_and_free_cores():
+    grants = {1: (None, {0: 4, 1: 4}), 2: (1, {0: 4, 1: 1}), 3: (2, {1: 1}), 4: (1, {1: 2})}
+    children, free = check_grants(ClusterSpec(2, 4), grants)
+    assert children == {1: {2, 4}, 2: {3}, 3: set(), 4: set()}
+    assert free == {1: {0: 0, 1: 1}, 2: {0: 4, 1: 0}, 3: {1: 1}, 4: {1: 2}}
+    with pytest.raises(AssertionError, match="roots"):
+        check_grants(ClusterSpec(3, 4), grants)  # the root lacks node 2
 
 
 REQUESTS = st.builds(ResourceRequest, nodes=st.integers(1, 4),
