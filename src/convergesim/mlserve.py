@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import mlcore
+from .reporting import render_value
 
 NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -240,18 +241,6 @@ class MLService:
 
 # --- line protocol ----------------------------------------------------------
 
-def _render_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
 class ProtocolError(Exception):
     pass
 
@@ -280,7 +269,7 @@ def parse_request(line: str) -> tuple[str, dict]:
 
 def format_response(resp: ServiceResponse) -> str:
     parts = [resp.status]
-    parts.extend(f"{key}={_render_value(value)}" for key, value in resp.body)
+    parts.extend(f"{key}={render_value(value)}" for key, value in resp.body)
     return " ".join(parts)
 
 

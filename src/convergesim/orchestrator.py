@@ -4,7 +4,8 @@ taxonomy comparison, and the hybrid simulate-and-learn run.
 Every scenario builds a private engine seeded from the config (seeding is
 mandatory; nothing reads the wall clock), carves its allocations from a
 fresh cluster graph, and returns a ReportBundle. After a run the root
-allocation is fully free again; leaked carves are a bug.
+allocation is fully free again; leaked carves are a bug. A pod layer holds
+only the control plane, the NIC daemonset and the scenario's own pod sets.
 
 The taxonomy cases are independent (each owns a private engine and
 graph), so they run in forked worker processes, one per usable CPU. With
@@ -46,7 +47,6 @@ are the same either way.
 
 import configparser
 import functools
-import itertools
 import math
 import os
 import typing
@@ -89,22 +89,6 @@ MODEL_KEYS = {
     "aggressiveness": ("passive_aggressive", "C"),
     "epsilon": ("passive_aggressive", "epsilon"),
 }
-# [pod:<name>] keys are the PodSpec fields
-POD_KEYS = {f.name: f.name for f in fields(PodSpec) if f.name != "name"}
-
-# The pod sets the scenarios apply themselves, each name written once:
-# the runs apply them, and validate refuses a [pod:*] section reusing one.
-HYBRID_NIC, HYBRID_SERVER = "nic-exposer", "ml-server"
-
-
-def _nic_name(size: int) -> str:
-    return f"nic-exposer-{size}"
-
-
-def _job_set_name(size: int, iteration: int) -> str:
-    return f"lammps-{size}-{iteration}"
-
-
 # Most decision rounds (deadlock_horizon / decision_cost) a taxonomy run
 # may take. The two-level hoarding case steps one round at a time up to the
 # horizon: 10^7 rounds took 0.9-1.2 s on a 2-vCPU x86-64 Xeon, the default
@@ -157,9 +141,6 @@ class ScenarioConfig:
     service_nodes: int = _ini("hybrid", "service_nodes", 1, low=1)
     # per-variant regressor hyperparameters, e.g. {"linear_sgd": {"learning_rate": 0.02}}
     model_params: dict = field(default_factory=dict)
-    # extra pod sets ([pod:<name>] sections) applied to any pod layer a
-    # scenario brings up
-    pod_specs: list = field(default_factory=list)
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
@@ -188,9 +169,9 @@ class ScenarioConfig:
                 )
         if not (1 <= self.dim_min <= self.dim_max):
             raise ConfigError("dim range must satisfy 1 <= dim_min <= dim_max")
-        if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
-            raise ConfigError(
-                f"[hybrid] noise_sigma must be finite and >= 0, not {self.noise_sigma}")
+        if not 0 <= self.noise_sigma <= workloads.MAX_NOISE_SIGMA:  # NaN fails too
+            raise ConfigError(f"[hybrid] noise_sigma must be >= 0 and <= "
+                              f"{workloads.MAX_NOISE_SIGMA}, not {self.noise_sigma}")
         if self.experiment == HYBRID:
             need = self.service_nodes + self.sim_nodes * self.train_width
             if need > self.cluster.node_count:
@@ -208,7 +189,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"deadlock_horizon / decision_cost must be <= {MAX_TAXONOMY_ROUNDS} "
                 f"rounds, not {rounds}")
-        self._validate_pod_specs()
         unknown_models = set(self.model_params) - set(HYBRID_MODELS)
         if unknown_models:
             raise ConfigError(f"unknown model variants {sorted(unknown_models)}")
@@ -220,29 +200,6 @@ class ScenarioConfig:
         if self.anchors_path is not None:
             load_network(self.anchors_path)
 
-    def _validate_pod_specs(self):
-        """Each [pod:*] section must fit every pod layer the run brings up,
-        and must not reuse a name the scenario applies itself."""
-        if not self.pod_specs:
-            return
-        if self.experiment == HYBRID and self.service_nodes >= 2:
-            workers, own = self.service_nodes - 1, (HYBRID_NIC, HYBRID_SERVER)
-        elif self.experiment == SCALING_STUDY:
-            workers = min(self.sizes)
-            own = itertools.chain(
-                map(_nic_name, self.sizes),
-                (_job_set_name(s, it) for s in self.sizes for it in range(self.iterations)))
-        else:
-            return  # no pod layer
-        for spec in self.pod_specs:
-            if spec.kind != podlayer.DAEMONSET and spec.replicas > workers:
-                raise ConfigError(
-                    f"[pod:{spec.name}] replicas = {spec.replicas} do not fit the "
-                    f"{workers} worker(s) of the smallest pod layer")
-        taken = sorted({spec.name for spec in self.pod_specs}.intersection(own))
-        if taken:
-            raise ConfigError(f"[pod:*] names {taken} are the {self.experiment}'s own pod sets")
-
     def summary(self) -> dict:
         """The config as embedded in every bundle.json: each field declared
         with report=True, and the cluster as node and core counts."""
@@ -251,10 +208,9 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.name == "cluster":
                 out.update(cluster_nodes=value.node_count, cores_per_node=value.cores_per_node)
-            elif f.name == "pod_specs":
-                out[f.name] = [spec.name for spec in value]
             elif f.metadata.get("report", True):
                 out[f.name] = list(value) if isinstance(value, tuple) else value
+        out["pod_specs"] = []  # a constant: the committed bundles' bytes hold this key
         return out
 
 
@@ -300,7 +256,8 @@ def load_config(path) -> ScenarioConfig:
     """Parse the INI-style scenario file (see README for the full grammar).
 
     A key left out keeps its default. A key the schema does not know is
-    an error in a section the schema owns; other sections are ignored.
+    an error in a section the schema owns, and so is any [pod:*] section;
+    other sections are ignored.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -316,7 +273,7 @@ def load_config(path) -> ScenarioConfig:
     for key in ("kind", "seed"):
         if not parser.has_option("experiment", key):
             raise ConfigError(f"bad [experiment] section: {key} is mandatory")
-    values, cluster, model_params, pod_specs = {}, {}, {}, []
+    values, cluster, model_params = {}, {}, {}
     try:
         for section in parser.sections():
             sec = parser[section]
@@ -330,12 +287,8 @@ def load_config(path) -> ScenarioConfig:
                     if key in sec:
                         model_params.setdefault(variant, {})[param] = sec.getfloat(key)
             elif section.startswith("pod:"):
-                name = section[len("pod:"):]
-                try:
-                    pod_specs.append(PodSpec(name=name, **_read(sec, POD_KEYS, PodSpec)))
-                except ValueError as err:
-                    raise ConfigError(f"bad pod spec {name!r}: {err}") from err
-        cfg = ScenarioConfig(**values, model_params=model_params, pod_specs=pod_specs)
+                raise ConfigError(f"[{section}]: the scenarios apply their own pod sets")
+        cfg = ScenarioConfig(**values, model_params=model_params)
         cfg.cluster = replace(cfg.cluster, **cluster)
     except ValueError as err:
         raise ConfigError(f"bad config value: {err}") from err
@@ -364,13 +317,13 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _start_pod_layer(graph, alloc_id: int, cfg: ScenarioConfig, nic_name: str,
+def _start_pod_layer(graph, alloc_id: int, nic_name: str,
                      *specs: PodSpec) -> podlayer.KubeCluster:
     """Bring up a pod layer in `alloc_id` with the NIC daemonset `nic_name`,
-    then `specs`, then the config's extra pod sets."""
+    then `specs`."""
     kube = podlayer.start_usernetes(graph, alloc_id)
     nic = PodSpec(name=nic_name, kind=podlayer.DAEMONSET, requires_bypass_nic=True)
-    for spec in (nic, *specs, *cfg.pod_specs):
+    for spec in (nic, *specs):
         podlayer.apply(graph, kube, spec)
     return kube
 
@@ -403,11 +356,11 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
             alloc = graph.carve(graph.root_allocation, ResourceRequest(nodes=need))
             kube = None
             if env == workloads.USERNETES:
-                kube = _start_pod_layer(graph, alloc.alloc_id, cfg, _nic_name(size))
+                kube = _start_pod_layer(graph, alloc.alloc_id, f"nic-exposer-{size}")
             ranks = size * cfg.cluster.cores_per_node
             values = []
             for it in range(cfg.iterations):
-                job_set = _job_set_name(size, it)
+                job_set = f"lammps-{size}-{it}"
                 if kube is not None:
                     podlayer.apply(graph, kube, PodSpec(name=job_set, kind=podlayer.JOB_SET,
                                                         replicas=size, requires_bypass_nic=True))
@@ -626,8 +579,8 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
         ResourceRequest(nodes=cfg.sim_nodes * cfg.train_width),
     )
     if cfg.service_nodes >= 2:
-        _start_pod_layer(graph, service_alloc.alloc_id, cfg, HYBRID_NIC,
-                         PodSpec(name=HYBRID_SERVER, kind=podlayer.DEPLOYMENT, replicas=1))
+        _start_pod_layer(graph, service_alloc.alloc_id, "nic-exposer",
+                         PodSpec(name="ml-server", kind=podlayer.DEPLOYMENT, replicas=1))
 
     service = mlserve.MLService(model_defaults=cfg.model_params)
     for variant in HYBRID_MODELS:

@@ -75,14 +75,17 @@ class ReportBundle:
                 raise ReportError(f"aggregate cell {key} does not match its samples")
 
 
-def _fmt(value) -> str:
+def render_value(value) -> str:
+    """A CSV cell's or a service reply's text: null, true/false, a float's
+    repr (numpy scalars as plain floats), lists comma-joined, else str()."""
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        # plain-float repr even for float subclasses (numpy scalars)
         return repr(float(value))
+    if isinstance(value, (list, tuple)):
+        return ",".join(str(v) for v in value)
     return str(value)
 
 
@@ -96,7 +99,7 @@ def _write(path: Path, text: str) -> Path:
 def _csv_text(columns, rows) -> str:
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+        lines.append(",".join(render_value(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -195,6 +195,7 @@ def check_grants(spec: ClusterSpec, grants: dict) -> tuple[dict, dict]:
     Reads nothing but `grants`. Raises AssertionError naming the broken rule:
     - exactly one root, and it owns every core of every node;
     - every parent is live;
+    - every allocation reaches the root through its parents (no cycle);
     - every node of a child lies in its parent;
     - on every node, an allocation's children hold at most its grant.
 
@@ -222,6 +223,12 @@ def check_grants(spec: ClusterSpec, grants: dict) -> tuple[dict, dict]:
                 raise AssertionError(
                     f"allocation {alloc_id} uses node {node_id} outside its parent")
             free[parent][node_id] -= count
+    reached = roots[:]  # each allocation has one parent, so no id repeats
+    for alloc_id in reached:
+        reached.extend(children[alloc_id])
+    if len(reached) != len(grants):
+        raise AssertionError(f"allocations {sorted(set(grants) - set(reached))} "
+                             "do not reach the root through their parents")
     for alloc_id, nodes in free.items():
         for node_id, cores in nodes.items():
             if cores < 0:

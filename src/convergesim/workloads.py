@@ -146,6 +146,13 @@ def table_walltime(env: str, nodes: int, rng: np.random.Generator) -> float:
     return max(draw, 0.5 * row.mean_s)
 
 
+# A noise_sigma whose factor exp(sigma * z) stays finite: numpy's normal
+# returns |z| <= R = 3.6541528853610088 or, from its ziggurat tail, R + x
+# with x^2 < -2 log(1 - u) for a 53-bit uniform u <= 1 - 2^-53. So |z| <
+# R + sqrt(106 ln 2) = 12.226, and 58 * 12.226 = 709.1 < log(float max).
+MAX_NOISE_SIGMA = 58
+
+
 def lammps_walltime(ranks: int, problem: LammpsProblem, rng: np.random.Generator,
                     noise_sigma: float) -> float:
     """Sample one realized bare-metal walltime in seconds of any problem box;

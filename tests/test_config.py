@@ -1,10 +1,12 @@
-"""The scenario file schema: unknown keys, the [pod:*] kind default, and
-the README's INI block, which must parse, show the defaults and name
-every key."""
+"""The scenario file schema: unknown keys and sections, value bounds, the
+refused [pod:*] sections, and the README's INI block, which must parse,
+show the defaults and name every key."""
 
 import inspect
 import json
+import math
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +16,6 @@ from convergesim import cli, mlcore, podlayer
 from convergesim.orchestrator import (
     CLUSTER_KEYS,
     MODEL_KEYS,
-    POD_KEYS,
     ConfigError,
     ScenarioConfig,
     load_config,
@@ -40,13 +41,6 @@ def write(tmp_path, text):
     return path
 
 
-def test_pod_section_without_kind_is_a_deployment(tmp_path):
-    cfg = load_config(write(tmp_path, BASE + "[pod:x]\nreplicas = 2\n"))
-    assert cfg.pod_specs == [
-        podlayer.PodSpec(name="x", kind=podlayer.DEPLOYMENT, replicas=2)
-    ]
-
-
 @pytest.mark.parametrize("section", [
     "[hybrid]\ntrain_cout = 5\n",
     "iteration = 3\n",  # still in BASE's [experiment]
@@ -54,10 +48,7 @@ def test_pod_section_without_kind_is_a_deployment(tmp_path):
     "[taxonomy]\ndecision_cost_s = 0.01\n",
     "[models]\nlearning = 0.1\n",
     "[output]\ndir = elsewhere\n",
-    "[pod:x]\nreplica = 2\n",
     "[cluster]\nbypass_nic = false\n",  # the NIC is on every node
-    "[pod:x]\nanti_affinity = false\n",  # one pod per worker, always
-    "[pod:x]\ncpu_request = 1\n",  # nothing read it
 ])
 def test_unknown_key_in_known_section_is_config_error(tmp_path, section):
     with pytest.raises(ConfigError, match="unknown key"):
@@ -108,8 +99,13 @@ def test_cluster_count_below_one_is_config_error(tmp_path, capsys, key):
     ("cpu_limit = nan", "cpu_limit"),
 ])
 def test_pod_cpu_values_must_be_finite(tmp_path, values, key):
-    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+    # a scenario file can no longer set a pod's values, so the rule is
+    # PodSpec's own
+    with pytest.raises(ConfigError, match=re.escape("[pod:x]")):
         load_config(write(tmp_path, BASE + f"[pod:x]\n{values}\n"))
+    name, value = (part.strip() for part in values.split("="))
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        podlayer.PodSpec(name="x", **{name: float(value)})
 
 
 @pytest.mark.parametrize("key, value, param", [
@@ -136,6 +132,18 @@ def test_model_values_at_their_bounds_are_accepted(tmp_path):
                             "alpha = 1e-300\nbeta = 1e300\naggressiveness = inf\n"
                             "epsilon = 0\n"))
     assert cfg.model_params["passive_aggressive"] == {"C": float("inf"), "epsilon": 0.0}
+
+
+def test_model_update_that_overflows_is_a_runtime_error(tmp_path, capsys):
+    # whether an update overflows depends on the run's data, so no config
+    # check refuses this rate: the run fails its train request instead
+    path = write(tmp_path, "[cluster]\nnodes = 5\n[experiment]\nkind = hybrid\nseed = 1\n"
+                 "[hybrid]\ntrain_count = 20\ntest_count = 2\n"
+                 "[models]\nlearning_rate = 1e300\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "error: train failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_anchors_file_is_config_error(tmp_path, capsys):
@@ -207,36 +215,29 @@ def test_repeated_size_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-HYBRID_POD_LAYER = ("[experiment]\nkind = hybrid\nseed = 1\n"
-                    "[hybrid]\nservice_nodes = 2\ntrain_count = 1\ntest_count = 1\n")
-SCALING_4_8 = "[experiment]\nkind = scaling_study\nseed = 1\nsizes = 4 8\niterations = 2\n"
+def test_pod_section_is_config_error(tmp_path, capsys):
+    # the scenarios apply their own pod sets; this section used to declare
+    # an extra deployment that nothing read
+    path = write(tmp_path, BASE + "[pod:x]\nreplicas = 2\n")
+    with pytest.raises(ConfigError, match=re.escape("[pod:x]")):
+        load_config(path)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: [pod:x]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text, message", [
-    (HYBRID_POD_LAYER + "[pod:q]\nreplicas = 2\n",
-     "[pod:q] replicas = 2 do not fit the 1 worker(s)"),
-    (HYBRID_POD_LAYER + "[pod:nic-exposer]\n", "['nic-exposer'] are the hybrid's own"),
-    (HYBRID_POD_LAYER + "[pod:ml-server]\n", "['ml-server'] are the hybrid's own"),
-    (SCALING_4_8 + "[pod:q]\nreplicas = 5\n", "[pod:q] replicas = 5 do not fit the 4 worker(s)"),
-    (SCALING_4_8 + "[pod:lammps-4-0]\n", "['lammps-4-0'] are the scaling_study's own"),
-], ids=["hybrid_replicas", "hybrid_nic", "hybrid_server", "scaling_replicas", "scaling_job_set"])
-def test_pod_section_that_cannot_apply_is_config_error(tmp_path, capsys, text, message):
-    # each passed validate and then exited 2 when its pod layer came up
-    path = write(tmp_path, text)
-    with pytest.raises(ConfigError, match=re.escape(message)):
+def test_noise_sigma_that_can_overflow_exp_is_config_error(tmp_path, capsys):
+    # 1000 used to exit 2 with "math range error" when a draw overflowed exp
+    path = write(tmp_path, BASE + "[hybrid]\nnoise_sigma = 1000\n")
+    with pytest.raises(ConfigError, match=re.escape("noise_sigma must be >= 0 and <= 58")):
         load_config(path)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_pod_sections_that_apply_are_accepted(tmp_path):
-    # a daemonset fits any layer; a job set's name with an iteration the
-    # run never reaches is free; without a pod layer nothing is applied
-    load_config(write(tmp_path, HYBRID_POD_LAYER + "[pod:d]\nkind = daemonset\n"))
-    load_config(write(tmp_path, SCALING_4_8 + "[pod:lammps-4-2]\n[pod:q]\nreplicas = 4\n"))
-    load_config(write(tmp_path, HYBRID_POD_LAYER.replace("= 2", "= 1")
-                      + "[pod:ml-server]\nreplicas = 9\n"))
+    assert load_config(write(tmp_path, BASE + "[hybrid]\nnoise_sigma = 58\n")).noise_sigma == 58
+    # the bound's derivation: numpy's normal draws |z| < R + sqrt(106 ln 2)
+    max_z = 3.6541528853610088 + math.sqrt(106 * math.log(2))
+    assert 58 * max_z < math.log(sys.float_info.max) < 59 * max_z
 
 
 @pytest.mark.parametrize("key, value", [("deadlock_horizon", "1e300"),
@@ -259,15 +260,14 @@ def test_unknown_section_is_ignored(tmp_path):
 
 
 def test_readme_ini_block_is_accepted(readme_ini):
-    cfg = load_config(readme_ini)
-    assert [spec.name for spec in cfg.pod_specs] == ["task-queue"]
+    load_config(readme_ini)
 
 
 def test_readme_ini_values_are_the_defaults(readme_ini):
     cfg = load_config(readme_ini)
     default = ScenarioConfig(experiment=cfg.experiment, seed=cfg.seed)
     for f in fields(ScenarioConfig):
-        if f.name not in ("model_params", "pod_specs"):
+        if f.name != "model_params":
             assert getattr(cfg, f.name) == getattr(default, f.name), f.name
     for variant, params in cfg.model_params.items():
         signature = inspect.signature(mlcore.MODEL_VARIANTS[variant])
@@ -280,12 +280,11 @@ def test_readme_ini_block_names_every_schema_key(readme_ini):
     named, section = {}, None
     for line in readme_ini.read_text().splitlines():
         if header := re.match(r"\[([^\]]+)\]", line):
-            section = "pod:*" if header[1].startswith("pod:") else header[1]
+            section = header[1]
             named[section] = []
         elif key := re.match(r"#?\s*(\w+)\s*=", line):
             named[section].append(key[1])
-    schema = {"cluster": list(CLUSTER_KEYS), "models": list(MODEL_KEYS),
-              "pod:*": list(POD_KEYS)}
+    schema = {"cluster": list(CLUSTER_KEYS), "models": list(MODEL_KEYS)}
     for f in fields(ScenarioConfig):
         if "ini" in f.metadata:
             section, key = f.metadata["ini"]

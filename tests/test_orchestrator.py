@@ -520,23 +520,6 @@ def test_config_rejects_unknown_model_variant():
         cfg.validate()
 
 
-def test_pod_sections_declare_extra_pod_sets(tmp_path):
-    path = tmp_path / "scenario.ini"
-    path.write_text(
-        "[cluster]\nnodes = 7\n"
-        "[experiment]\nkind = hybrid\nseed = 4\n"
-        "[hybrid]\ntrain_count = 5\ntest_count = 2\nservice_nodes = 3\n"
-        "[pod:task-queue]\nkind = deployment\nreplicas = 2\n"
-        "[pod:db]\nkind = deployment\nreplicas = 1\ncpu_limit = 4\n"
-    )
-    cfg = load_config(path)
-    assert [s.name for s in cfg.pod_specs] == ["task-queue", "db"]
-    assert cfg.pod_specs[1].cpu_limit == 4.0
-    bundle = run_hybrid(cfg)
-    assert bundle.config["pod_specs"] == ["task-queue", "db"]
-    assert len(bundle.hybrid["service_nodes"]) == 3
-
-
 def test_bad_pod_section_is_config_error(tmp_path):
     path = tmp_path / "scenario.ini"
     path.write_text(

@@ -193,10 +193,13 @@ def _set_slice(alloc, node_id, cores):
 @pytest.mark.parametrize("corrupt, message", [
     (lambda g, a, b: _set_slice(g.allocation(g.root_allocation), 3, 7), "roots"),
     (lambda g, a, b: setattr(b, "parent", 999), "parent 999, not live"),
+    # a and b each other's parent with equal grants: no other rule breaks
+    (lambda g, a, b: (b.node_slices.update(a.node_slices), setattr(a, "parent", b.alloc_id)),
+     r"allocations \[2, 3\] do not reach the root"),
     (lambda g, a, b: _set_slice(b, 3, 1), "node 3 outside its parent"),
     (lambda g, a, b: _set_slice(b, 0, 9), "children of allocation 2 oversubscribe node 0"),
     (lambda g, a, b: a.children.discard(b.alloc_id), "lists children"),
-], ids=["root", "parent", "outside", "oversubscribe", "children"])
+], ids=["root", "parent", "cycle", "outside", "oversubscribe", "children"])
 def test_audit_names_each_broken_rule(corrupt, message):
     # one corrupted field of a valid tree trips its own branch; the lent
     # branch has test_audit_recomputes_lent_cores
@@ -227,6 +230,13 @@ def test_check_grants_rebuilds_children_and_free_cores():
     assert free == {1: {0: 0, 1: 1}, 2: {0: 4, 1: 0}, 3: {1: 1}, 4: {1: 2}}
     with pytest.raises(AssertionError, match="roots"):
         check_grants(ClusterSpec(3, 4), grants)  # the root lacks node 2
+
+
+def test_check_grants_refuses_a_detached_parent_cycle():
+    # 2 and 3 are each other's parent: one root, live parents, nothing
+    # outside a parent or oversubscribed, yet neither reaches the root
+    with pytest.raises(AssertionError, match=r"allocations \[2, 3\] do not reach the root"):
+        check_grants(ClusterSpec(1, 4), {1: (None, {0: 4}), 2: (3, {0: 4}), 3: (2, {0: 4})})
 
 
 REQUESTS = st.builds(ResourceRequest, nodes=st.integers(1, 4),
