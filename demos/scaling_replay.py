@@ -1,8 +1,7 @@
 """The 400-run scaling replay: 5 environments x 4 sizes x 20 iterations.
 
-Replays the measured walltime table through the event loop (carve, run,
-release per cell; pod layer up for the in-cluster environment) and
-prints the simulated means next to the reference ones.
+Replays the measured walltime table, drawing each cell's iterations
+from its row, and prints the simulated means next to the reference ones.
 """
 
 from convergesim import orchestrator, workloads

@@ -1,11 +1,11 @@
 """Scenario driver: the five-environment scaling replay, the scheduler
 taxonomy comparison, and the hybrid simulate-and-learn run.
 
-Every scenario builds a private engine seeded from the config (seeding is
-mandatory; nothing reads the wall clock), carves its allocations from a
-fresh cluster graph, and returns a ReportBundle. After a run the root
-allocation is fully free again; leaked carves are a bug. A pod layer holds
-only the control plane, the NIC daemonset and the scenario's own pod sets.
+Every scenario is seeded from the config (seeding is mandatory; nothing
+reads the wall clock) and returns a ReportBundle. The scaling study
+replays the measured table; the taxonomy and hybrid runs carve from fresh
+cluster graphs, which are fully free again after a run (leaked carves are
+a bug). No scenario brings up a pod layer.
 
 The taxonomy cases are independent (each owns a private engine and
 graph), so they run in forked worker processes, one per usable CPU. With
@@ -19,10 +19,8 @@ mounted) and a simulation partition (four nodes) whose workload manager
 runs the proxy-app jobs. Completions stream (features, walltime) samples
 to the service; a second batch of jobs then asks for predictions and the
 realized walltimes score each model with R-squared. The two
-sub-allocations never share a node. With `service_nodes >= 2` the service
-host also brings up the pod layer (control plane, NIC daemonset, and the
-service as a single-replica deployment); the one-node default skips the
-pod layer because a control plane would leave no worker.
+sub-allocations never share a node. `service_nodes` is the service
+host's node count.
 
 Each phase's jobs stream into the simulation's scheduler instance,
 which draws the next job only as its queue drains; each job's walltime is
@@ -54,12 +52,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import hiersched, mlcore, mlserve, netmodel, podlayer, workloads
+from . import hiersched, mlcore, mlserve, netmodel, workloads
 from .hiersched import Instance, Job, run_taxonomy
-from .podlayer import PodSpec
 from .reporting import ReportBundle
 from .resgraph import ClusterSpec, ResourceRequest, build_cluster
-from .simkernel import Engine
+from .simkernel import Engine, RngStreams
 
 SCALING_STUDY = "scaling_study"
 TAXONOMY = "taxonomy"
@@ -161,7 +158,7 @@ class ScenarioConfig:
             bad = [s for s in self.sizes if s not in table_sizes]
             if bad:
                 raise ConfigError(f"sizes {bad} have no reference rows")
-            need = max(self.sizes) + 1  # pod-layer control plane
+            need = max(self.sizes) + 1  # kept: the measured in-cluster runs had a control plane
             if need > self.cluster.node_count:
                 raise ConfigError(
                     f"cluster of {self.cluster.node_count} nodes is too small for "
@@ -317,60 +314,28 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _start_pod_layer(graph, alloc_id: int, nic_name: str,
-                     *specs: PodSpec) -> podlayer.KubeCluster:
-    """Bring up a pod layer in `alloc_id` with the NIC daemonset `nic_name`,
-    then `specs`."""
-    kube = podlayer.start_usernetes(graph, alloc_id)
-    nic = PodSpec(name=nic_name, kind=podlayer.DAEMONSET, requires_bypass_nic=True)
-    for spec in (nic, *specs):
-        podlayer.apply(graph, kube, spec)
-    return kube
-
-
 # --- scaling study ------------------------------------------------------------
 
 
 def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
     """Replay the five environments across the configured sizes.
 
-    Per environment and size the driver carves an allocation (plus a
-    control-plane node and the NIC daemonset for the in-cluster
-    environment), samples one walltime per iteration while the virtual
-    clock advances (an in-cluster iteration's job set is removed once its
-    walltime has elapsed), records the benchmark curves, and releases the
-    carve.
-    Background-cluster environments set the collective models'
-    `background` flag instead of carving a second allocation; the
-    background pods contend for the network, not for exclusive cores.
+    Per environment and size the driver draws one walltime per iteration
+    from the measured table row (the `workloads.lammps` stream, in
+    environment x size x iteration order) and records the benchmark
+    curves. Background-cluster environments set the collective models'
+    `background` flag.
     """
     cfg.validate()
-    engine = Engine(cfg.seed)
-    graph = build_cluster(cfg.cluster)
-    rng = engine.rng.stream("workloads.lammps")
+    rng = RngStreams(cfg.seed).stream("workloads.lammps")
     network = load_network(cfg.anchors_path)
     bundle = ReportBundle(kind=SCALING_STUDY, seed=cfg.seed, config=cfg.summary())
     for env in workloads.ENVIRONMENTS:
         for size in cfg.sizes:
-            need = size + 1 if env == workloads.USERNETES else size
-            alloc = graph.carve(graph.root_allocation, ResourceRequest(nodes=need))
-            kube = None
-            if env == workloads.USERNETES:
-                kube = _start_pod_layer(graph, alloc.alloc_id, f"nic-exposer-{size}")
             ranks = size * cfg.cluster.cores_per_node
-            values = []
-            for it in range(cfg.iterations):
-                job_set = f"lammps-{size}-{it}"
-                if kube is not None:
-                    podlayer.apply(graph, kube, PodSpec(name=job_set, kind=podlayer.JOB_SET,
-                                                        replicas=size, requires_bypass_nic=True))
-                walltime = workloads.table_walltime(env, size, rng)
-                engine.run_until(engine.now + walltime)
-                if kube is not None:
-                    podlayer.remove(kube, job_set)
-                bundle.lammps_samples.append([env, size, ranks, it, walltime])
-                values.append(walltime)
-            graph.release(alloc.alloc_id)
+            values = [workloads.table_walltime(env, size, rng) for _ in range(cfg.iterations)]
+            bundle.lammps_samples.extend(
+                [env, size, ranks, it, walltime] for it, walltime in enumerate(values))
             bundle.lammps_cells.append(
                 {
                     "environment": env,
@@ -386,8 +351,6 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
                  "value": workloads.osu_replay(env, bench, size, m, network)}
                 for bench, m in OSU_CASES
             )
-    if not graph.root_fully_free():
-        raise ScenarioError("scaling study leaked allocations")
     return bundle
 
 
@@ -446,9 +409,9 @@ def run_taxonomy_suite(cfg: ScenarioConfig) -> ReportBundle:
 SAMPLE_BATCH = 256
 
 
-def _check(resp: mlserve.ServiceResponse, verb: str) -> mlserve.ServiceResponse:
+def _check(resp: mlserve.ServiceResponse, verb: str, name: str) -> mlserve.ServiceResponse:
     if resp.status != "ok":
-        raise ScenarioError(f"{verb} failed: {resp}")
+        raise ScenarioError(f"{verb} failed for model {name}: {mlserve.format_response(resp)}")
     return resp
 
 
@@ -458,11 +421,12 @@ def _replay(service: mlserve.MLService, phase: str, features: dict, y: float):
     `record_truth` of the realized walltime `y` against that prediction."""
     if phase == "train":
         for variant in HYBRID_MODELS:
-            _check(service.train(variant, features, y), "train")
+            _check(service.train(variant, features, y), "train", variant)
     else:
         for variant in HYBRID_MODELS:
-            pred = _check(service.predict(variant, features), "predict")
-            _check(service.record_truth(variant, y, pred.get("prediction")), "record_truth")
+            pred = _check(service.predict(variant, features), "predict", variant)
+            _check(service.record_truth(variant, y, pred.get("prediction")), "record_truth",
+                   variant)
 
 
 def _hybrid_models(service: mlserve.MLService) -> dict:
@@ -470,7 +434,7 @@ def _hybrid_models(service: mlserve.MLService) -> dict:
     models = {}
     for variant in HYBRID_MODELS:
         entry = service.entry(variant)
-        metrics = _check(service.metrics(variant), "metrics")
+        metrics = _check(service.metrics(variant), "metrics", variant)
         models[variant] = {
             "pairs": [[float(a), float(p)] for a, p in entry.truths],
             "r_squared": metrics.get("r_squared"),
@@ -578,13 +542,10 @@ def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:
         graph.root_allocation,
         ResourceRequest(nodes=cfg.sim_nodes * cfg.train_width),
     )
-    if cfg.service_nodes >= 2:
-        _start_pod_layer(graph, service_alloc.alloc_id, "nic-exposer",
-                         PodSpec(name="ml-server", kind=podlayer.DEPLOYMENT, replicas=1))
 
     service = mlserve.MLService(model_defaults=cfg.model_params)
     for variant in HYBRID_MODELS:
-        _check(service.create(variant, variant), "create")
+        _check(service.create(variant, variant), "create", variant)
 
     instance = Instance(engine, graph, sim_alloc.alloc_id, cfg.decision_cost_s)
     dims_rng = engine.rng.stream("hybrid.dims")

@@ -1,0 +1,178 @@
+"""Which lines of `src/` functions the non-test traffic never reaches.
+
+    python tests/linecov.py
+
+A stdlib line tracer (`sys.settrace`, also set for threads) limited to
+frames of `src/convergesim`. It runs, in this process:
+
+- the three default scenarios (`default_config(<kind>, seed=42)`);
+- `convergesim run` on the README's INI block, then `report` in each
+  format and `calibrate` on the packaged anchor file;
+- the six demos;
+- perfbench's four workloads at its `tiny` size, each checked, and its
+  golden check. service_wire talks to a `serve_unix` mount on a thread
+  of this process instead of a service process.
+
+`orchestrator._usable_cpus` is patched to 1, so the taxonomy cases and
+the hybrid's service run in this process. The forked branches themselves
+(`_ServiceProcess`, `_serve_samples` and the worker pool) are therefore
+reported as unreached: the tracer cannot follow a fork.
+
+It prints `file:line: source` for each line that some function's code
+holds and that no traced frame ran, then the counts. The package is
+imported under the tracer, so a `def` line counts as reached. It takes
+a few seconds; it is a script, not a tier-1 test, because it replaces
+the process's trace function.
+"""
+
+import contextlib
+import inspect
+import os
+import re
+import runpy
+import sys
+import tempfile
+import threading
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "convergesim"
+SEED = 42
+
+
+def function_lines(path: Path) -> set[int]:
+    """Lines holding code of any function, lambda or comprehension in `path`."""
+    lines, stack = set(), [compile(path.read_text(), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        stack.extend(c for c in code.co_consts if inspect.iscode(c))
+        if code.co_flags & inspect.CO_OPTIMIZED:  # not a module or class body
+            lines.update(line for _, _, line in code.co_lines() if line is not None)
+    return lines
+
+
+class LineTracer:
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self.hit: dict[str, set[int]] = {}
+
+    def _global(self, frame, event, arg):
+        filename = frame.f_code.co_filename
+        if not filename.startswith(self.prefix):
+            return None
+        lines = self.hit.setdefault(filename, set())
+
+        def local(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return local
+
+        return local
+
+    @contextlib.contextmanager
+    def active(self):
+        threading.settrace(self._global)
+        sys.settrace(self._global)
+        try:
+            yield
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+
+
+def run_cli(cli, workdir: Path):
+    readme = (ROOT / "README.md").read_text()
+    ini = workdir / "readme.ini"
+    ini.write_text(re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1))
+    out = workdir / "cli_out"
+    assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 0
+    for fmt in ("csv", "json", "svg"):
+        assert cli.main(["report", "--bundle", str(out / "bundle.json"),
+                         "--format", fmt, "--out", str(workdir / f"report_{fmt}")]) == 0
+    anchors = SRC / "data" / "network_anchors.json"
+    assert cli.main(["calibrate", "--anchors", str(anchors)]) == 0
+
+
+def run_demos(workdir: Path):
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        os.chdir(workdir)
+        runpy.run_path(str(demo), run_name="__main__")
+
+
+def run_perfbench(cs, workdir: Path):
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import scenarios
+
+    size, checks = scenarios.SIZES["tiny"], scenarios.Checks()
+    for name in ("hybrid_stream", "wide_placement", "taxonomy_sweep"):
+        workload = scenarios.WORKLOADS[name](cs, SEED, size, workdir)
+        workload.run()
+        workload.check(checks)
+    os.chdir(workdir)  # the client connects to the socket by a relative name
+    server = cs.mlserve.serve_unix(scenarios.SOCKET_NAME)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        wire = scenarios.ServiceWire(SEED, size, None, 0)
+        try:
+            wire.run()
+            wire.check(checks)
+        finally:
+            wire.close()
+        # one more round trip: by its reply the mount has seen the closes
+        client = cs.mlserve.ServiceClient(path=scenarios.SOCKET_NAME)
+        client.call_line("metrics name=none")
+        client.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=30)
+        os.unlink(scenarios.SOCKET_NAME)
+    scenarios.golden_check(cs, checks, ROOT, workdir)
+    assert not checks.problems, checks.problems
+
+
+def traffic(workdir: Path):
+    import convergesim
+    from convergesim import (cli, hiersched, mlcore, mlserve, orchestrator, reporting,
+                             resgraph, simkernel, workloads)
+
+    orchestrator._usable_cpus = lambda: 1
+    for kind in orchestrator.EXPERIMENTS:
+        bundle = orchestrator.run_scenario(orchestrator.default_config(kind, seed=SEED))
+        reporting.emit_report(bundle, workdir / f"default_{kind}")
+    run_cli(cli, workdir)
+    run_demos(workdir)
+    cs = SimpleNamespace(package=convergesim, hiersched=hiersched, mlcore=mlcore,
+                         mlserve=mlserve, orchestrator=orchestrator, reporting=reporting,
+                         resgraph=resgraph, simkernel=simkernel, workloads=workloads)
+    run_perfbench(cs, workdir)
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    tracer = LineTracer(str(SRC) + os.sep)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        try:
+            with tracer.active():
+                traffic(Path(tmp))
+        finally:
+            os.chdir(cwd)
+    total = unreached = 0
+    for path in sorted(SRC.glob("*.py")):
+        expected = function_lines(path)
+        missed = sorted(expected - tracer.hit.get(str(path), set()))
+        total += len(expected)
+        unreached += len(missed)
+        source = path.read_text().splitlines()
+        for line in missed:
+            print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
+    print(f"{unreached} of {total} lines inside src/ functions unreached")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

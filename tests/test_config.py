@@ -142,7 +142,9 @@ def test_model_update_that_overflows_is_a_runtime_error(tmp_path, capsys):
                  "[models]\nlearning_rate = 1e300\n")
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
-    assert "error: train failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: train failed for model linear_sgd" in err
+    assert "error=ValueError" in err and "ServiceResponse(" not in err
     assert not out.exists()
 
 

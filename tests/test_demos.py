@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the current library.
+"""Every demo script runs to completion against the current library, and
+the allocation-hierarchy demo, the one caller of `podlayer` outside the
+tests, still narrates the facts it shows.
 
 Each runs in a fresh interpreter with the working directory in a
 temporary directory, so the reports some demos write stay out of the
@@ -14,6 +16,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# demo -> lines of its output that must appear
+NARRATED = {
+    "allocation_hierarchy": (
+        "before daemonset: probe pods use tap_relay",
+        "after daemonset: mpi pods use os_bypass on 32 distinct nodes",
+        "headless lookup mpi-17 -> node 18",
+        "50% of cycles, runtime x2.0",
+        "conservation audit: ok",
+    ),
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -22,3 +34,5 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    for fact in NARRATED.get(demo.stem, ()):
+        assert fact in result.stdout, fact

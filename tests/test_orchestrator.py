@@ -5,6 +5,8 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convergesim import cli, hiersched, mlcore, mlserve, orchestrator, podlayer, workloads
+from convergesim import cli, hiersched, mlcore, mlserve, orchestrator, workloads
 from convergesim.orchestrator import (
     HYBRID,
     SCALING_STUDY,
@@ -197,26 +199,15 @@ def test_scaling_in_cluster_environment_needs_one_extra_node():
     assert len(bundle.lammps_samples) == 5 * 1 * 3
 
 
-def test_scaling_pod_layers_end_each_cell_with_only_the_daemonset(monkeypatch):
-    # each pod layer lives for one cell, so its state after the run is its
-    # state when the cell's allocation was released
-    clusters = []
-    start_usernetes = podlayer.start_usernetes
-
-    def recording_start(graph, alloc_id, *args, **kwargs):
-        clusters.append(start_usernetes(graph, alloc_id, *args, **kwargs))
-        return clusters[-1]
-
-    monkeypatch.setattr(podlayer, "start_usernetes", recording_start)
-    cfg = default_config(SCALING_STUDY)
-    run_scaling_study(cfg)
-    assert len(clusters) == len(cfg.sizes)
-    for kube in clusters:
-        pods = [p for placed in kube.pods.values() for p in placed]
-        assert {(p.kind, p.spec_name) for p in pods} == {
-            (podlayer.DAEMONSET, f"nic-exposer-{len(kube.worker_nodes)}")}
-        assert sorted(p.node_id for p in pods) == sorted(kube.worker_nodes)
-        assert all(podlayer.resolve(kube, p.name) == p.node_id for p in pods)
+def test_orchestrator_does_not_import_the_pod_layer():
+    # no scenario brings up a pod layer, so loading the scenario drivers
+    # leaves podlayer unloaded
+    code = "import sys, convergesim.orchestrator; print('convergesim.podlayer' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("seed, sizes, iterations", [
@@ -361,7 +352,8 @@ def test_hybrid_trains_and_scores_three_models():
 def test_hybrid_stops_on_a_rejected_service_reply(monkeypatch, verb):
     monkeypatch.setattr(mlserve.MLService, verb,
                         lambda *args: mlserve.ServiceResponse("bad_request"))
-    with pytest.raises(ScenarioError, match=verb):
+    # the first model the hybrid asks about is the first variant
+    with pytest.raises(ScenarioError, match=f"^{verb} failed for model linear_sgd: bad_request$"):
         run_hybrid(small_hybrid())
 
 
@@ -470,12 +462,14 @@ def test_hybrid_suballocations_never_share_nodes():
     assert not service_nodes & sim_nodes
 
 
-def test_hybrid_with_pod_layer_service_host():
+def test_hybrid_with_two_node_service_host():
     cfg = small_hybrid()
     cfg.cluster = ClusterSpec(6, 16)
     cfg.service_nodes = 2
     bundle = run_hybrid(cfg)
-    assert len(bundle.hybrid["service_nodes"]) == 2
+    service_nodes = set(bundle.hybrid["service_nodes"])
+    assert len(service_nodes) == 2
+    assert not service_nodes & set(bundle.hybrid["sim_nodes"])
     assert len(bundle.hybrid["models"]) == 3
 
 
