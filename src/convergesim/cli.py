@@ -60,7 +60,10 @@ def _cmd_report(args) -> int:
     bundle_path = Path(args.bundle)
     if not bundle_path.is_file():
         raise ConfigError(f"bundle file {bundle_path} does not exist")
-    bundle = ReportBundle.from_json(bundle_path.read_text())
+    try:
+        bundle = ReportBundle.from_json(bundle_path.read_text(encoding="utf-8"))
+    except ValueError as err:  # not UTF-8, not JSON or not a bundle
+        raise ConfigError(f"bundle file {bundle_path}: {err}") from err
     out_dir = Path(args.out) if args.out else bundle_path.parent
     written = emit_report(bundle, out_dir, (args.format,))
     for path in written:

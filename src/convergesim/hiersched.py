@@ -95,12 +95,13 @@ class SchedMetrics:
 class Instance:
     """A scheduler scope bound to one allocation.
 
-    Jobs arrive one at a time through `submit`, or as a stream through
-    `submit_all`, which draws each job only when the placement before it
-    leaves the queue empty. The head is then always the next job in
-    submission order, and the queue is non-empty exactly when jobs remain,
-    so a stream schedules exactly as submitting every job up front would,
-    while the instance holds only the head and the running jobs.
+    Pending jobs are streams: `submit` queues a one-job stream and
+    `submit_all` a stream of many. A job becomes the head (is drawn from
+    its stream) only when the placement before it leaves no head. The head
+    is then always the next job in submission order, and there is a head
+    exactly when jobs remain, so a stream schedules exactly as submitting
+    every job up front would, while the instance holds only the head and
+    the running jobs.
     """
 
     def __init__(self, engine: Engine, graph: ResourceGraph, alloc_id: int,
@@ -110,8 +111,8 @@ class Instance:
         self.graph = graph
         self.alloc_id = alloc_id
         self.decision_cost_s = decision_cost_s
-        self.queue: deque[Job] = deque()
-        self._streams: deque[Iterator[Job]] = deque()  # behind the queue, in order
+        self.head: Job | None = None  # the next job to place
+        self._streams: deque[Iterator[Job]] = deque()  # behind the head, in order
         self.attempts = 0
         self.placed = 0
         self.completed = 0
@@ -120,30 +121,24 @@ class Instance:
         self._fitting_nodes: dict[int, int] = {}  # by cores needed per node
 
     def submit(self, job: Job) -> int:
-        """Queue a job; requests that can never fit are rejected here. While
-        a stream is pending, the job queues behind the stream's remaining
-        jobs."""
+        """Queue a job as a one-job stream; a job that can never fit is rejected here."""
         self._check(job)
-        if self._streams:
-            self.submit_all((job,))
-        else:
-            self.queue.append(job)
-            self._wake()
+        self.submit_all((job,))
         return job.job_id
 
     def submit_all(self, jobs: Iterable[Job]):
         """Queue a stream of jobs behind every job already queued or pending.
 
         A job is drawn from `jobs` only when it becomes the head: here, if
-        the queue is empty, else in the dispatch whose placement empties
-        the queue. A drawn job gets the same check as `submit`; one that
+        there is no head, else in the dispatch whose placement leaves no
+        head. A drawn job gets the same check as `submit`; one that
         can never fit raises `UnsatisfiableRequestError` from the call that
         draws it (this one, or `step_schedule` under `engine.drain()`) and
         is dropped. The jobs after it wait for the next `submit` or
         `submit_all` to draw again.
         """
         self._streams.append(iter(jobs))
-        if not self.queue:
+        if self.head is None:
             self._draw()
         self._wake()
 
@@ -165,7 +160,7 @@ class Instance:
             )
 
     def _draw(self):
-        """Move the next pending stream job, if one remains, into the empty queue."""
+        """Make the next pending job, if one remains, the head."""
         streams = self._streams
         while streams:
             job = next(streams[0], None)
@@ -173,11 +168,11 @@ class Instance:
                 streams.popleft()
             else:
                 self._check(job)
-                self.queue.append(job)
+                self.head = job
                 return
 
     def _wake(self):
-        if self._armed or not self.queue:
+        if self._armed or self.head is None:
             return
         self._armed = True
         self.engine.schedule(self.engine.now + self.decision_cost_s, self.step_schedule)
@@ -189,24 +184,22 @@ class Instance:
         until a completion frees capacity; there is no backfill past it.
         """
         self._armed = False
-        if not self.queue:
+        job = self.head
+        if job is None:
             return None
         self.attempts += 1
         self.busy_s += self.decision_cost_s
-        job = self.queue[0]
         try:
             child = self.graph.carve(self.alloc_id, job.request)
         except InsufficientCapacityError:
             return None  # wait for a completion to free capacity
-        self.queue.popleft()
+        self.head = None
         job.start_t = self.engine.now
         self.placed += 1
         self.engine.schedule(self.engine.now + job.duration,
                              lambda: self._complete(job, child.alloc_id))
-        if not self.queue and self._streams:
-            self._draw()
-        if self.queue:
-            self._wake()
+        self._draw()
+        self._wake()
         return job
 
     def _complete(self, job: Job, child_alloc_id: int):

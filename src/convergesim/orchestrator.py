@@ -1,11 +1,12 @@
 """Scenario driver: the five-environment scaling replay, the scheduler
 taxonomy comparison, and the hybrid simulate-and-learn run.
 
-Every scenario is seeded from the config (seeding is mandatory; nothing
-reads the wall clock) and returns a ReportBundle. The scaling study
-replays the measured table; the taxonomy and hybrid runs carve from fresh
-cluster graphs, which are fully free again after a run (leaked carves are
-a bug). No scenario brings up a pod layer.
+Every scenario runs from a ScenarioConfig, one field per key of the
+scenario file (see _ini), is seeded from it (seeding is mandatory;
+nothing reads the wall clock) and returns a ReportBundle. The scaling
+study replays the measured table; the taxonomy and hybrid runs carve from
+fresh cluster graphs, which are fully free again after a run (leaked
+carves are a bug). No scenario brings up a pod layer.
 
 The taxonomy cases are independent (each owns a private engine and
 graph), so they run in forked worker processes, one per usable CPU. With
@@ -48,7 +49,7 @@ import functools
 import math
 import os
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -73,19 +74,6 @@ OSU_CASES = (
     + tuple(("allreduce", 4**k) for k in range(1, 12))
 )
 
-# The scenario file's schema. Scalar ScenarioConfig fields name their own
-# [section] and key (see _ini); the tables below cover the rest. Defaults
-# live on the dataclasses and regressor constructors, never here.
-# [cluster] key -> ClusterSpec field of `cluster`
-CLUSTER_KEYS = {"nodes": "node_count", "cores_per_node": "cores_per_node"}
-# [models] key -> (regressor variant, constructor parameter)
-MODEL_KEYS = {
-    "learning_rate": ("linear_sgd", "learning_rate"),
-    "alpha": ("bayesian", "alpha"),
-    "beta": ("bayesian", "beta"),
-    "aggressiveness": ("passive_aggressive", "C"),
-    "epsilon": ("passive_aggressive", "epsilon"),
-}
 # Most decision rounds (deadlock_horizon / decision_cost) a taxonomy run
 # may take. The two-level hoarding case steps one round at a time up to the
 # horizon: 10^7 rounds took 0.9-1.2 s on a 2-vCPU x86-64 Xeon, the default
@@ -101,19 +89,23 @@ class ScenarioError(Exception):
     pass
 
 
-def _ini(section: str, key: str, default=MISSING, *, report: bool = True, low=None):
-    """A scalar ScenarioConfig field read from `key` of INI `[section]`;
-    `report=False` leaves it out of summary(), and a count below `low`
-    fails validate()."""
-    return field(default=default,
-                 metadata={"ini": (section, key), "report": report, "low": low})
+def _ini(section: str, key: str, default=MISSING, *, report: bool = True, low=None,
+         model=None):
+    """A ScenarioConfig field read from `key` of INI `[section]`: the
+    scenario file's schema is these fields alone. `report=False` leaves it
+    out of summary(), a count below `low` fails validate(), and `model`, a
+    (regressor variant, constructor parameter) pair, puts a value that is
+    not None into `model_params`."""
+    return field(default=default, metadata={"ini": (section, key), "report": report,
+                                            "low": low, "model": model})
 
 
 @dataclass
 class ScenarioConfig:
     experiment: str = _ini("experiment", "kind")
     seed: int = _ini("experiment", "seed")
-    cluster: ClusterSpec = field(default_factory=lambda: ClusterSpec(33, 16))
+    cluster_nodes: int = _ini("cluster", "nodes", 33, low=1)
+    cores_per_node: int = _ini("cluster", "cores_per_node", 16, low=1)
     out_dir: str = _ini("output", "directory", "out", report=False)
     anchors_path: str | None = _ini("experiment", "anchors", None, report=False)
     # scaling study
@@ -136,8 +128,30 @@ class ScenarioConfig:
     noise_sigma: float = _ini("hybrid", "noise_sigma", 0.05)
     sim_nodes: int = _ini("hybrid", "sim_nodes", 4, low=1)
     service_nodes: int = _ini("hybrid", "service_nodes", 1, low=1)
-    # per-variant regressor hyperparameters, e.g. {"linear_sgd": {"learning_rate": 0.02}}
-    model_params: dict = field(default_factory=dict)
+    # regressor hyperparameters; None keeps the regressor's own default
+    learning_rate: float | None = _ini("models", "learning_rate", None, report=False,
+                                       model=("linear_sgd", "learning_rate"))
+    alpha: float | None = _ini("models", "alpha", None, report=False, model=("bayesian", "alpha"))
+    beta: float | None = _ini("models", "beta", None, report=False, model=("bayesian", "beta"))
+    aggressiveness: float | None = _ini("models", "aggressiveness", None, report=False,
+                                        model=("passive_aggressive", "C"))
+    epsilon: float | None = _ini("models", "epsilon", None, report=False,
+                                 model=("passive_aggressive", "epsilon"))
+
+    @property
+    def cluster(self) -> ClusterSpec:
+        return ClusterSpec(self.cluster_nodes, self.cores_per_node)
+
+    @property
+    def model_params(self) -> dict:
+        """The [models] values set, e.g. {"linear_sgd": {"learning_rate": 0.02}}."""
+        params = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata["model"] and value is not None:
+                variant, param = f.metadata["model"]
+                params.setdefault(variant, {})[param] = value
+        return params
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
@@ -186,9 +200,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"deadlock_horizon / decision_cost must be <= {MAX_TAXONOMY_ROUNDS} "
                 f"rounds, not {rounds}")
-        unknown_models = set(self.model_params) - set(HYBRID_MODELS)
-        if unknown_models:
-            raise ConfigError(f"unknown model variants {sorted(unknown_models)}")
         for variant, params in self.model_params.items():
             try:
                 mlcore.make_model(variant, **params)  # each regressor checks its parameters
@@ -199,14 +210,13 @@ class ScenarioConfig:
 
     def summary(self) -> dict:
         """The config as embedded in every bundle.json: each field declared
-        with report=True, and the cluster as node and core counts."""
+        with report=True, and the [models] values as `model_params`."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "cluster":
-                out.update(cluster_nodes=value.node_count, cores_per_node=value.cores_per_node)
-            elif f.metadata.get("report", True):
+            if f.metadata["report"]:
                 out[f.name] = list(value) if isinstance(value, tuple) else value
+        out["model_params"] = self.model_params
         out["pod_specs"] = []  # a constant: the committed bundles' bytes hold this key
         return out
 
@@ -231,62 +241,44 @@ def _parse(sec, key: str, kind):
     if kind == tuple[int, ...]:
         return tuple(int(tok) for tok in sec[key].split())
     kind = next(k for k in typing.get_args(kind) or (kind,) if k is not type(None))
-    getters = {int: sec.getint, float: sec.getfloat, bool: sec.getboolean}
+    getters = {int: sec.getint, float: sec.getfloat}
     return getters.get(kind, sec.get)(key)
 
 
-def _check_keys(sec, keys):
-    unknown = sorted(set(sec) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in [{sec.name}]")
-
-
-def _read(sec, keys: dict, owner) -> dict:
-    """{field: value} for every key of `sec`; `keys` maps an INI key to a
-    field of dataclass `owner`, whose type decides how the value parses."""
-    _check_keys(sec, keys)
-    types = {f.name: f.type for f in fields(owner)}
-    return {keys[key]: _parse(sec, key, types[keys[key]]) for key in sec}
-
-
 def load_config(path) -> ScenarioConfig:
-    """Parse the INI-style scenario file (see README for the full grammar).
+    """Parse the UTF-8, INI-style scenario file (see README for the full
+    grammar).
 
-    A key left out keeps its default. A key the schema does not know is
-    an error in a section the schema owns, and so is any [pod:*] section;
-    other sections are ignored.
+    Every key is one ScenarioConfig field (see _ini), whose type decides
+    how the value parses, and a key left out keeps its default. A key the
+    schema does not know is an error in a section the schema owns, and so
+    is any [pod:*] section; other sections are ignored.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")
-    except configparser.Error as err:
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"malformed config file {path}: {err}") from err
-    scalars: dict[str, dict] = {}  # section -> {key: ScenarioConfig field}
+    schema: dict[str, dict] = {}  # section -> {key: ScenarioConfig field}
     for f in fields(ScenarioConfig):
-        if "ini" in f.metadata:
-            section, key = f.metadata["ini"]
-            scalars.setdefault(section, {})[key] = f.name
+        section, key = f.metadata["ini"]
+        schema.setdefault(section, {})[key] = f
     for key in ("kind", "seed"):
         if not parser.has_option("experiment", key):
             raise ConfigError(f"bad [experiment] section: {key} is mandatory")
-    values, cluster, model_params = {}, {}, {}
+    values = {}
     try:
-        for section in parser.sections():
-            sec = parser[section]
-            if section in scalars:
-                values.update(_read(sec, scalars[section], ScenarioConfig))
-            elif section == "cluster":
-                cluster = _read(sec, CLUSTER_KEYS, ClusterSpec)
-            elif section == "models":
-                _check_keys(sec, MODEL_KEYS)
-                for key, (variant, param) in MODEL_KEYS.items():
-                    if key in sec:
-                        model_params.setdefault(variant, {})[param] = sec.getfloat(key)
+        for section, sec in parser.items():
+            keys = schema.get(section)
+            if keys is not None:
+                unknown = sorted(set(sec) - set(keys))
+                if unknown:
+                    raise ConfigError(f"unknown key(s) {unknown} in [{section}]")
+                values.update((keys[key].name, _parse(sec, key, keys[key].type)) for key in sec)
             elif section.startswith("pod:"):
                 raise ConfigError(f"[{section}]: the scenarios apply their own pod sets")
-        cfg = ScenarioConfig(**values, model_params=model_params)
-        cfg.cluster = replace(cfg.cluster, **cluster)
+        cfg = ScenarioConfig(**values)
     except ValueError as err:
         raise ConfigError(f"bad config value: {err}") from err
     cfg.validate()
@@ -296,7 +288,7 @@ def load_config(path) -> ScenarioConfig:
 def default_config(experiment: str, seed: int = 42) -> ScenarioConfig:
     cfg = ScenarioConfig(experiment=experiment, seed=seed)
     if experiment == HYBRID:
-        cfg.cluster = ClusterSpec(5, 16)
+        cfg.cluster_nodes = 5
     cfg.validate()
     return cfg
 

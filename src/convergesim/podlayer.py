@@ -117,8 +117,7 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
         )
     else:
         targets = kube.worker_nodes[: spec.replicas]
-    # a daemonset asking for the NIC exposes it; later pod sets see it
-    # while any such daemonset is deployed
+    # a daemonset asking for the NIC exposes it to every later pod set
     exposed = spec.kind == DAEMONSET or any(
         pods[0].kind == DAEMONSET and pods[0].network_path == OS_BYPASS
         for pods in kube.pods.values())
@@ -134,14 +133,6 @@ def apply(graph: ResourceGraph, kube: KubeCluster, spec: PodSpec) -> list[PodPla
     ) for i, node_id in enumerate(targets)]
     kube.pods[spec.name] = placements
     return placements
-
-
-def remove(kube: KubeCluster, spec_name: str) -> int:
-    """Tear down a pod set; bypass ends with the last exposing daemonset."""
-    pods = kube.pods.pop(spec_name, None)
-    if pods is None:
-        raise PodLayerError(f"no pod set named {spec_name!r}")
-    return len(pods)
 
 
 def effective_cpu(pod: PodPlacement, demand_cores: float) -> tuple[float, float]:

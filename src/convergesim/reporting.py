@@ -45,7 +45,11 @@ class ReportBundle:
 
     @classmethod
     def from_json(cls, text: str) -> "ReportBundle":
+        """The bundle in `text`; ValueError unless it is a JSON object of the bundle's fields."""
         raw = json.loads(text)
+        names = sorted(f.name for f in fields(cls))
+        if not isinstance(raw, dict) or sorted(raw) != names:
+            raise ValueError(f"not a report bundle (a JSON object with keys {names})")
         return cls(**raw)
 
     def verify_aggregates(self) -> None:

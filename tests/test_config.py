@@ -13,13 +13,7 @@ from pathlib import Path
 import pytest
 
 from convergesim import cli, mlcore, podlayer
-from convergesim.orchestrator import (
-    CLUSTER_KEYS,
-    MODEL_KEYS,
-    ConfigError,
-    ScenarioConfig,
-    load_config,
-)
+from convergesim.orchestrator import ConfigError, ScenarioConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGED_ANCHORS = README.parent / "src" / "convergesim" / "data" / "network_anchors.json"
@@ -39,6 +33,66 @@ def write(tmp_path, text):
     path = tmp_path / "scenario.ini"
     path.write_text(text)
     return path
+
+
+# One value per schema key, each unlike its default on BASE: the INI text,
+# then the value its field must hold
+NON_DEFAULT = {
+    ("experiment", "kind"): ("hybrid", "hybrid"),
+    ("experiment", "seed"): ("2", 2),
+    ("experiment", "iterations"): ("3", 3),
+    ("experiment", "sizes"): ("4 8", (4, 8)),
+    ("experiment", "anchors"): (str(PACKAGED_ANCHORS), str(PACKAGED_ANCHORS)),
+    ("cluster", "nodes"): ("40", 40),
+    ("cluster", "cores_per_node"): ("8", 8),
+    ("taxonomy", "nodes"): ("8", 8),
+    ("taxonomy", "gang_min"): ("2", 2),
+    ("taxonomy", "gang_max"): ("4", 4),
+    ("taxonomy", "jobs_per_scheduler"): ("10", 10),
+    ("taxonomy", "decision_cost"): ("0.0025", 0.0025),
+    ("taxonomy", "deadlock_horizon"): ("30", 30.0),
+    ("hybrid", "train_count"): ("10", 10),
+    ("hybrid", "test_count"): ("5", 5),
+    ("hybrid", "dim_min"): ("2", 2),
+    ("hybrid", "dim_max"): ("4", 4),
+    ("hybrid", "train_width"): ("2", 2),
+    ("hybrid", "noise_sigma"): ("0.1", 0.1),
+    ("hybrid", "sim_nodes"): ("2", 2),
+    ("hybrid", "service_nodes"): ("2", 2),
+    ("models", "learning_rate"): ("0.02", 0.02),
+    ("models", "alpha"): ("2.0", 2.0),
+    ("models", "beta"): ("3.0", 3.0),
+    ("models", "aggressiveness"): ("0.5", 0.5),
+    ("models", "epsilon"): ("0.2", 0.2),
+    ("output", "directory"): ("elsewhere", "elsewhere"),
+}
+
+
+def schema_fields() -> dict:
+    """(section, key) -> the ScenarioConfig field it sets, for every key."""
+    return {f.metadata["ini"]: f.name for f in fields(ScenarioConfig)}
+
+
+def test_value_table_names_every_schema_key():
+    assert sorted(NON_DEFAULT) == sorted(schema_fields())
+
+
+@pytest.mark.parametrize("section, key", sorted(NON_DEFAULT))
+def test_every_schema_key_reaches_its_field(tmp_path, section, key):
+    # the README block sets every key to its default, so only a value
+    # unlike the default shows that the parser keeps the key
+    text, value = NON_DEFAULT[section, key]
+    sections = {"experiment": {"kind": "taxonomy", "seed": "1"}}  # BASE
+    sections.setdefault(section, {})[key] = text
+    cfg = load_config(write(tmp_path, "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items())))
+    default = ScenarioConfig(experiment="taxonomy", seed=1)
+    names = schema_fields()
+    expected = {name: getattr(default, name) for name in names.values()}
+    assert expected[names[section, key]] != value
+    expected[names[section, key]] = value
+    assert {name: getattr(cfg, name) for name in names.values()} == expected
 
 
 @pytest.mark.parametrize("section", [
@@ -256,6 +310,16 @@ def test_malformed_file_is_config_error(tmp_path):
         load_config(write(tmp_path, BASE + "[experiment]\nseed = 2\n"))
 
 
+def test_scenario_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # the decode error escaped load_config: exit 2, not 1
+    path = tmp_path / "scenario.ini"
+    path.write_bytes(BASE.encode() + b"# caf\xe9\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert f"config error: malformed config file {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_section_is_ignored(tmp_path):
     cfg = load_config(write(tmp_path, BASE + "[notes]\nanything = goes\n"))
     assert cfg.experiment == "taxonomy"
@@ -269,7 +333,7 @@ def test_readme_ini_values_are_the_defaults(readme_ini):
     cfg = load_config(readme_ini)
     default = ScenarioConfig(experiment=cfg.experiment, seed=cfg.seed)
     for f in fields(ScenarioConfig):
-        if f.name != "model_params":
+        if not f.metadata["model"]:  # those default to None; checked below
             assert getattr(cfg, f.name) == getattr(default, f.name), f.name
     for variant, params in cfg.model_params.items():
         signature = inspect.signature(mlcore.MODEL_VARIANTS[variant])
@@ -286,10 +350,8 @@ def test_readme_ini_block_names_every_schema_key(readme_ini):
             named[section] = []
         elif key := re.match(r"#?\s*(\w+)\s*=", line):
             named[section].append(key[1])
-    schema = {"cluster": list(CLUSTER_KEYS), "models": list(MODEL_KEYS)}
-    for f in fields(ScenarioConfig):
-        if "ini" in f.metadata:
-            section, key = f.metadata["ini"]
-            schema.setdefault(section, []).append(key)
+    schema = {}
+    for section, key in schema_fields():
+        schema.setdefault(section, []).append(key)
     assert {section: sorted(keys) for section, keys in named.items()} == {
         section: sorted(keys) for section, keys in schema.items()}

@@ -94,7 +94,7 @@ def test_submit_preserves_fifo_order():
     jobs = [job(i, 1) for i in range(1000)]
     for j in jobs:
         inst.submit(j)
-    assert [j.job_id for j in inst.queue] == list(range(1000))
+    assert inst.head is jobs[0]
     engine.drain()
     starts = [(j.start_t, j.job_id) for j in jobs]
     assert starts == sorted(starts)
@@ -112,12 +112,12 @@ def test_head_places_when_capacity_suffices():
 
 def test_blocked_head_stalls_queue_without_backfill():
     engine, graph, inst = setup_instance(8)
+    blocked, small = job(2, 8, duration=1.0), job(3, 1, duration=1.0)
     inst.submit(job(1, 5, duration=50.0))   # occupies 5 of 8
-    inst.submit(job(2, 8, duration=1.0))    # blocked head
-    inst.submit(job(3, 1, duration=1.0))    # would fit, but no backfill
+    inst.submit(blocked)                    # blocked head
+    inst.submit(small)                      # would fit, but no backfill
     engine.run_until(10.0)
-    jobs_running = [j for j in (inst.queue)]
-    assert [j.job_id for j in jobs_running] == [2, 3]
+    assert inst.head is blocked and small.start_t is None
     engine.drain()
     # after the blocker drains, strict FCFS proceeds
     assert inst.completed == 3
@@ -273,9 +273,9 @@ def test_a_stream_holds_only_its_head_until_a_placement_empties_the_queue():
     inst.submit_all(jobs())
     late = job(9, 1)
     inst.submit(late)  # queues behind the stream's remaining jobs
-    assert drawn == [1] and [j.job_id for j in inst.queue] == [1]
+    assert drawn == [1] and inst.head.job_id == 1
     engine.run_until(DEFAULT_DECISION_COST_S)  # job 1 placed, job 2 drawn
-    assert drawn == [1, 2] and [j.job_id for j in inst.queue] == [2]
+    assert drawn == [1, 2] and inst.head.job_id == 2
     engine.drain()
     assert drawn == [1, 2, 3] and inst.completed == 4
     assert late.start_t > 3.0
@@ -285,12 +285,12 @@ def test_a_streamed_job_that_can_never_fit_raises_from_the_call_that_draws_it():
     engine, graph, inst = setup_instance(4)
     with pytest.raises(UnsatisfiableRequestError, match="job 1 "):
         inst.submit_all(iter([job(1, 5)]))
-    assert not inst.queue
+    assert inst.head is None
     fits, too_wide, after = job(2, 4, duration=1.0), job(3, 5), job(4, 4, duration=1.0)
     inst.submit_all(iter([fits, too_wide, after]))
     with pytest.raises(UnsatisfiableRequestError, match="job 3 "):
         engine.drain()  # the dispatch that placed job 2 drew job 3
-    assert fits.start_t == DEFAULT_DECISION_COST_S and not inst.queue
+    assert fits.start_t == DEFAULT_DECISION_COST_S and inst.head is None
     engine.drain()
     assert fits.end_t is not None and after.start_t is None
     # the dropped job is gone; the next submit draws the stream's rest first
@@ -324,7 +324,7 @@ def test_unsatisfiable_core_request_rejected():
         inst = instance_on(spec, parent_request)
         with pytest.raises(UnsatisfiableRequestError):
             inst.submit(Job(job_id=1, duration=0.0, request=request))
-        assert not inst.queue
+        assert inst.head is None
 
 
 requests = st.builds(

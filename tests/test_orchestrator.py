@@ -109,7 +109,7 @@ def test_config_rejects_missing_file(tmp_path):
 
 def test_scaling_needs_room_for_control_plane():
     cfg = default_config(SCALING_STUDY)
-    cfg.cluster = ClusterSpec(32, 16)  # 32 workers + control plane will not fit
+    cfg.cluster_nodes = 32  # 32 workers + control plane will not fit
     with pytest.raises(ConfigError):
         cfg.validate()
 
@@ -123,7 +123,7 @@ def test_scaling_rejects_sizes_outside_reference_table():
 
 def test_hybrid_needs_five_nodes():
     cfg = default_config(HYBRID)
-    cfg.cluster = ClusterSpec(4, 16)
+    cfg.cluster_nodes = 4
     with pytest.raises(ConfigError):
         cfg.validate()
 
@@ -194,7 +194,7 @@ def test_scaling_study_emits_benchmark_series():
 def test_scaling_in_cluster_environment_needs_one_extra_node():
     cfg = small_scaling()
     cfg.sizes = (4,)
-    cfg.cluster = ClusterSpec(5, 16)  # 4 workers + 1 control plane: exactly enough
+    cfg.cluster_nodes = 5  # 4 workers + 1 control plane: exactly enough
     bundle = run_scaling_study(cfg)
     assert len(bundle.lammps_samples) == 5 * 1 * 3
 
@@ -359,7 +359,7 @@ def test_hybrid_stops_on_a_rejected_service_reply(monkeypatch, verb):
 
 def hybrid_config(seed, train_count, test_count, train_width=1):
     cfg = default_config(HYBRID, seed=seed)
-    cfg.cluster = ClusterSpec(1 + cfg.sim_nodes * train_width, 16)
+    cfg.cluster_nodes = 1 + cfg.sim_nodes * train_width
     cfg.train_count, cfg.test_count, cfg.train_width = train_count, test_count, train_width
     return cfg
 
@@ -464,7 +464,7 @@ def test_hybrid_suballocations_never_share_nodes():
 
 def test_hybrid_with_two_node_service_host():
     cfg = small_hybrid()
-    cfg.cluster = ClusterSpec(6, 16)
+    cfg.cluster_nodes = 6
     cfg.service_nodes = 2
     bundle = run_hybrid(cfg)
     service_nodes = set(bundle.hybrid["service_nodes"])
@@ -475,7 +475,7 @@ def test_hybrid_with_two_node_service_host():
 
 def test_hybrid_train_width_widens_simulation_partition():
     cfg = small_hybrid()
-    cfg.cluster = ClusterSpec(9, 16)
+    cfg.cluster_nodes = 9
     cfg.train_width = 2
     bundle = run_hybrid(cfg)
     assert len(bundle.hybrid["sim_nodes"]) == 8
@@ -505,13 +505,6 @@ def test_hybrid_model_hyperparameters_are_config_overridable(tmp_path):
         bundle.hybrid["models"]["linear_sgd"]["pairs"]
         != base.hybrid["models"]["linear_sgd"]["pairs"]
     )
-
-
-def test_config_rejects_unknown_model_variant():
-    cfg = default_config(HYBRID)
-    cfg.model_params = {"decision_tree": {"depth": 3}}
-    with pytest.raises(ConfigError):
-        cfg.validate()
 
 
 def test_bad_pod_section_is_config_error(tmp_path):
@@ -747,6 +740,20 @@ def test_cli_report_reemits_committed_reports(kind, fmt, tmp_path):
 def test_cli_report_missing_bundle_exits_one(tmp_path):
     assert cli.main(["report", "--bundle", str(tmp_path / "none.json"),
                      "--format", "csv"]) == 1
+
+
+@pytest.mark.parametrize("content", [
+    b"not json", b'{"kind":"x","seed":1,"bogus":2}', b"[1,2]", b"{}", b'{"kind":"caf\xe9"}',
+], ids=["not_json", "unknown_key", "not_an_object", "empty", "not_utf8"])
+def test_cli_report_on_a_file_that_is_not_a_bundle_exits_one(tmp_path, capsys, content):
+    # each of these exited 2 with Python's own message, not naming the file
+    path = tmp_path / "bundle.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert cli.main(["report", "--bundle", str(path), "--format", "csv",
+                     "--out", str(out)]) == 1
+    assert f"config error: bundle file {path}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_calibrate_prints_solution(tmp_path, capsys):

@@ -12,7 +12,6 @@ from convergesim.podlayer import (
     UnknownHostnameError,
     apply,
     effective_cpu,
-    remove,
     resolve,
     start_usernetes,
 )
@@ -68,37 +67,19 @@ def test_bypass_requires_the_daemonset():
     assert all(p.network_path == TAP_RELAY for p in pods)
 
 
-def test_removing_daemonset_flips_placements_back():
+def test_only_a_daemonset_that_asks_for_the_nic_exposes_it():
     graph, alloc = cluster_with_alloc(5)
     kube = start_usernetes(graph, alloc.alloc_id)
-    apply(graph, kube, PodSpec(name="nic", kind=DAEMONSET, requires_bypass_nic=True))
-    first = apply(graph, kube, PodSpec(name="a", kind=JOB_SET, replicas=2,
-                                       requires_bypass_nic=True))
-    assert all(p.network_path == OS_BYPASS for p in first)
-    remove(kube, "nic")
-    second = apply(graph, kube, PodSpec(name="b", kind=JOB_SET, replicas=2,
-                                        requires_bypass_nic=True))
-    assert all(p.network_path == TAP_RELAY for p in second)
-    with pytest.raises(UnknownHostnameError):
-        resolve(kube, "nic-0")
-
-
-def test_bypass_lasts_while_any_exposing_daemonset_is_deployed():
-    graph, alloc = cluster_with_alloc(5)
-    kube = start_usernetes(graph, alloc.alloc_id)
-    apply(graph, kube, PodSpec(name="logs", kind=DAEMONSET))  # exposes nothing
-    for name in ("nic-a", "nic-b"):
-        apply(graph, kube, PodSpec(name=name, kind=DAEMONSET, requires_bypass_nic=True))
 
     def paths(name):
         pods = apply(graph, kube, PodSpec(name=name, kind=JOB_SET, replicas=2,
                                           requires_bypass_nic=True))
         return {p.network_path for p in pods}
 
-    remove(kube, "nic-a")
-    assert paths("after-a") == {OS_BYPASS}
-    remove(kube, "nic-b")
-    assert paths("after-b") == {TAP_RELAY}
+    apply(graph, kube, PodSpec(name="logs", kind=DAEMONSET))  # exposes nothing
+    assert paths("after-logs") == {TAP_RELAY}
+    apply(graph, kube, PodSpec(name="nic", kind=DAEMONSET, requires_bypass_nic=True))
+    assert paths("after-nic") == {OS_BYPASS}
 
 
 def test_anti_affinity_places_one_pod_per_node():
@@ -220,44 +201,32 @@ def test_resolve_unknown_hostname():
 
 # names with "-" and digits, few enough that they repeat
 NAMES = st.text(alphabet="a1-0", min_size=1, max_size=4)
-OPS = st.one_of(
-    st.tuples(st.just("apply"), NAMES, st.sampled_from([JOB_SET, DEPLOYMENT, DAEMONSET]),
-              st.integers(1, 4), st.booleans()),
-    st.tuples(st.just("remove"), NAMES),
-)
+# pod-set applies: (name, kind, replicas, requires_bypass_nic)
+APPLIES = st.tuples(NAMES, st.sampled_from([JOB_SET, DEPLOYMENT, DAEMONSET]),
+                    st.integers(1, 4), st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
-@given(ops=st.lists(OPS, max_size=20), probes=st.lists(NAMES, max_size=10))
+@given(ops=st.lists(APPLIES, max_size=20), probes=st.lists(NAMES, max_size=10))
 def test_resolve_matches_a_reference_of_the_applied_placements(ops, probes):
     graph, alloc = cluster_with_alloc(4)  # three workers
     kube = start_usernetes(graph, alloc.alloc_id)
     live = {}      # pod-set name -> {hostname: node id}, from what apply returned
-    removed = set()
-    for op in ops:
-        if op[0] == "remove":
-            if op[1] in live:
-                assert remove(kube, op[1]) == len(live[op[1]])
-                removed |= set(live.pop(op[1]))
-            else:
-                with pytest.raises(PodLayerError):
-                    remove(kube, op[1])
+    for name, kind, replicas, nic in ops:
+        spec = PodSpec(name=name, kind=kind, replicas=replicas, requires_bypass_nic=nic)
+        before = {key: list(pods) for key, pods in kube.pods.items()}
+        if name in live or (kind != DAEMONSET and replicas > 3):
+            with pytest.raises(PodLayerError):
+                apply(graph, kube, spec)
+            assert kube.pods == before
         else:
-            _, name, kind, replicas, nic = op
-            spec = PodSpec(name=name, kind=kind, replicas=replicas, requires_bypass_nic=nic)
-            before = {key: list(pods) for key, pods in kube.pods.items()}
-            if name in live or (kind != DAEMONSET and replicas > 3):
-                with pytest.raises(PodLayerError):
-                    apply(graph, kube, spec)
-                assert kube.pods == before
-            else:
-                live[name] = {p.name: p.node_id for p in apply(graph, kube, spec)}
+            live[name] = {p.name: p.node_id for p in apply(graph, kube, spec)}
         reference = {host: node for hosts in live.values() for host, node in hosts.items()}
         for hostname, node_id in reference.items():
             assert resolve(kube, hostname) == node_id
-        # removed hosts, zero-padded indexes, bare names and random probes
+        # zero-padded indexes, bare names and random probes
         padded = {"-0".join(h.rsplit("-", 1)) for h in reference}  # x-1 -> x-01
-        absent = removed | padded | set(probes) | set(live)
+        absent = padded | set(probes) | set(live)
         for hostname in absent - set(reference):
             with pytest.raises(UnknownHostnameError):
                 resolve(kube, hostname)
