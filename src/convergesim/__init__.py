@@ -3,10 +3,10 @@ co-hosting user-space Kubernetes inside its allocations.
 
 Subsystems: `simkernel` (event loop, RNG streams), `resgraph` (nodes and
 nested allocations), `hiersched` (scheduler instances and comparator
-architectures), `podlayer` (pod placement, NIC exposure, CPU limits),
-`netmodel` (calibrated network curves), `workloads` (walltime and
-benchmark replay), `mlcore`/`mlserve` (streaming regressors and their
-service protocol), `orchestrator`/`reporting` (scenario drivers and
+architectures), `netmodel` (calibrated network curves), `workloads`
+(walltime and benchmark replay, and the network path of each
+environment), `mlcore`/`mlserve` (streaming regressors and their service
+protocol), `orchestrator`/`reporting` (scenario drivers and
 deterministic report emission).
 """
 

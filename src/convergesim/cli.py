@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .orchestrator import ConfigError, load_config, load_network, run_scenario
+from .orchestrator import EXPERIMENTS, ConfigError, load_config, load_network, run_scenario
 from .reporting import FORMATS, ReportBundle, emit_report
 
 
@@ -64,6 +64,9 @@ def _cmd_report(args) -> int:
         bundle = ReportBundle.from_json(bundle_path.read_text(encoding="utf-8"))
     except ValueError as err:  # not UTF-8, not JSON or not a bundle
         raise ConfigError(f"bundle file {bundle_path}: {err}") from err
+    if bundle.kind not in EXPERIMENTS:  # no scenario wrote it
+        raise ConfigError(f"bundle file {bundle_path}: kind {bundle.kind!r} names no scenario"
+                          f" (one of {list(EXPERIMENTS)})")
     out_dir = Path(args.out) if args.out else bundle_path.parent
     written = emit_report(bundle, out_dir, (args.format,))
     for path in written:

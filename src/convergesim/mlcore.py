@@ -35,14 +35,17 @@ counts here are tiny), once per model state: `weights()` keeps the last
 solution, read-only, with the A and c lists it was solved from, and
 solves again only when those are no longer the model's lists. This is
 sound because a model's state lists are replaced, never changed in
-place: an accepted learn, `_init_state` and `from_state` each store new
-lists, as a scaler's commit stores a new statistics tuple.
+place: an accepted learn and `_init_state` each store new lists, as a
+scaler's commit stores a new statistics tuple.
 
 Prediction has the two forms that learning has: a scaler's
 `transform_values` scales a sample into a list in feature order, and a
 model's `predict_values` predicts from such a list. `transform` and
 `predict` are their dict forms, as `learn` is of `learn_values`; the
 service uses the list forms.
+
+A model's state lives only in its process: no verb, command or scenario
+stores or loads one, so there is no serialized form.
 
 All model state is float lists: an update without a reduction does, per
 element, the IEEE operations numpy would. The one reduction is `_dot`,
@@ -53,12 +56,9 @@ RuntimeWarning.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
-
-MODEL_FORMAT = "convergesim-model-v1"
 
 
 class DimensionMismatchError(Exception):
@@ -175,47 +175,19 @@ class RunningScaler(_FixedFeatures):
         """The dict form of `transform_values`."""
         return dict(zip(self.feature_names or sorted(x), self.transform_values(x)))
 
-    def to_state(self) -> dict:
-        names, count, means, m2s = self.stats
-        return {
-            "format": MODEL_FORMAT,
-            "kind": "running_scaler",
-            "stats": {
-                name: {"n": count, "mean": mean, "m2": m2}
-                for name, mean, m2 in zip(names or (), means, m2s)
-            },
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RunningScaler":
-        _check_format(state, "running_scaler")
-        scaler = cls()
-        stats = state["stats"]
-        counts = {int(s["n"]) for s in stats.values()}
-        if len(counts) > 1:
-            raise ValueError(f"per-feature sample counts differ: {sorted(counts)}")
-        if stats:
-            names = tuple(sorted(stats))
-            scaler.commit((names, counts.pop(),
-                           tuple(float(stats[name]["mean"]) for name in names),
-                           tuple(float(stats[name]["m2"]) for name in names)))
-        return scaler
-
 
 class _RegressorBase(_FixedFeatures):
-    """Shared learn/predict and the state codec.
+    """Shared learn/predict.
 
-    A subclass declares its state once: `params` are its constructor
-    parameters, `arrays` its per-feature state (None until the feature set
-    is fixed, then made by `_init_state`) and `scalars` its float state.
-    `_update` stores the state after a sample and returns True, or stores
-    nothing and returns False when that state would not be finite.
+    A subclass names its per-feature state in `arrays` (None until the
+    feature set is fixed, then made by `_init_state`; a sample that fixed
+    the set and is refused resets them). `_update` stores the state after
+    a sample and returns True, or stores nothing and returns False when
+    that state would not be finite.
     """
 
     variant = "base"
-    params: tuple[str, ...] = ()
     arrays: tuple[str, ...] = ()
-    scalars: tuple[str, ...] = ()
     samples_seen = 0
 
     @property
@@ -266,39 +238,11 @@ class _RegressorBase(_FixedFeatures):
         """The dict form of `predict_values`."""
         return 0.0 if self.cold else self.predict_values(self._values(x))
 
-    def to_state(self) -> dict:
-        state = {
-            "format": MODEL_FORMAT,
-            "kind": self.variant,
-            "features": list(self.feature_names or ()),
-            "samples_seen": self.samples_seen,
-        }
-        for name in self.params + self.scalars:
-            state[name] = getattr(self, name)
-        for name in self.arrays:
-            array = getattr(self, name)
-            state[name] = None if array is None else np.asarray(array).tolist()
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "_RegressorBase":
-        _check_format(state, cls.variant)
-        model = cls(**{name: float(state[name]) for name in cls.params})
-        model.feature_names = tuple(state.get("features") or ()) or None
-        model.samples_seen = int(state["samples_seen"])
-        for name in cls.scalars:
-            setattr(model, name, float(state[name]))
-        for name in cls.arrays:
-            if state[name] is not None:
-                setattr(model, name, np.array(state[name], dtype=float).tolist())
-        return model
-
 
 class _LinearModel(_RegressorBase):
     """A linear model w.x + b, with weights w and intercept b."""
 
     arrays = ("w",)
-    scalars = ("b",)
     w: list[float] | None = None
     b = 0.0
 
@@ -319,7 +263,6 @@ class LinearSGD(_LinearModel):
     """Least-squares linear regression trained by per-sample gradient steps."""
 
     variant = "linear_sgd"
-    params = ("learning_rate",)
 
     def __init__(self, learning_rate: float = 0.01):
         if not 0 < learning_rate < math.inf:  # NaN fails too
@@ -340,7 +283,6 @@ class BayesianLinear(_RegressorBase):
     """
 
     variant = "bayesian"
-    params = ("alpha", "beta")
     arrays = ("A", "c")
     # (A, c, weights) of the last solve; see the module docstring
     _solved: tuple = (None, None, None)
@@ -392,7 +334,6 @@ class PassiveAggressive(_LinearModel):
     with step size clipped at the aggressiveness parameter C."""
 
     variant = "passive_aggressive"
-    params = ("C", "epsilon")
 
     def __init__(self, C: float = 1.0, epsilon: float = 0.1):
         if not C > 0:  # NaN fails too; inf is the unclipped update
@@ -426,28 +367,6 @@ def make_model(variant: str, **kwargs):
     if variant not in MODEL_VARIANTS:
         raise ValueError(f"unknown model variant {variant!r}")
     return MODEL_VARIANTS[variant](**kwargs)
-
-
-def _check_format(state: dict, kind: str):
-    if state.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported state format {state.get('format')!r}")
-    if state.get("kind") != kind:
-        raise ValueError(f"state kind {state.get('kind')!r} does not match {kind!r}")
-
-
-def model_to_json(model) -> str:
-    """Serialize model state as decimal text (shortest round-trip floats)."""
-    return json.dumps(model.to_state(), sort_keys=True)
-
-
-def model_from_json(text: str):
-    state = json.loads(text)
-    kind = state.get("kind")
-    if kind == "running_scaler":
-        return RunningScaler.from_state(state)
-    if kind not in MODEL_VARIANTS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return MODEL_VARIANTS[kind].from_state(state)
 
 
 def r_squared(pairs: list[tuple[float, float]]) -> float | None:

@@ -6,7 +6,7 @@ scenario file (see _ini), is seeded from it (seeding is mandatory;
 nothing reads the wall clock) and returns a ReportBundle. The scaling
 study replays the measured table; the taxonomy and hybrid runs carve from
 fresh cluster graphs, which are fully free again after a run (leaked
-carves are a bug). No scenario brings up a pod layer.
+carves are a bug). No scenario runs pods.
 
 The taxonomy cases are independent (each owns a private engine and
 graph), so they run in forked worker processes, one per usable CPU. With
@@ -277,7 +277,7 @@ def load_config(path) -> ScenarioConfig:
                     raise ConfigError(f"unknown key(s) {unknown} in [{section}]")
                 values.update((keys[key].name, _parse(sec, key, keys[key].type)) for key in sec)
             elif section.startswith("pod:"):
-                raise ConfigError(f"[{section}]: the scenarios apply their own pod sets")
+                raise ConfigError(f"[{section}]: no scenario runs pods, so none can be declared")
         cfg = ScenarioConfig(**values)
     except ValueError as err:
         raise ConfigError(f"bad config value: {err}") from err

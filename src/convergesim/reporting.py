@@ -45,11 +45,16 @@ class ReportBundle:
 
     @classmethod
     def from_json(cls, text: str) -> "ReportBundle":
-        """The bundle in `text`; ValueError unless it is a JSON object of the bundle's fields."""
+        """The bundle in `text`; ValueError unless it is a JSON object of the
+        bundle's fields, each holding the JSON type its field declares."""
         raw = json.loads(text)
         names = sorted(f.name for f in fields(cls))
         if not isinstance(raw, dict) or sorted(raw) != names:
             raise ValueError(f"not a report bundle (a JSON object with keys {names})")
+        for f in fields(cls):
+            if type(raw[f.name]) is not f.type:  # exact: `true` is no int seed
+                raise ValueError(f"field {f.name!r} has type {type(raw[f.name]).__name__},"
+                                 f" not {f.type.__name__}")
         return cls(**raw)
 
     def verify_aggregates(self) -> None:

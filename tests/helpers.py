@@ -13,8 +13,10 @@ The library keeps no history of a run, so the recorders here wrap the
 methods of one live engine or graph and keep what a test checks.
 `serving` runs a socket mount for the length of a with-block.
 `learn_transform` and `moments` read and update a scaler through
-`prepare`, `commit` and `stats` only. `bundle_json_reference` is a
-bundle's JSON text by `dataclasses.asdict`.
+`prepare`, `commit` and `stats` only. `model_state` and `state_repr`
+give the state that the model tests compare and pin, read from public
+attributes. `bundle_json_reference` is a bundle's JSON text by
+`dataclasses.asdict`.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from convergesim.mlcore import RunningScaler
 from convergesim.resgraph import check_grants
 
 
@@ -125,6 +128,25 @@ def learn_transform(scaler, x: dict) -> dict:
     stats, out = scaler.prepare(x)
     scaler.commit(stats)
     return dict(zip(stats[0], out))
+
+
+def model_state(model) -> list[tuple[str, object]]:
+    """A scaler's or a regressor's state as (name, value) pairs in name
+    order: a scaler's `stats`, or a regressor's public attributes but its
+    methods and its class declarations (a str or tuple set on the class,
+    such as `variant`)."""
+    if isinstance(model, RunningScaler):
+        return [("stats", model.stats)]
+    cls = type(model)
+    return [(name, value) for name in sorted(dir(model)) if not name.startswith("_")
+            and not callable(value := getattr(model, name))
+            and not isinstance(getattr(cls, name, None), (str, tuple))]
+
+
+def state_repr(model) -> str:
+    """`repr` of `model_state`: equal states render equal text, and a float
+    that moves by one ulp changes it."""
+    return repr(model_state(model))
 
 
 def bundle_json_reference(bundle) -> str:

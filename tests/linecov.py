@@ -3,7 +3,8 @@
     python tests/linecov.py
 
 A stdlib line tracer (`sys.settrace`, also set for threads) limited to
-frames of `src/convergesim`. It runs, in this process:
+frames of `src/convergesim`; `test_hiersched.py` counts the carve's line
+events with the same tracer. It runs, in this process:
 
 - the three default scenarios (`default_config(<kind>, seed=42)`);
 - `convergesim run` on the README's INI block, then `report` in each
@@ -53,32 +54,46 @@ def function_lines(path: Path) -> set[int]:
 
 
 class LineTracer:
+    """Records the lines that frames of files under `prefix` run (`hit`:
+    file -> set of lines) and counts their line events (`events`, added
+    up as each frame returns or yields; exact when one thread runs)."""
+
     def __init__(self, prefix: str):
         self.prefix = prefix
         self.hit: dict[str, set[int]] = {}
+        self.events = 0
 
     def _global(self, frame, event, arg):
         filename = frame.f_code.co_filename
         if not filename.startswith(self.prefix):
             return None
-        lines = self.hit.setdefault(filename, set())
+        add = self.hit.setdefault(filename, set()).add
+        events = 0
 
         def local(frame, event, arg):
+            nonlocal events
             if event == "line":
-                lines.add(frame.f_lineno)
+                add(frame.f_lineno)
+                events += 1
+            elif event == "return":  # also on a yield or a raise
+                self.events += events
+                events = 0
             return local
 
         return local
 
     @contextlib.contextmanager
     def active(self):
+        """Trace this thread and threads started meanwhile; the trace
+        functions set before are restored after."""
+        before = sys.gettrace(), threading.gettrace()
         threading.settrace(self._global)
         sys.settrace(self._global)
         try:
             yield
         finally:
-            sys.settrace(None)
-            threading.settrace(None)
+            sys.settrace(before[0])
+            threading.settrace(before[1])
 
 
 def run_cli(cli, workdir: Path):

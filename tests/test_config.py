@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from convergesim import cli, mlcore, podlayer
+from convergesim import cli, mlcore
 from convergesim.orchestrator import ConfigError, ScenarioConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -147,19 +147,15 @@ def test_cluster_count_below_one_is_config_error(tmp_path, capsys, key):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("values, key", [
-    ("cpu_limit = 0", "cpu_limit"),  # used to divide by zero at run time
-    ("cpu_limit = inf", "cpu_limit"),
-    ("cpu_limit = nan", "cpu_limit"),
+@pytest.mark.parametrize("values", [
+    "cpu_limit = 0",  # used to divide by zero at run time
+    "cpu_limit = inf",
+    "cpu_limit = nan",
 ])
-def test_pod_cpu_values_must_be_finite(tmp_path, values, key):
-    # a scenario file can no longer set a pod's values, so the rule is
-    # PodSpec's own
+def test_pod_section_setting_a_cpu_limit_is_refused(tmp_path, values):
+    # no scenario runs pods, so a pod's values are refused with the section
     with pytest.raises(ConfigError, match=re.escape("[pod:x]")):
         load_config(write(tmp_path, BASE + f"[pod:x]\n{values}\n"))
-    name, value = (part.strip() for part in values.split("="))
-    with pytest.raises(ValueError, match=f"{key} must be finite"):
-        podlayer.PodSpec(name="x", **{name: float(value)})
 
 
 @pytest.mark.parametrize("key, value, param", [
@@ -272,8 +268,8 @@ def test_repeated_size_is_config_error(tmp_path, capsys):
 
 
 def test_pod_section_is_config_error(tmp_path, capsys):
-    # the scenarios apply their own pod sets; this section used to declare
-    # an extra deployment that nothing read
+    # no scenario runs pods; this section used to declare an extra
+    # deployment that nothing read
     path = write(tmp_path, BASE + "[pod:x]\nreplicas = 2\n")
     with pytest.raises(ConfigError, match=re.escape("[pod:x]")):
         load_config(path)

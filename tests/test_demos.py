@@ -1,6 +1,5 @@
 """Every demo script runs to completion against the current library, and
-the allocation-hierarchy demo, the one caller of `podlayer` outside the
-tests, still narrates the facts it shows.
+the allocation-hierarchy demo still narrates the facts it shows.
 
 Each runs in a fresh interpreter with the working directory in a
 temporary directory, so the reports some demos write stay out of the
@@ -19,10 +18,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # demo -> lines of its output that must appear
 NARRATED = {
     "allocation_hierarchy": (
-        "before daemonset: probe pods use tap_relay",
-        "after daemonset: mpi pods use os_bypass on 32 distinct nodes",
-        "headless lookup mpi-17 -> node 18",
-        "50% of cycles, runtime x2.0",
+        "nested 4-node carve stays inside its parent: True",
         "conservation audit: ok",
     ),
 }

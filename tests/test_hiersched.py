@@ -13,6 +13,7 @@ from helpers import (
     exhaustive_conflict_probability,
     record_dispatches,
 )
+from linecov import LineTracer
 from convergesim.hiersched import (
     DEFAULT_DECISION_COST_S,
     DEFAULT_DEADLOCK_HORIZON_S,
@@ -194,6 +195,35 @@ def test_retained_memory_does_not_grow_with_job_count():
     # its full cache of 16 freed 64-entry blocks in each
     small, large = retained_by_library(1200), retained_by_library(4800)
     assert large - small < 4096, (small, large)
+
+
+# log2 of how the line events per job grow from 16 to 32 nodes in
+# `line_events_per_job`: the carve's cost as work, not seconds. Measured
+# 1.8227 (1,161 and 4,107 events per job) on Python 3.11.7; a carve that
+# grows more slowly lowers it.
+CARVE_GROWTH_BOUND = 1.823
+
+
+def line_events_per_job(nodes: int) -> float:
+    """Line events in the library's frames per job, for one instance over
+    `nodes` 16-core nodes draining 1-node 4-core jobs, 16 per node."""
+    engine = Engine(0)
+    graph = build_cluster(ClusterSpec(nodes, 16))
+    inst = Instance(engine, graph, graph.root_allocation)
+    shape = ResourceRequest(nodes=1, cores_per_node=4, exclusive=False)
+    jobs = [Job(i, shape, 10.0) for i in range(16 * nodes)]
+    tracer = LineTracer(os.path.dirname(convergesim.__file__) + os.sep)
+    with tracer.active():
+        inst.submit_all(jobs)
+        engine.drain()
+    assert inst.completed == len(jobs)
+    return tracer.events / len(jobs)
+
+
+def test_carve_work_per_job_grows_within_its_bound():
+    # counts, unlike timings, repeat exactly, so the bound holds on any machine
+    exponent = math.log2(line_events_per_job(32) / line_events_per_job(16))
+    assert exponent <= CARVE_GROWTH_BOUND, exponent
 
 
 @st.composite

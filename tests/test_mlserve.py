@@ -1,5 +1,4 @@
 import contextlib
-import json
 import math
 import os
 import re
@@ -18,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from convergesim import mlcore, mlserve, workloads
-from convergesim.mlcore import model_to_json, r_squared
+from convergesim.mlcore import r_squared
 from convergesim.mlserve import (
     MLService,
     ServiceResponse,
@@ -28,7 +27,7 @@ from convergesim.mlserve import (
     serve_tcp,
 )
 
-from helpers import moments, serving
+from helpers import model_state, moments, serving, state_repr
 
 
 def test_create_then_list():
@@ -132,22 +131,19 @@ def test_train_with_non_finite_target_changes_nothing(y):
     handle_line(service, "create name=m type=linear_sgd")
     handle_line(service, "train name=m x:x=1.0 y=2.0")
     entry = service.entry("m")
-    before = (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq)
+    before = (state_repr(entry.scaler), state_repr(entry.model), entry.seq)
     assert handle_line(service, f"train name=m x:x=3.0 y={y}") == "bad_request error=ValueError"
-    assert (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq) == before
+    assert (state_repr(entry.scaler), state_repr(entry.model), entry.seq) == before
     assert math.isfinite(service.predict("m", {"x": 3.0}).get("prediction"))
 
 
 def state_numbers(model) -> list[float]:
-    """Every number in model_to_json(model), which renders inf and nan as
-    Infinity and NaN."""
+    """Every number in model_state(model)."""
     def walk(value):
-        if isinstance(value, dict):
-            value = list(value.values())
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             return [n for item in value for n in walk(item)]
         return [value] if isinstance(value, (int, float)) else []
-    return walk(json.loads(model_to_json(model)))
+    return walk(model_state(model))
 
 
 def test_train_that_would_overflow_the_model_changes_nothing():
@@ -156,10 +152,10 @@ def test_train_that_would_overflow_the_model_changes_nothing():
     entry = service.entry("m")
     replies = []
     for i in range(6):
-        before = (model_to_json(entry.scaler), model_to_json(entry.model))
+        before = (state_repr(entry.scaler), state_repr(entry.model))
         replies.append(handle_line(service, f"train name=m x:a={i} y=1e308"))
         if replies[-1].startswith("bad_request"):
-            assert (model_to_json(entry.scaler), model_to_json(entry.model)) == before
+            assert (state_repr(entry.scaler), state_repr(entry.model)) == before
     # the third sample would push c past the largest float
     assert replies == ["ok samples_seen=1 seq=1", "ok samples_seen=2 seq=2",
                        *["bad_request error=ValueError"] * 4]
@@ -173,11 +169,11 @@ def test_non_finite_prediction_is_bad_request():
     for i in range(6):
         handle_line(service, f"train name=m x:a={i} y=1e308")
     entry = service.entry("m")
-    before = (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq)
+    before = (state_repr(entry.scaler), state_repr(entry.model), entry.seq)
     # a weight near 5e307 times a scaled feature of 5 overflows
     reply = handle_line(service, "predict name=m x:a=3")
     assert reply == "bad_request error=non_finite_prediction"
-    assert (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq) == before
+    assert (state_repr(entry.scaler), state_repr(entry.model), entry.seq) == before
     assert handle_line(service, "predict name=m x:a=1").startswith("ok prediction=")
 
 
@@ -269,7 +265,7 @@ def test_an_in_process_verb_answers_a_value_float_refuses(verb, value, trained):
     if trained:
         service.train("m", {"a": 2.0}, 1.0)
     entry = service.entry("m")
-    before = (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq,
+    before = (state_repr(entry.scaler), state_repr(entry.model), entry.seq,
               list(entry.truths))
     reply = format_response(REFUSALS[verb](service, value))
     if verb.startswith("record_truth"):
@@ -278,7 +274,7 @@ def test_an_in_process_verb_answers_a_value_float_refuses(verb, value, trained):
         expected = "missing_training_sample" if verb == "train_target" and value is None \
             else "ValueError"
     assert reply == f"bad_request error={expected}"
-    assert (model_to_json(entry.scaler), model_to_json(entry.model), entry.seq,
+    assert (state_repr(entry.scaler), state_repr(entry.model), entry.seq,
             list(entry.truths)) == before
 
 
@@ -321,7 +317,7 @@ class ServiceAtomicity(RuleBasedStateMachine):
     @staticmethod
     def state(service):
         entries = [(name, service.entry(name)) for name in service.list_models().get("models")]
-        return {name: (model_to_json(e.scaler), model_to_json(e.model), repr(e.truths), e.seq)
+        return {name: (state_repr(e.scaler), state_repr(e.model), repr(e.truths), e.seq)
                 for name, e in entries}
 
     def send(self, line):
@@ -411,10 +407,10 @@ def test_a_refused_train_changes_nothing(variant, prefix, refusal, data):
                         + 1e-3 * math.sqrt(moments(entry.scaler, k)[1]) for k in features}
     else:
         features = {**features, data.draw(st.sampled_from(["a b", "", "x=1", "\u00e9"])): 1.0}
-    before = (entry.scaler.to_state(), entry.model.to_state(), entry.seq)
+    before = (state_repr(entry.scaler), state_repr(entry.model), entry.seq)
     reply = service.train("m", features, y)
     assert reply.status == "bad_request", reply
-    assert (entry.scaler.to_state(), entry.model.to_state(), entry.seq) == before
+    assert (state_repr(entry.scaler), state_repr(entry.model), entry.seq) == before
     if not prefix:  # the refused sample fixed no feature set
         assert entry.scaler.feature_names is None and entry.model.feature_names is None
 
@@ -424,7 +420,7 @@ class _Step(NamedTuple):
     dict in that insertion order, or is None to reuse the last one; before
     pipeline i's request, `edits[i]` (a key and a value, or None) is set in
     that dict in place. A "restore" step replaces pipeline `target`'s scaler
-    with one restored from its state."""
+    with a new one holding equal statistics in a new tuple."""
 
     verb: str  # train | predict | restore
     items: tuple | None = None
@@ -506,7 +502,9 @@ def test_pipelines_sharing_one_service_equal_pipelines_alone(run):
             name = names[step.target]
             for side in (shared, alone[step.target]):
                 entry = side.entry(name)
-                entry.scaler = mlcore.model_from_json(model_to_json(entry.scaler))
+                stats = tuple(list(entry.scaler.stats))  # equal, but not the same tuple
+                entry.scaler = mlcore.RunningScaler()
+                entry.scaler.commit(stats)
             continue
         if step.items is not None:
             features = dict(step.items)
@@ -519,8 +517,8 @@ def test_pipelines_sharing_one_service_equal_pipelines_alone(run):
         for name, service in zip(names, alone):
             ours, theirs = shared.entry(name), service.entry(name)
             assert learned[shared, name] == learned[service, name], (name, step)
-            assert model_to_json(ours.model) == model_to_json(theirs.model), (name, step)
-            assert model_to_json(ours.scaler) == model_to_json(theirs.scaler), (name, step)
+            assert state_repr(ours.model) == state_repr(theirs.model), (name, step)
+            assert state_repr(ours.scaler) == state_repr(theirs.scaler), (name, step)
             # scaler and model fix their names from the same first accepted sample
             assert ours.scaler.feature_names == ours.model.feature_names, (name, step)
 

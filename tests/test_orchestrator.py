@@ -5,8 +5,6 @@ import json
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -197,17 +195,6 @@ def test_scaling_in_cluster_environment_needs_one_extra_node():
     cfg.cluster_nodes = 5  # 4 workers + 1 control plane: exactly enough
     bundle = run_scaling_study(cfg)
     assert len(bundle.lammps_samples) == 5 * 1 * 3
-
-
-def test_orchestrator_does_not_import_the_pod_layer():
-    # no scenario brings up a pod layer, so loading the scenario drivers
-    # leaves podlayer unloaded
-    code = "import sys, convergesim.orchestrator; print('convergesim.podlayer' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("seed, sizes, iterations", [
@@ -742,17 +729,32 @@ def test_cli_report_missing_bundle_exits_one(tmp_path):
                      "--format", "csv"]) == 1
 
 
-@pytest.mark.parametrize("content", [
-    b"not json", b'{"kind":"x","seed":1,"bogus":2}', b"[1,2]", b"{}", b'{"kind":"caf\xe9"}',
-], ids=["not_json", "unknown_key", "not_an_object", "empty", "not_utf8"])
-def test_cli_report_on_a_file_that_is_not_a_bundle_exits_one(tmp_path, capsys, content):
-    # each of these exited 2 with Python's own message, not naming the file
+def bundle_text(**fields) -> bytes:
+    return ReportBundle(**{"kind": SCALING_STUDY, "seed": 1, **fields}).to_json().encode()
+
+
+@pytest.mark.parametrize("content, says", [
+    (b"not json", ""), (b'{"kind":"x","seed":1,"bogus":2}', ""), (b"[1,2]", ""), (b"{}", ""),
+    (b'{"kind":"caf\xe9"}', ""),
+    # these exited 2 with Python's own message: 'int' object is not iterable
+    (bundle_text(lammps_cells=5), "field 'lammps_cells' has type int, not list"),
+    (bundle_text(hybrid=[]), "field 'hybrid' has type list, not dict"),
+    (bundle_text(config=None), "field 'config' has type NoneType, not dict"),
+    (bundle_text(seed="42"), "field 'seed' has type str, not int"),
+    (bundle_text(seed=True), "field 'seed' has type bool, not int"),
+    (bundle_text(kind=1), "field 'kind' has type int, not str"),
+    # this one exited 0 and wrote nothing
+    (bundle_text(kind="x"), "kind 'x' names no scenario"),
+], ids=["not_json", "unknown_key", "not_an_object", "empty", "not_utf8", "cells_int",
+        "hybrid_list", "config_null", "seed_str", "seed_bool", "kind_int", "kind_unknown"])
+def test_cli_report_on_a_file_that_is_not_a_bundle_exits_one(tmp_path, capsys, content, says):
+    # each of the first five exited 2 with Python's own message, not naming the file
     path = tmp_path / "bundle.json"
     path.write_bytes(content)
     out = tmp_path / "out"
     assert cli.main(["report", "--bundle", str(path), "--format", "csv",
                      "--out", str(out)]) == 1
-    assert f"config error: bundle file {path}: " in capsys.readouterr().err
+    assert f"config error: bundle file {path}: {says}" in capsys.readouterr().err
     assert not out.exists()
 
 
