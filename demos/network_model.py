@@ -7,7 +7,7 @@ where the user-space relay path pays and where it catches up.
 
 from convergesim import netmodel
 
-net = netmodel.default_network()
+net = netmodel.load_network()
 bypass, tap = net.os_bypass, net.tap_relay
 
 print("solved constants")

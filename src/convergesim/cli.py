@@ -68,7 +68,11 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"bundle file {bundle_path}: kind {bundle.kind!r} names no scenario"
                           f" (one of {list(EXPERIMENTS)})")
     out_dir = Path(args.out) if args.out else bundle_path.parent
-    written = emit_report(bundle, out_dir, (args.format,))
+    try:
+        written = emit_report(bundle, out_dir, (args.format,))
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as err:
+        raise ConfigError(f"bundle file {bundle_path}: a row does not render as"
+                          f" {args.format} ({type(err).__name__}: {err})") from err
     for path in written:
         print(f"  {path}")
     return 0

@@ -29,6 +29,7 @@ mu ranges at 4 and 32 nodes.
 
 Anchors ship as a JSON data file (seconds / bytes / bytes-per-second) so
 recalibration against new measurements requires no code change.
+`load_network` reads, checks and solves such a file in one pass.
 """
 
 import json
@@ -44,24 +45,9 @@ MIB_4 = 4 * 1024 * 1024
 
 
 class CalibrationError(Exception):
-    """Anchor file is malformed, or its anchor set is inconsistent
-    (non-positive or non-dominant solutions)."""
-
-
-@dataclass(frozen=True)
-class PathAnchors:
-    latency_1b_s: float
-    bw_1b_Bps: float
-    bw_4mib_Bps: float
-
-
-@dataclass(frozen=True)
-class Anchors:
-    os_bypass: PathAnchors
-    tap_relay: PathAnchors
-    barrier_gap_4node_s: float       # tap minus bypass at 4 nodes
-    barrier_excess_fraction: float   # (tap - bypass) / bypass at 4 nodes
-    allreduce_mu: tuple[tuple[int, float, float], ...]  # (nodes, mu_min, mu_max)
+    """An anchor file is missing or malformed (not JSON, a key missing or
+    not a finite number), or its anchor set is inconsistent (non-positive
+    solutions, or a tap path faster than the bypass path)."""
 
 
 @dataclass(frozen=True)
@@ -94,69 +80,6 @@ def collective_penalty(node_count: int, background: bool) -> float:
     return factor
 
 
-def load_anchors(path=None) -> Anchors:
-    """Read the anchor table (packaged default, or an override file).
-
-    A file that is not JSON, or lacks a key, or holds something other than
-    a finite number where one belongs, raises CalibrationError naming the
-    file and the key.
-    """
-    if path is None:
-        path = resources.files("convergesim.data").joinpath("network_anchors.json")
-    source = f"anchor file {path}"
-    try:
-        raw = json.loads(Path(path).read_text())
-    except ValueError as err:  # undecodable bytes too
-        raise CalibrationError(f"{source} is not JSON: {err}") from err
-
-    def number(*keys):
-        node = raw
-        try:
-            for key in keys:
-                node = node[key]
-            value = float(node)
-            if math.isfinite(value):
-                return value
-        except (KeyError, TypeError, ValueError):
-            pass
-        raise CalibrationError(
-            f"{source}: key {'.'.join(keys)} is missing or not a finite number")
-
-    def path_anchors(name):
-        return PathAnchors(
-            latency_1b_s=number("paths", name, "latency_1b"),
-            bw_1b_Bps=number("paths", name, "bw_1b"),
-            bw_4mib_Bps=number("paths", name, "bw_4mib"),
-        )
-
-    bands = raw.get("allreduce_multiplier") if isinstance(raw, dict) else None
-    if not isinstance(bands, dict) or not bands:
-        raise CalibrationError(
-            f"{source}: key allreduce_multiplier is missing or maps no node counts")
-    mu = []
-    for nodes in bands:
-        if not nodes.isdigit() or int(nodes) < 1:
-            raise CalibrationError(
-                f"{source}: allreduce_multiplier key {nodes!r} is not a node count")
-        mu.append((int(nodes), number("allreduce_multiplier", nodes, "min"),
-                   number("allreduce_multiplier", nodes, "max")))
-    return Anchors(
-        os_bypass=path_anchors(OS_BYPASS),
-        tap_relay=path_anchors(TAP_RELAY),
-        barrier_gap_4node_s=number("barrier_4node", "tap_minus_bypass_seconds"),
-        barrier_excess_fraction=number("barrier_4node", "tap_excess_fraction"),
-        allreduce_mu=tuple(sorted(mu)),
-    )
-
-
-def solve_barrier_base(gap_s: float, excess_fraction: float) -> tuple[float, float]:
-    """Solve {tap = bypass + gap, tap = (1 + excess) * bypass} for the 4-node bases."""
-    if gap_s <= 0 or excess_fraction <= 0:
-        raise CalibrationError("barrier anchors must be positive")
-    bypass = gap_s / excess_fraction
-    return bypass, bypass + gap_s
-
-
 @dataclass(frozen=True)
 class CalibratedNetwork:
     os_bypass: NetworkPathParams
@@ -170,46 +93,77 @@ class CalibratedNetwork:
         raise ValueError(f"unknown network path {path!r}")
 
 
-def calibrate(anchors: Anchors) -> CalibratedNetwork:
-    """Solve the model constants so every anchor is reproduced.
+def load_network(path=None) -> CalibratedNetwork:
+    """Read, check and solve an anchor file (None: the packaged one).
 
     BW_inf is pinned to the 4 MiB bandwidth anchor and m_half then makes
     the 1-byte anchor exact; the 4 MiB round-trip lands within ~0.5% of
     its anchor, the residual of fitting two parameters to two points with
-    one of them treated as the asymptote.
+    one of them treated as the asymptote. The 4-node barrier bases solve
+    {tap = bypass + gap, tap = (1 + excess) * bypass}. A file that cannot
+    be read or does not solve raises CalibrationError naming the file.
     """
-    barrier_bypass, barrier_tap = solve_barrier_base(
-        anchors.barrier_gap_4node_s, anchors.barrier_excess_fraction
-    )
-    if not all(0 < mu_min <= mu_max for _, mu_min, mu_max in anchors.allreduce_mu):
-        raise CalibrationError("allreduce multiplier bands must satisfy 0 < min <= max")
-    identity_mu = tuple((nodes, 1.0, 1.0) for nodes, _, _ in anchors.allreduce_mu)
+    if path is None:
+        path = resources.files("convergesim.data").joinpath("network_anchors.json")
+    source = f"anchor file {path}"
+    try:
+        raw = json.loads(Path(path).read_text())
+    except FileNotFoundError as err:
+        raise CalibrationError(f"{source} does not exist") from err
+    except OSError as err:  # a directory, or not readable
+        raise CalibrationError(f"{source} cannot be read: {err.strerror}") from err
+    except ValueError as err:  # undecodable bytes too
+        raise CalibrationError(f"{source} is not JSON: {err}") from err
 
-    def solve_path(name, pa, barrier_base, mu):
-        bw_inf = pa.bw_4mib_Bps
-        m_half = bw_inf / pa.bw_1b_Bps - 1.0
-        if pa.latency_1b_s <= 0 or bw_inf <= 0 or m_half <= 0:
-            raise CalibrationError(f"inconsistent anchors for path {name}")
-        return NetworkPathParams(
-            path=name,
-            l0_s=pa.latency_1b_s,
-            bw_inf_Bps=bw_inf,
-            m_half_B=m_half,
-            barrier_base_4node_s=barrier_base,
-            allreduce_mu=mu,
-            allreduce_base_l0_s=anchors.os_bypass.latency_1b_s,
-            allreduce_base_bw_Bps=anchors.os_bypass.bw_4mib_Bps,
-        )
+    def check(ok, message):
+        if not ok:
+            raise CalibrationError(f"{source}: {message}")
 
-    bypass = solve_path(OS_BYPASS, anchors.os_bypass, barrier_bypass, identity_mu)
-    tap = solve_path(TAP_RELAY, anchors.tap_relay, barrier_tap, anchors.allreduce_mu)
-    if tap.l0_s < bypass.l0_s or tap.bw_inf_Bps > bypass.bw_inf_Bps:
-        raise CalibrationError("tap path must not dominate the bypass path")
+    def number(*keys):
+        node = raw
+        try:
+            for key in keys:
+                node = node[key]
+            value = float(node)
+        except (KeyError, OverflowError, TypeError, ValueError):
+            value = math.nan
+        check(math.isfinite(value), f"key {'.'.join(keys)} is missing or not a finite number")
+        return value
+
+    bands = raw.get("allreduce_multiplier") if isinstance(raw, dict) else None
+    check(isinstance(bands, dict) and bands,
+          "key allreduce_multiplier is missing or maps no node counts")
+    mu = []
+    for nodes in bands:
+        check(nodes.isdecimal() and int(nodes) >= 1,
+              f"allreduce_multiplier key {nodes!r} is not a node count")
+        mu.append((int(nodes), number("allreduce_multiplier", nodes, "min"),
+                   number("allreduce_multiplier", nodes, "max")))
+    mu = tuple(sorted(mu))
+    gap = number("barrier_4node", "tap_minus_bypass_seconds")
+    excess = number("barrier_4node", "tap_excess_fraction")
+    check(gap > 0 and excess > 0, "barrier anchors must be positive")
+    check(all(0 < mu_min <= mu_max for _, mu_min, mu_max in mu),
+          "allreduce multiplier bands must satisfy 0 < min <= max")
+    base_l0 = number("paths", OS_BYPASS, "latency_1b")
+    base_bw = number("paths", OS_BYPASS, "bw_4mib")
+
+    def solve_path(name, barrier_base, curve):
+        l0 = number("paths", name, "latency_1b")
+        bw_inf = number("paths", name, "bw_4mib")
+        bw_1b = number("paths", name, "bw_1b")
+        m_half = bw_inf / bw_1b - 1.0 if bw_1b > 0 else 0.0
+        check(l0 > 0 and bw_inf > 0 and m_half > 0, f"inconsistent anchors for path {name}")
+        return NetworkPathParams(path=name, l0_s=l0, bw_inf_Bps=bw_inf, m_half_B=m_half,
+                                 barrier_base_4node_s=barrier_base, allreduce_mu=curve,
+                                 allreduce_base_l0_s=base_l0, allreduce_base_bw_Bps=base_bw)
+
+    barrier_bypass = gap / excess
+    bypass = solve_path(OS_BYPASS, barrier_bypass, tuple((n, 1.0, 1.0) for n, _, _ in mu))
+    tap = solve_path(TAP_RELAY, barrier_bypass + gap, mu)
+    check(tap.l0_s >= bypass.l0_s and tap.bw_inf_Bps <= bypass.bw_inf_Bps,
+          "tap path must not dominate the bypass path")
     return CalibratedNetwork(os_bypass=bypass, tap_relay=tap)
-
-
-def default_network() -> CalibratedNetwork:
-    return calibrate(load_anchors())
 
 
 def pre_efa_ethernet(tap: NetworkPathParams) -> NetworkPathParams:

@@ -224,16 +224,10 @@ class ScenarioConfig:
 def load_network(anchors_path) -> netmodel.CalibratedNetwork:
     """The network calibrated from an anchor file (None: the packaged one);
     a file that is missing, malformed or inconsistent is a ConfigError."""
-    if anchors_path is not None and not os.path.isfile(anchors_path):
-        raise ConfigError(f"anchor file {anchors_path} does not exist")
     try:
-        anchors = netmodel.load_anchors(anchors_path)
+        return netmodel.load_network(anchors_path)
     except netmodel.CalibrationError as err:  # names the file itself
         raise ConfigError(str(err)) from err
-    try:
-        return netmodel.calibrate(anchors)
-    except netmodel.CalibrationError as err:
-        raise ConfigError(f"anchor file {anchors_path}: {err}") from err
 
 
 def _parse(sec, key: str, kind):
@@ -335,7 +329,7 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
                     "ranks": ranks,
                     "mean_s": float(np.mean(values)),
                     "stddev_s": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
-                    "cpu_pct": workloads.cpu_utilization(env, size),
+                    "cpu_pct": workloads.table_row(env, size).cpu_pct,
                 }
             )
             bundle.osu_series.extend(

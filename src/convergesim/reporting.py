@@ -98,13 +98,6 @@ def render_value(value) -> str:
     return str(value)
 
 
-def _write(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return path
-
-
 def _csv_text(columns, rows) -> str:
     lines = [",".join(columns)]
     for row in rows:
@@ -271,13 +264,18 @@ def _svg_files(bundle: ReportBundle):
 
 
 def emit_report(bundle: ReportBundle, out_dir, formats=FORMATS) -> list[Path]:
-    """Write the bundle's report files; returns the paths written."""
+    """Write the bundle's report files as UTF-8; returns the paths written.
+    Every file renders before any is written: a bad row writes nothing."""
     unknown = set(formats) - set(FORMATS)
     if unknown:
         raise ReportError(f"unknown report formats {sorted(unknown)}")
     generators = {"json": lambda b: [("bundle.json", b.to_json() + "\n")],
                   "csv": _csv_files, "svg": _svg_files}
     out = Path(out_dir)
-    return [_write(out / name, text)
-            for fmt, files in generators.items() if fmt in formats
-            for name, text in files(bundle)]
+    files = [(out / name, text.encode("utf-8"))
+             for fmt, render in generators.items() if fmt in formats
+             for name, text in render(bundle)]
+    for path, data in files:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return [path for path, _ in files]

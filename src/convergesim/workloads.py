@@ -83,9 +83,10 @@ class TableRow:
 
 
 @functools.cache  # the reference table is fixed data
-def reference_table() -> list[TableRow]:
+def reference_table() -> dict[tuple[str, int], TableRow]:
+    """The reference rows by (environment, nodes)."""
     text = resources.files("convergesim.data").joinpath("lammps_table.csv").read_text()
-    return [
+    rows = (
         TableRow(
             environment=rec["environment"],
             nodes=int(rec["nodes"]),
@@ -95,26 +96,21 @@ def reference_table() -> list[TableRow]:
             cpu_pct=float(rec["cpu_pct"]),
         )
         for rec in csv.DictReader(text.splitlines())
-    ]
-
-
-@functools.cache
-def _index() -> dict[tuple[str, int], TableRow]:
-    """The reference rows by (environment, nodes)."""
-    return {(r.environment, r.nodes): r for r in reference_table()}
+    )
+    return {(r.environment, r.nodes): r for r in rows}
 
 
 def table_row(env: str, nodes: int) -> TableRow:
     if env not in ENVIRONMENTS:
         raise UnknownEnvironmentError(f"unknown environment {env!r}")
-    row = _index().get((env, nodes))
+    row = reference_table().get((env, nodes))
     if row is None:
         raise UnknownTableRowError(f"no reference row for ({env}, {nodes} nodes)")
     return row
 
 
 def table_sizes() -> list[int]:
-    return sorted({r.nodes for r in reference_table()})
+    return sorted({nodes for _, nodes in reference_table()})
 
 
 @functools.cache  # the reference table is fixed data
@@ -192,8 +188,3 @@ def osu_replay(env: str, benchmark: str, nodes: int, m: float,
     if benchmark == "barrier":
         return netmodel.barrier_time(params, nodes, background_cluster(env))
     return netmodel.allreduce_time(params, m, nodes, background_cluster(env))
-
-
-def cpu_utilization(env: str, nodes: int) -> float:
-    """Reported %CPU for a reference cell, used for report parity."""
-    return table_row(env, nodes).cpu_pct

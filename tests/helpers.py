@@ -12,6 +12,7 @@ the `*_update_reference`s the numpy forms of the model updates.
 The library keeps no history of a run, so the recorders here wrap the
 methods of one live engine or graph and keep what a test checks.
 `serving` runs a socket mount for the length of a with-block.
+`line_events_per_job` counts the carve's work in traced line events.
 `learn_transform` and `moments` read and update a scaler through
 `prepare`, `commit` and `stats` only. `model_state` and `state_repr`
 give the state that the model tests compare and pin, read from public
@@ -23,13 +24,18 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+import convergesim
+from convergesim.hiersched import Instance, Job
 from convergesim.mlcore import RunningScaler
-from convergesim.resgraph import check_grants
+from convergesim.resgraph import ClusterSpec, ResourceRequest, build_cluster, check_grants
+from convergesim.simkernel import Engine
+from linecov import LineTracer
 
 
 def exhaustive_conflict_probability(node_count: int, gang: int) -> float:
@@ -253,3 +259,19 @@ def serving(server):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def line_events_per_job(nodes: int) -> float:
+    """Line events in the library's frames per job, for one instance over
+    `nodes` 16-core nodes draining 1-node 4-core jobs, 16 per node."""
+    engine = Engine(0)
+    graph = build_cluster(ClusterSpec(nodes, 16))
+    inst = Instance(engine, graph, graph.root_allocation)
+    shape = ResourceRequest(nodes=1, cores_per_node=4, exclusive=False)
+    jobs = [Job(i, shape, 10.0) for i in range(16 * nodes)]
+    tracer = LineTracer(os.path.dirname(convergesim.__file__) + os.sep)
+    with tracer.active():
+        inst.submit_all(jobs)
+        engine.drain()
+    assert inst.completed == len(jobs)
+    return tracer.events / len(jobs)

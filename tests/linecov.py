@@ -3,8 +3,9 @@
     python tests/linecov.py
 
 A stdlib line tracer (`sys.settrace`, also set for threads) limited to
-frames of `src/convergesim`; `test_hiersched.py` counts the carve's line
-events with the same tracer. It runs, in this process:
+frames of `src/convergesim`; `helpers.line_events_per_job` counts the
+carve's line events with the same tracer for `test_hiersched.py` and
+`carve_growth.py`. It runs, in this process:
 
 - the three default scenarios (`default_config(<kind>, seed=42)`);
 - `convergesim run` on the README's INI block, then `report` in each

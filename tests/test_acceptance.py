@@ -41,7 +41,7 @@ from convergesim.resgraph import (
 )
 from convergesim.simkernel import Engine
 
-NET = netmodel.default_network()
+NET = netmodel.load_network()
 
 # pre-registered noise-free oracle scores for the default hybrid run
 # (seed 42, 1000 train / 250 test, noise_sigma = 0); the gate below allows

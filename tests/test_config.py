@@ -207,6 +207,17 @@ def test_missing_anchors_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_anchors_path_that_is_a_directory_is_config_error(tmp_path, capsys):
+    # it exited 1 as "does not exist"; the file is now read once, so the
+    # error that reading raises is what names it
+    path = write(tmp_path, BASE + f"anchors = {tmp_path}\n")
+    message = f"anchor file {re.escape(str(tmp_path))} cannot be read"
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert cli.main(["calibrate", "--anchors", str(tmp_path)]) == 1
+    assert "config error: anchor file" in capsys.readouterr().err
+
+
 def anchors_text(edit):
     """The packaged anchor file, as JSON text, after `edit` of its dict."""
     raw = json.loads(PACKAGED_ANCHORS.read_text())
@@ -228,8 +239,22 @@ def anchors_text(edit):
      "key paths.os_bypass.latency_1b is missing or not a finite number"),
     (anchors_text(lambda raw: raw["allreduce_multiplier"].update(x={"min": 1, "max": 2})),
      "allreduce_multiplier key 'x' is not a node count"),
+    (anchors_text(lambda raw: raw["paths"]["tap_relay"].update(latency_1b=1.0e-6)),
+     "tap path must not dominate the bypass path"),
+    (anchors_text(lambda raw: raw["barrier_4node"].update(tap_minus_bypass_seconds=-1.0,
+                                                          tap_excess_fraction=0.5)),
+     "barrier anchors must be positive"),
+    # these three exited 2: a division by zero, an integer too large for a
+    # float, and int() of a superscript digit
+    (anchors_text(lambda raw: raw["paths"]["tap_relay"].update(bw_1b=0)),
+     "inconsistent anchors for path tap_relay"),
+    (anchors_text(lambda raw: raw["paths"]["tap_relay"].update(bw_1b=10 ** 400)),
+     "key paths.tap_relay.bw_1b is missing or not a finite number"),
+    (anchors_text(lambda raw: raw["allreduce_multiplier"].update({"\u00b2": {"min": 1}})),
+     "allreduce_multiplier key '\u00b2' is not a node count"),
 ], ids=["not_json", "no_multiplier", "inconsistent", "negative_band", "no_bandwidth", "nan",
-        "bad_nodes"])
+        "bad_nodes", "tap_faster_than_bypass", "negative_barrier_gap", "zero_bandwidth",
+        "huge_integer", "superscript_nodes"])
 def test_malformed_anchors_file_is_config_error(tmp_path, capsys, text, message):
     # the file is checked when the config loads, even for a scenario that
     # never reads the network, and `calibrate` applies the same rule

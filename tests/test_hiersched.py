@@ -11,9 +11,9 @@ from helpers import (
     GraphRecorder,
     assert_no_cross_instance_overlap,
     exhaustive_conflict_probability,
+    line_events_per_job,
     record_dispatches,
 )
-from linecov import LineTracer
 from convergesim.hiersched import (
     DEFAULT_DECISION_COST_S,
     DEFAULT_DEADLOCK_HORIZON_S,
@@ -202,22 +202,6 @@ def test_retained_memory_does_not_grow_with_job_count():
 # 1.8227 (1,161 and 4,107 events per job) on Python 3.11.7; a carve that
 # grows more slowly lowers it.
 CARVE_GROWTH_BOUND = 1.823
-
-
-def line_events_per_job(nodes: int) -> float:
-    """Line events in the library's frames per job, for one instance over
-    `nodes` 16-core nodes draining 1-node 4-core jobs, 16 per node."""
-    engine = Engine(0)
-    graph = build_cluster(ClusterSpec(nodes, 16))
-    inst = Instance(engine, graph, graph.root_allocation)
-    shape = ResourceRequest(nodes=1, cores_per_node=4, exclusive=False)
-    jobs = [Job(i, shape, 10.0) for i in range(16 * nodes)]
-    tracer = LineTracer(os.path.dirname(convergesim.__file__) + os.sep)
-    with tracer.active():
-        inst.submit_all(jobs)
-        engine.drain()
-    assert inst.completed == len(jobs)
-    return tracer.events / len(jobs)
 
 
 def test_carve_work_per_job_grows_within_its_bound():

@@ -12,6 +12,7 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
@@ -175,6 +176,20 @@ def test_non_finite_prediction_is_bad_request():
     assert reply == "bad_request error=non_finite_prediction"
     assert (state_repr(entry.scaler), state_repr(entry.model), entry.seq) == before
     assert handle_line(service, "predict name=m x:a=1").startswith("ok prediction=")
+
+
+def test_a_bayesian_state_that_does_not_solve_answers_non_finite_prediction():
+    # alpha is a valid config value; next to beta x x^T with x = (1, 1) it
+    # rounds away, and the singular A raises LinAlgError, a ValueError
+    service = MLService({"bayesian": {"alpha": 1e-300}})
+    handle_line(service, "create name=m type=bayesian")
+    for value in (0, 1):
+        handle_line(service, f"train name=m x:a={value} x:b={value} y=1")
+    assert service.entry("m").model.A == [[1.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(np.linalg.LinAlgError):
+        service.entry("m").model.weights()
+    reply = handle_line(service, "predict name=m x:a=1 x:b=1")
+    assert reply == "bad_request error=non_finite_prediction"
 
 
 @pytest.mark.parametrize("variant, expected", [

@@ -1,39 +1,45 @@
+import json
 import math
+from importlib import resources
 
 import pytest
 
 from convergesim.netmodel import (
     MIB_4,
-    Anchors,
-    CalibrationError,
-    PathAnchors,
     allreduce_mu,
     allreduce_time,
     barrier_time,
-    calibrate,
     collective_penalty,
-    default_network,
-    load_anchors,
+    load_network,
     p2p_bandwidth,
     p2p_latency,
     pre_efa_ethernet,
-    solve_barrier_base,
 )
 
-ANCHORS = load_anchors()
-NET = calibrate(ANCHORS)
+PACKAGED_ANCHORS = resources.files("convergesim.data").joinpath("network_anchors.json")
+NET = load_network(PACKAGED_ANCHORS)
 
 
 def test_shipped_anchor_values():
-    assert ANCHORS.os_bypass.latency_1b_s == 7.46e-6
-    assert ANCHORS.tap_relay.latency_1b_s == 12.31e-6
-    assert ANCHORS.os_bypass.bw_1b_Bps == 1.712e6
-    assert ANCHORS.tap_relay.bw_1b_Bps == 1.3e6
-    assert ANCHORS.os_bypass.bw_4mib_Bps == 24.202e9
-    assert ANCHORS.tap_relay.bw_4mib_Bps == 24.125e9
-    assert ANCHORS.barrier_gap_4node_s == 31.89e-6
-    assert ANCHORS.barrier_excess_fraction == 0.7868
-    assert ANCHORS.allreduce_mu == ((4, 3.6, 13.7), (32, 2.89, 4.32))
+    raw = json.loads(PACKAGED_ANCHORS.read_text())
+    bypass, tap = raw["paths"]["os_bypass"], raw["paths"]["tap_relay"]
+    assert bypass["latency_1b"] == 7.46e-6
+    assert tap["latency_1b"] == 12.31e-6
+    assert bypass["bw_1b"] == 1.712e6
+    assert tap["bw_1b"] == 1.3e6
+    assert bypass["bw_4mib"] == 24.202e9
+    assert tap["bw_4mib"] == 24.125e9
+    assert raw["barrier_4node"]["tap_minus_bypass_seconds"] == 31.89e-6
+    assert raw["barrier_4node"]["tap_excess_fraction"] == 0.7868
+    assert raw["allreduce_multiplier"] == {"4": {"min": 3.6, "max": 13.7},
+                                           "32": {"min": 2.89, "max": 4.32}}
+    # the solved network carries them as read
+    assert (NET.os_bypass.l0_s, NET.tap_relay.l0_s) == (7.46e-6, 12.31e-6)
+    assert (NET.os_bypass.bw_inf_Bps, NET.tap_relay.bw_inf_Bps) == (24.202e9, 24.125e9)
+    assert NET.tap_relay.allreduce_mu == ((4, 3.6, 13.7), (32, 2.89, 4.32))
+    assert NET.os_bypass.allreduce_mu == ((4, 1.0, 1.0), (32, 1.0, 1.0))
+    for params in (NET.os_bypass, NET.tap_relay):
+        assert (params.allreduce_base_l0_s, params.allreduce_base_bw_Bps) == (7.46e-6, 24.202e9)
 
 
 def test_half_saturation_solved_from_the_two_bandwidth_anchors():
@@ -93,8 +99,8 @@ def test_barrier_base_solves_the_gap_and_excess():
     tap_expected = bypass_expected + gap
     assert bypass_expected == pytest.approx(40.53e-6, rel=1e-3)
     assert tap_expected == pytest.approx(72.42e-6, rel=1e-3)
-    solved = solve_barrier_base(gap, excess)
-    assert solved == (bypass_expected, tap_expected)
+    solved = (NET.os_bypass.barrier_base_4node_s, NET.tap_relay.barrier_base_4node_s)
+    assert [x.hex() for x in solved] == [bypass_expected.hex(), tap_expected.hex()]
     assert barrier_time(NET.os_bypass, 4) == pytest.approx(bypass_expected, rel=5e-3)
     assert barrier_time(NET.tap_relay, 4) == pytest.approx(tap_expected, rel=5e-3)
 
@@ -162,20 +168,6 @@ def test_overhead_penalty_neutral_when_not_running():
     assert barrier_time(NET.os_bypass, 32, on) > barrier_time(NET.os_bypass, 32)
 
 
-def test_calibrate_rejects_inconsistent_anchors():
-    bad = Anchors(
-        os_bypass=PathAnchors(7.46e-6, 1.712e6, 24.202e9),
-        tap_relay=PathAnchors(1.0e-6, 1.3e6, 24.125e9),  # faster than bypass
-        barrier_gap_4node_s=31.89e-6,
-        barrier_excess_fraction=0.7868,
-        allreduce_mu=((4, 3.6, 13.7), (32, 2.89, 4.32)),
-    )
-    with pytest.raises(CalibrationError):
-        calibrate(bad)
-    with pytest.raises(CalibrationError):
-        solve_barrier_base(-1.0, 0.5)
-
-
 def test_ethernet_preset_halves_asymptotic_bandwidth():
     eth = pre_efa_ethernet(NET.tap_relay)
     assert eth.bw_inf_Bps == NET.tap_relay.bw_inf_Bps / 2
@@ -183,4 +175,4 @@ def test_ethernet_preset_halves_asymptotic_bandwidth():
 
 
 def test_default_network_matches_explicit_calibration():
-    assert default_network() == NET
+    assert load_network() == NET

@@ -758,6 +758,39 @@ def test_cli_report_on_a_file_that_is_not_a_bundle_exits_one(tmp_path, capsys, c
     assert not out.exists()
 
 
+def edited_scaling_bundle(field, edit) -> str:
+    """The committed scaling bundle's JSON text after `edit` of one field."""
+    raw = json.loads((ROOT / "out" / "scaling" / "bundle.json").read_text())
+    raw[field] = edit(raw[field])
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("field, edit, fmt, says", [
+    ("lammps_cells", lambda cells: [5], "csv", "TypeError: 'int' object is not iterable"),
+    ("lammps_cells", lambda cells: [5], "svg", "TypeError: 'int' object is not subscriptable"),
+    ("osu_series", lambda rows: [[1]] + rows[1:], "csv", "KeyError: 'nodes'"),
+    # one point far out: the chart's axis has no width to scale by
+    ("lammps_cells", lambda cells: [{**cells[0], "nodes": 1e308}], "svg",
+     "ZeroDivisionError"),
+    ("lammps_cells", lambda cells: [{**cells[0], "nodes": "four"}], "svg", "ValueError"),
+    ("hybrid", lambda hybrid: {"models": []}, "csv",
+     "AttributeError: 'list' object has no attribute 'items'"),
+], ids=["cells_int_csv", "cells_int_svg", "osu_row_short_csv", "cells_huge_svg",
+        "cells_text_nodes_svg", "hybrid_models_list_csv"])
+def test_cli_report_on_a_row_that_does_not_render_exits_one(tmp_path, capsys, field, edit,
+                                                            fmt, says):
+    # these exited 2, and the osu case only after writing both lammps CSVs
+    path = tmp_path / "bundle.json"
+    path.write_text(edited_scaling_bundle(field, edit))
+    out = tmp_path / "out"
+    assert cli.main(["report", "--bundle", str(path), "--format", fmt,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bundle file {path}: a row does not render as {fmt}")
+    assert says in err
+    assert not out.exists()
+
+
 def test_cli_calibrate_prints_solution(tmp_path, capsys):
     anchors = Path("src/convergesim/data/network_anchors.json")
     assert cli.main(["calibrate", "--anchors", str(anchors)]) == 0

@@ -12,11 +12,11 @@ from convergesim.workloads import (
     LammpsProblem,
     UnknownEnvironmentError,
     UnknownTableRowError,
-    cpu_utilization,
     lammps_walltime,
     osu_replay,
     reference_table,
     table_row,
+    table_sizes,
     table_walltime,
     volumetric_fit,
 )
@@ -25,8 +25,10 @@ from convergesim.workloads import (
 def test_reference_table_shape():
     table = reference_table()
     assert len(table) == 20  # 5 environments x 4 sizes
-    assert {r.environment for r in table} == set(ENVIRONMENTS)
-    assert all(r.mean_s > 0 for r in table)
+    assert {r.environment for r in table.values()} == set(ENVIRONMENTS)
+    assert all(key == (r.environment, r.nodes) for key, r in table.items())
+    assert all(r.mean_s > 0 for r in table.values())
+    assert table_sizes() == [4, 8, 16, 32]
 
 
 def test_reference_rows_match_measurements():
@@ -39,11 +41,11 @@ def test_reference_rows_match_measurements():
 
 
 def test_cpu_utilization_column():
-    assert cpu_utilization(BARE_METAL, 4) == 99.8
-    assert cpu_utilization(USERNETES, 8) == 99.7
-    assert all(r.cpu_pct >= 99.3 for r in reference_table())
+    assert table_row(BARE_METAL, 4).cpu_pct == 99.8
+    assert table_row(USERNETES, 8).cpu_pct == 99.7
+    assert all(r.cpu_pct >= 99.3 for r in reference_table().values())
     with pytest.raises(UnknownTableRowError):
-        cpu_utilization(BARE_METAL, 64)
+        table_row(BARE_METAL, 64)
 
 
 def test_strong_scaling_in_the_table():
@@ -129,7 +131,7 @@ def test_problem_requires_positive_dimensions():
         LammpsProblem(0, 2, 2)
 
 
-NET = netmodel.default_network()
+NET = netmodel.load_network()
 
 
 def test_osu_replay_routes_by_environment():
