@@ -89,15 +89,21 @@ class ScenarioError(Exception):
     pass
 
 
-def _ini(section: str, key: str, default=MISSING, *, report: bool = True, low=None,
-         model=None):
+def _ini(section: str, key: str, default=MISSING, *, report: bool = True, low=-math.inf,
+         high=math.inf, positive: bool = False, model=None):
     """A ScenarioConfig field read from `key` of INI `[section]`: the
     scenario file's schema is these fields alone. `report=False` leaves it
-    out of summary(), a count below `low` fails validate(), and `model`, a
-    (regressor variant, constructor parameter) pair, puts a value that is
-    not None into `model_params`."""
+    out of summary(). validate() refuses NaN and any value outside [`low`,
+    `high`]; `positive` sets the finite positive floats. The metadata's
+    `bound` is (low, high, the words a refusal and the README use; "" for
+    no bound). `model`, a (regressor variant, constructor parameter) pair,
+    puts a value that is not None into `model_params`."""
+    if positive:  # the least and the greatest positive float
+        low, high = math.ulp(0.0), math.nextafter(math.inf, 0)
+    words = "finite and positive" if positive else " and ".join(
+        f"{op} {b}" for op, b in ((">=", low), ("<=", high)) if math.isfinite(b))
     return field(default=default, metadata={"ini": (section, key), "report": report,
-                                            "low": low, "model": model})
+                                            "bound": (low, high, words), "model": model})
 
 
 @dataclass
@@ -113,19 +119,22 @@ class ScenarioConfig:
     iterations: int = _ini("experiment", "iterations", 20, low=1)
     # taxonomy
     taxonomy_nodes: int = _ini("taxonomy", "nodes", 16, low=2)  # a node per scheduler
-    gang_min: int = _ini("taxonomy", "gang_min", 1)
+    gang_min: int = _ini("taxonomy", "gang_min", 1, low=1)
     gang_max: int = _ini("taxonomy", "gang_max", 8)
     jobs_per_scheduler: int = _ini("taxonomy", "jobs_per_scheduler", 200, low=1)
-    decision_cost_s: float = _ini("taxonomy", "decision_cost", hiersched.DEFAULT_DECISION_COST_S)
+    decision_cost_s: float = _ini("taxonomy", "decision_cost", hiersched.DEFAULT_DECISION_COST_S,
+                                  positive=True)
     deadlock_horizon_s: float = _ini("taxonomy", "deadlock_horizon",
-                                     hiersched.DEFAULT_DEADLOCK_HORIZON_S, report=False)
+                                     hiersched.DEFAULT_DEADLOCK_HORIZON_S, report=False,
+                                     positive=True)
     # hybrid
     train_count: int = _ini("hybrid", "train_count", 1000, low=1)
     test_count: int = _ini("hybrid", "test_count", 250, low=1)
-    dim_min: int = _ini("hybrid", "dim_min", 1)
-    dim_max: int = _ini("hybrid", "dim_max", 8)
+    dim_min: int = _ini("hybrid", "dim_min", 1, low=1)
+    dim_max: int = _ini("hybrid", "dim_max", 8, high=2**63 - 1)  # the int64 dims draw's limit
     train_width: int = _ini("hybrid", "train_width", 1, low=1)
-    noise_sigma: float = _ini("hybrid", "noise_sigma", 0.05)
+    noise_sigma: float = _ini("hybrid", "noise_sigma", 0.05, low=0,
+                              high=workloads.MAX_NOISE_SIGMA)
     sim_nodes: int = _ini("hybrid", "sim_nodes", 4, low=1)
     service_nodes: int = _ini("hybrid", "service_nodes", 1, low=1)
     # regressor hyperparameters; None keeps the regressor's own default
@@ -159,12 +168,12 @@ class ScenarioConfig:
         if self.seed is None:
             raise ConfigError("a seed is mandatory (runs never self-seed)")
         for f in fields(self):
-            low, value = f.metadata.get("low"), getattr(self, f.name)
-            if low is not None and value < low:
+            (low, high, words), value = f.metadata["bound"], getattr(self, f.name)
+            if words and not low <= value <= high:
                 section, key = f.metadata["ini"]
-                raise ConfigError(f"[{section}] {key} must be >= {low}, not {value}")
+                raise ConfigError(f"[{section}] {key} must be {words}, not {value}")
         if not self.sizes:
-            raise ConfigError("sizes must be non-empty")
+            raise ConfigError("[experiment] sizes must be non-empty, not []")
         if len(set(self.sizes)) < len(self.sizes):
             raise ConfigError(f"[experiment] sizes must be distinct, not {list(self.sizes)}")
         if self.experiment == SCALING_STUDY:
@@ -176,25 +185,16 @@ class ScenarioConfig:
             if need > self.cluster.node_count:
                 raise ConfigError(
                     f"cluster of {self.cluster.node_count} nodes is too small for "
-                    f"size {max(self.sizes)} plus a control plane"
-                )
-        if not (1 <= self.dim_min <= self.dim_max):
-            raise ConfigError("dim range must satisfy 1 <= dim_min <= dim_max")
-        if not 0 <= self.noise_sigma <= workloads.MAX_NOISE_SIGMA:  # NaN fails too
-            raise ConfigError(f"[hybrid] noise_sigma must be >= 0 and <= "
-                              f"{workloads.MAX_NOISE_SIGMA}, not {self.noise_sigma}")
+                    f"size {max(self.sizes)} plus a control plane")
+        if self.dim_min > self.dim_max:
+            raise ConfigError("dim range must satisfy dim_min <= dim_max")
         if self.experiment == HYBRID:
             need = self.service_nodes + self.sim_nodes * self.train_width
             if need > self.cluster.node_count:
                 raise ConfigError(
-                    f"hybrid needs {need} nodes, cluster has {self.cluster.node_count}"
-                )
-        if self.gang_min < 1 or self.gang_max < self.gang_min:
-            raise ConfigError("gang range must satisfy 1 <= gang_min <= gang_max")
-        for key, value in (("decision_cost", self.decision_cost_s),
-                           ("deadlock_horizon", self.deadlock_horizon_s)):
-            if not 0 < value < math.inf:  # NaN fails too
-                raise ConfigError(f"{key} must be finite and positive, not {value}")
+                    f"hybrid needs {need} nodes, cluster has {self.cluster.node_count}")
+        if self.gang_min > self.gang_max:
+            raise ConfigError("gang range must satisfy gang_min <= gang_max")
         rounds = self.deadlock_horizon_s / self.decision_cost_s
         if self.experiment == TAXONOMY and rounds > MAX_TAXONOMY_ROUNDS:
             raise ConfigError(

@@ -154,7 +154,7 @@ def lammps_walltime(ranks: int, problem: LammpsProblem, rng: np.random.Generator
     """Sample one realized bare-metal walltime in seconds of any problem box;
     `noise_sigma` 0 draws nothing."""
     t_s, k = volumetric_fit()
-    base = t_s + k * problem.volume * (REFERENCE_RANKS / float(ranks))
+    base = t_s + k * problem.volume * (REFERENCE_RANKS / ranks)
     if noise_sigma > 0.0:
         base *= math.exp(rng.normal(0.0, noise_sigma))
     return base

@@ -1,6 +1,6 @@
 """The scenario file schema: unknown keys and sections, value bounds, the
 refused [pod:*] sections, and the README's INI block, which must parse,
-show the defaults and name every key."""
+show the defaults, name every key and state each key's bound."""
 
 import inspect
 import json
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from convergesim import cli, mlcore
-from convergesim.orchestrator import ConfigError, ScenarioConfig, load_config
+from convergesim.orchestrator import HYBRID, TAXONOMY, ConfigError, ScenarioConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGED_ANCHORS = README.parent / "src" / "convergesim" / "data" / "network_anchors.json"
@@ -33,6 +33,18 @@ def write(tmp_path, text):
     path = tmp_path / "scenario.ini"
     path.write_text(text)
     return path
+
+
+def assert_refused(tmp_path, capsys, text, message):
+    """The scenario file `text` is a config error that reads `message`:
+    load_config raises it, and `convergesim run` exits 1 and writes nothing."""
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # One value per schema key, each unlike its default on BASE: the INI text,
@@ -68,9 +80,49 @@ NON_DEFAULT = {
 }
 
 
+SCHEMA = {f.metadata["ini"]: f for f in fields(ScenarioConfig)}  # (section, key) -> field
+BOUNDED = sorted(ini for ini, f in SCHEMA.items() if f.metadata["bound"][2])
+
+
 def schema_fields() -> dict:
     """(section, key) -> the ScenarioConfig field it sets, for every key."""
-    return {f.metadata["ini"]: f.name for f in fields(ScenarioConfig)}
+    return {ini: f.name for ini, f in SCHEMA.items()}
+
+
+def bound_refusal(section, key, text):
+    """The scenario file BASE with `key` set to `text`, and the refusal that
+    the bound on its field gives."""
+    f = SCHEMA[section, key]
+    header = "" if section == "experiment" else f"[{section}]\n"  # BASE opens [experiment]
+    message = f"[{section}] {key} must be {f.metadata['bound'][2]}, not {f.type(text)}"
+    return BASE + f"{header}{key} = {text}\n", message
+
+
+def steps_past(f) -> list:
+    """One value a step past each finite end of the field's bound, then
+    NaN for a float."""
+    low, high, _ = f.metadata["bound"]
+    ends = [(end, side) for end, side in ((low, -1), (high, 1)) if math.isfinite(end)]
+    if f.type is int:
+        return [end + side for end, side in ends]
+    return [math.nextafter(end, side * math.inf) for end, side in ends] + [math.nan]
+
+
+@pytest.mark.parametrize("section, key", BOUNDED)
+def test_each_bound_on_its_field_holds(tmp_path, capsys, section, key):
+    # each finite end of the range is accepted, and one step past it, or
+    # NaN for a float, is refused with exit 1; the named cases in the tests
+    # below are examples of this rule. An end is checked in the kind of run
+    # whose cross-key rules leave the key free: the round cap binds a
+    # taxonomy run's times, and the node need a hybrid run's cluster
+    f = SCHEMA[section, key]
+    low, high, _ = f.metadata["bound"]
+    kind = HYBRID if section == "taxonomy" else TAXONOMY
+    for end in (low, high):
+        if math.isfinite(end):
+            ScenarioConfig(experiment=kind, seed=1, **{f.name: end}).validate()
+    for value in steps_past(f):
+        assert_refused(tmp_path, capsys, *bound_refusal(section, key, repr(value)))
 
 
 def test_value_table_names_every_schema_key():
@@ -111,10 +163,9 @@ def test_unknown_key_in_known_section_is_config_error(tmp_path, section):
 
 @pytest.mark.parametrize("key", ["decision_cost", "deadlock_horizon"])
 @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
-def test_taxonomy_times_must_be_finite_and_positive(tmp_path, key, value):
+def test_taxonomy_times_must_be_finite_and_positive(tmp_path, capsys, key, value):
     # an infinite horizon or a NaN decision cost let a taxonomy run go on forever
-    with pytest.raises(ConfigError, match=key):
-        load_config(write(tmp_path, BASE + f"[taxonomy]\n{key} = {value}\n"))
+    assert_refused(tmp_path, capsys, *bound_refusal("taxonomy", key, value))
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -130,21 +181,53 @@ def test_taxonomy_times_must_be_finite_and_positive(tmp_path, key, value):
     ("hybrid", "noise_sigma", "nan"),
     ("hybrid", "noise_sigma", "inf"),
 ])
-def test_value_below_its_bound_is_config_error(tmp_path, section, key, value):
+def test_value_below_its_bound_is_config_error(tmp_path, capsys, section, key, value):
     # such values used to fail only at run time, or (noise_sigma) to be ignored
-    header = "" if section == "experiment" else f"[{section}]\n"  # BASE opens [experiment]
-    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be")):
-        load_config(write(tmp_path, BASE + f"{header}{key} = {value}\n"))
+    assert_refused(tmp_path, capsys, *bound_refusal(section, key, value))
 
 
 @pytest.mark.parametrize("key", ["nodes", "cores_per_node"])
 def test_cluster_count_below_one_is_config_error(tmp_path, capsys, key):
     # the cluster was checked only when the run started: exit 2, not 1
-    path = write(tmp_path, BASE + f"[cluster]\n{key} = 0\n")
-    with pytest.raises(ConfigError, match="must be >= 1"):
-        load_config(path)
-    assert cli.main(["run", "--config", str(path)]) == 1
-    assert "config error" in capsys.readouterr().err
+    assert_refused(tmp_path, capsys, *bound_refusal("cluster", key, "0"))
+
+
+HYBRID_RUN = ("[cluster]\nnodes = 5\n[experiment]\nkind = hybrid\nseed = 1\n"
+              "[hybrid]\ntrain_count = 4\ntest_count = 2\n")
+
+
+@pytest.mark.parametrize("value", [2**63, 10**20])
+def test_dim_max_past_the_int64_draw_is_config_error(tmp_path, capsys, value):
+    # the dims draw raised "high is out of bounds for int64": exit 2, not 1
+    assert_refused(tmp_path, capsys, HYBRID_RUN + f"dim_max = {value}\n",
+                   f"[hybrid] dim_max must be <= {2**63 - 1}, not {value}")
+    ScenarioConfig(experiment=HYBRID, seed=1, dim_max=2**63 - 1).validate()
+
+
+def test_hybrid_takes_a_cores_per_node_past_the_float_range(tmp_path):
+    # the walltime model divided by float(ranks): "int too large to convert
+    # to float", exit 2
+    huge = f"[cluster]\ncores_per_node = {10**400}\n"
+    path = write(tmp_path, HYBRID_RUN.replace("[cluster]\n", huge))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "bundle.json").read_text())["config"]["cores_per_node"] == 10**400
+
+
+@pytest.mark.parametrize("text, message", [
+    (BASE + "sizes =\n", "[experiment] sizes must be non-empty, not []"),
+    (BASE + "[hybrid]\ndim_min = 3\ndim_max = 2\n", "dim range must satisfy dim_min <= dim_max"),
+    (BASE + "[taxonomy]\ngang_min = 3\ngang_max = 2\n",
+     "gang range must satisfy gang_min <= gang_max"),
+    ("[experiment]\nkind = taxonomy\nseed = x\n", "bad config value"),
+], ids=["no_sizes", "dim_range", "gang_range", "seed_not_an_int"])
+def test_cross_key_and_parse_refusals_exit_one(tmp_path, capsys, text, message):
+    assert_refused(tmp_path, capsys, text, message)
+
+
+def test_config_without_a_seed_is_refused():
+    with pytest.raises(ConfigError, match="a seed is mandatory"):
+        ScenarioConfig(experiment=TAXONOMY, seed=None).validate()
 
 
 @pytest.mark.parametrize("values", [
@@ -376,3 +459,17 @@ def test_readme_ini_block_names_every_schema_key(readme_ini):
         schema.setdefault(section, []).append(key)
     assert {section: sorted(keys) for section, keys in named.items()} == {
         section: sorted(keys) for section, keys in schema.items()}
+
+
+def test_readme_ini_comments_state_each_bound(readme_ini):
+    # a key's bound is stated once, at the end of the comment beside it, as
+    # "must be <the words of its field's bound>"; a key without one says no
+    # "must be"
+    stated, section = {}, None
+    for line in readme_ini.read_text().splitlines():
+        if header := re.match(r"\[([^\]]+)\]", line):
+            section = header[1]
+        elif key := re.match(r"#?\s*(\w+)\s*=[^#]*#?(.*)", line):
+            bound = re.search(r"must be (.+)$", key[2])
+            stated[section, key[1]] = bound[1] if bound else ""
+    assert stated == {ini: f.metadata["bound"][2] for ini, f in SCHEMA.items()}
