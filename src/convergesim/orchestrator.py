@@ -9,9 +9,12 @@ fresh cluster graphs, which are fully free again after a run (leaked
 carves are a bug). No scenario runs pods.
 
 The taxonomy cases are independent (each owns a private engine and
-graph), so they run in forked worker processes, one per usable CPU. With
-one usable CPU, for example under `taskset -c 0`, they run in this
-process. Rows keep case order either way, so the report bytes do not
+graph), so they are split over this process and one forked worker per
+other usable CPU: with n CPUs, this process runs every n-th case from the
+first, and each worker every n-th from its own start. With one usable
+CPU, for example under `taskset -c 0`, they all run in this process. Rows
+keep case order, and a failing sweep raises the error of its first
+failing case in case order, so neither the report bytes nor the error
 depend on the CPU count.
 
 The hybrid scenario mirrors a batch job that creates two sub-allocations:
@@ -300,6 +303,83 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+# --- forked processes ---------------------------------------------------------
+
+
+def _reply_from(target, share, conn, parent_conns):
+    """A forked child's body: send ("ok", target(share, conn)) back on
+    `conn`, or ("error", exception) for what it raised."""
+    for parent_conn in parent_conns:  # else the parent closing its end would not end recv
+        parent_conn.close()
+    try:
+        reply = ("ok", target(share, conn))
+    except Exception as err:  # raised again in the parent
+        reply = ("error", err)
+    try:
+        conn.send(reply)
+    except OSError:  # the parent closed its end: nobody waits for the reply
+        pass
+
+
+class _Forked:
+    """A forked child process per item of `shares` (none for none), child
+    i running `target(shares[i], conn)` and reading what `send` writes from
+    `conn`. Its one reply is what the target returns or raises."""
+
+    def __init__(self, name: str, target, shares: list):
+        self._name = name
+        self._children = []  # (connection, process)
+        if not shares:
+            return
+        # imported here: a run that forks nothing would pay for it at start-up.
+        # fork, not spawn: a child inherits the imported modules and its
+        # share instead of importing numpy again
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        for share in shares:
+            conn, child_conn = ctx.Pipe()
+            parent_conns = [c for c, _ in self._children] + [conn]
+            process = ctx.Process(target=_reply_from,
+                                  args=(target, share, child_conn, parent_conns))
+            process.start()
+            child_conn.close()
+            self._children.append((conn, process))
+
+    def send(self, message):
+        """Write `message` to every child."""
+        for conn, process in self._children:
+            try:
+                conn.send(message)
+            except OSError:  # the child is gone
+                raise self._exit_error(process)
+
+    def replies(self) -> list:
+        """Each child's reply in child order; raises the first exception
+        a child sent, or a ScenarioError with the exit code of a child
+        that died before replying."""
+        values = []
+        for conn, process in self._children:
+            try:
+                status, value = conn.recv()
+            except (EOFError, OSError):  # the child is gone
+                raise self._exit_error(process)
+            if status == "error":
+                raise value
+            values.append(value)
+        return values
+
+    def close(self):
+        for conn, _ in self._children:
+            conn.close()
+        for _, process in self._children:
+            process.join()
+
+    def _exit_error(self, process) -> ScenarioError:
+        process.join()
+        return ScenarioError(f"{self._name} process exited with code {process.exitcode}")
+
+
 # --- scaling study ------------------------------------------------------------
 
 
@@ -343,43 +423,55 @@ def run_scaling_study(cfg: ScenarioConfig) -> ReportBundle:
 # --- taxonomy -----------------------------------------------------------------
 
 
-def _taxonomy_case(case) -> hiersched.SchedMetrics:
-    """Run one taxonomy case: (config, mode, gang size, job count, job duration)."""
-    cfg, mode, gang, count, duration_s = case
-    return run_taxonomy(
-        mode, hiersched.make_jobs([gang] * count, duration_s),
-        ClusterSpec(cfg.taxonomy_nodes, cfg.cluster.cores_per_node),
-        decision_cost_s=cfg.decision_cost_s,
-        seed=cfg.seed,
-        deadlock_horizon_s=cfg.deadlock_horizon_s,
-    )
+def _taxonomy_share(cfg: ScenarioConfig, cases: list, conn=None) -> list:
+    """Run `cases`, each (mode, gang size, job count, job duration), in
+    order: each gives its metrics, up to and including the first that
+    raises, which gives its exception. `conn` is unused: a forked worker
+    reads nothing (see _Forked)."""
+    outcomes = []
+    for mode, gang, count, duration_s in cases:
+        try:
+            outcomes.append(run_taxonomy(
+                mode, hiersched.make_jobs([gang] * count, duration_s),
+                ClusterSpec(cfg.taxonomy_nodes, cfg.cluster.cores_per_node),
+                decision_cost_s=cfg.decision_cost_s, seed=cfg.seed,
+                deadlock_horizon_s=cfg.deadlock_horizon_s))
+        except Exception as err:  # raised in case order by the caller
+            outcomes.append(err)
+            break
+    return outcomes
 
 
 def run_taxonomy_suite(cfg: ScenarioConfig) -> ReportBundle:
     """Sweep gang size across the four comparator architectures, plus the
     oversized-gang hoarding scenario that drives the two-level broker into
-    deadlock. The cases run in forked workers, one per usable CPU (see
-    the module docstring)."""
+    deadlock.
+
+    With n = min(usable CPUs, cases), this process runs `cases[0::n]` and
+    forked worker i runs `cases[i::n]` (see the module docstring). A case
+    that raises stops only its own share, and the error raised is that of
+    the first failing case in case order, as with one CPU.
+    """
     cfg.validate()
     bundle = ReportBundle(kind=TAXONOMY, seed=cfg.seed, config=cfg.summary())
-    # (config, mode, gang size, job count, job duration): the sweep, then
-    # the hoarding case
-    cases = [(cfg, mode, gang, 2 * cfg.jobs_per_scheduler, 0.0)
+    # (mode, gang size, job count, job duration): the sweep, then the
+    # hoarding case
+    cases = [(mode, gang, 2 * cfg.jobs_per_scheduler, 0.0)
              for mode in hiersched.TAXONOMY_MODES
              for gang in range(cfg.gang_min, cfg.gang_max + 1)]
-    cases.append((cfg, hiersched.TWO_LEVEL, cfg.taxonomy_nodes // 2 + 1, 2, 300.0))
-    workers = min(_usable_cpus(), len(cases))
-    if workers == 1:
-        results = [_taxonomy_case(case) for case in cases]
-    else:
-        # imported here: every other scenario would pay for it at start-up.
-        # fork, not spawn: a worker inherits the imported modules instead
-        # of importing numpy again
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_taxonomy_case, cases, chunksize=1)
-    for (_, _, gang, *_), metrics in zip(cases, results):
+    cases.append((hiersched.TWO_LEVEL, cfg.taxonomy_nodes // 2 + 1, 2, 300.0))
+    n = min(_usable_cpus(), len(cases))
+    run_share = functools.partial(_taxonomy_share, cfg)
+    workers = _Forked("taxonomy worker", run_share, [cases[i::n] for i in range(1, n)])
+    try:
+        shares = [run_share(cases[0::n]), *workers.replies()]
+    finally:
+        workers.close()
+    for i, (_, gang, *_) in enumerate(cases):
+        # every share ran each of its cases before the first failing one
+        metrics = shares[i % n][i // n]
+        if isinstance(metrics, Exception):
+            raise metrics
         bundle.taxonomy_rows.append({**asdict(metrics), "gang_size": gang})
     return bundle
 
@@ -429,81 +521,46 @@ def _hybrid_models(service: mlserve.MLService) -> dict:
     return models
 
 
-def _serve_samples(service: mlserve.MLService, conn, parent_conn):
+def _serve_samples(service: mlserve.MLService, conn) -> dict:
     """Service process: replay every batch read from `conn` until the end
-    marker (None), then send back ("ok", models) or ("error", exception).
-    After a failure it still reads to the end marker, so the simulation
-    never writes into a closed pipe."""
-    parent_conn.close()  # else the parent closing its end would not end recv
+    marker (None), then return the models dict or raise the first
+    failure. After a failure it still reads to the end marker, so the
+    simulation never writes into a closed pipe."""
     failure = None
-    try:
-        while (batch := conn.recv()) is not None:
-            if failure is None:
-                try:
-                    for sample in batch:
-                        _replay(service, *sample)
-                except Exception as err:  # sent back and raised in the parent
-                    failure = err
-    except EOFError:  # the simulation side stopped; nobody waits for a reply
-        return
-    try:
-        reply = ("error", failure) if failure is not None else ("ok", _hybrid_models(service))
-    except Exception as err:
-        reply = ("error", err)
-    conn.send(reply)
+    while (batch := conn.recv()) is not None:
+        if failure is None:
+            try:
+                for sample in batch:
+                    _replay(service, *sample)
+            except Exception as err:  # raised in the parent
+                failure = err
+    if failure is not None:
+        raise failure
+    return _hybrid_models(service)
 
 
-class _ServiceProcess:
+class _ServiceProcess(_Forked):
     """The hybrid ML service in a forked process, fed batches of samples;
     its one reply is read in `finish`."""
 
     def __init__(self, service: mlserve.MLService):
-        # imported here: every other scenario would pay for it at start-up.
-        # fork, not spawn: the child inherits the imported modules and the
-        # service with its models already created
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_conn = ctx.Pipe()
+        # the child inherits the service with its models already created
+        super().__init__("ML service", _serve_samples, [service])
         self._batch = []
-        self._process = ctx.Process(target=_serve_samples,
-                                    args=(service, child_conn, self._conn))
-        self._process.start()
-        child_conn.close()
 
     def record(self, phase: str, features: dict, y: float):
         self._batch.append((phase, features, y))
         if len(self._batch) == SAMPLE_BATCH:
-            self._send(self._batch)
+            self.send(self._batch)
             self._batch = []
 
     def finish(self) -> dict:
         """Send what is left and the end marker, then return the models
         dict or raise the service's exception."""
         if self._batch:
-            self._send(self._batch)
-        self._send(None)
-        try:
-            status, value = self._conn.recv()
-        except (EOFError, OSError):  # the service process is gone
-            raise self._exit_error()
-        if status == "error":
-            raise value
-        return value
-
-    def close(self):
-        self._conn.close()
-        self._process.join()
-
-    def _send(self, batch):
-        try:
-            self._conn.send(batch)
-        except OSError:  # the service process is gone
-            raise self._exit_error()
-
-    def _exit_error(self) -> ScenarioError:
-        self._process.join()
-        return ScenarioError(f"ML service process exited with code {self._process.exitcode}")
+            self.send(self._batch)
+        self.send(None)
+        return self.replies()[0]
 
 
 def run_hybrid(cfg: ScenarioConfig) -> ReportBundle:

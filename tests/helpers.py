@@ -12,7 +12,8 @@ the `*_update_reference`s the numpy forms of the model updates.
 The library keeps no history of a run, so the recorders here wrap the
 methods of one live engine or graph and keep what a test checks.
 `serving` runs a socket mount for the length of a with-block.
-`line_events_per_job` counts the carve's work in traced line events.
+`line_events_per_job` counts the carve's work in traced line events, and
+`quadratic_term` fits its growth with the square of the node count.
 `learn_transform` and `moments` read and update a scaler through
 `prepare`, `commit` and `stats` only. `model_state` and `state_repr`
 give the state that the model tests compare and pin, read from public
@@ -275,3 +276,11 @@ def line_events_per_job(nodes: int) -> float:
         engine.drain()
     assert inst.completed == len(jobs)
     return tracer.events / len(jobs)
+
+
+def quadratic_term(counts: dict) -> float:
+    """q of c(n) = a + b*n + q*n^2 through three {n: c(n)} points: their
+    second divided difference. A constant a and a linear b*n added to
+    every c(n) cancel out of it."""
+    (n0, c0), (n1, c1), (n2, c2) = sorted(counts.items())
+    return ((c2 - c1) / (n2 - n1) - (c1 - c0) / (n1 - n0)) / (n2 - n0)

@@ -19,13 +19,15 @@ carve's line events with the same tracer for `test_hiersched.py` and
 
 `orchestrator._usable_cpus` is patched to 1, so the taxonomy cases and
 the hybrid's service run in this process. The forked branches themselves
-(`_ServiceProcess`, `_serve_samples` and the worker pool) are therefore
-reported as unreached: the tracer cannot follow a fork.
+(`_Forked`'s processes, `_ServiceProcess`, `_reply_from` and
+`_serve_samples`) are therefore reported as unreached: the tracer cannot
+follow a fork.
 
 With `--tests` it runs tier-1 (`pytest tests`) in this process instead,
 less the tests in UNTRACEABLE, and prints each one it leaves out with the
-reason. The tests run as they do untraced, forks included, so the
-forked lines are unreached here too. It took 78 s on a 2-vCPU machine.
+reason. The tests run as they do untraced, forks included, so the lines
+that only a forked child runs (`_reply_from`, `_serve_samples`) are
+unreached here too; the taxonomy share this process runs is traced. It took 78 s on a 2-vCPU machine.
 
 It prints `file:line: source` for each line that some function's code
 holds and that no traced frame ran, then the counts. The package is

@@ -270,14 +270,14 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("one_cpu", [False, True], ids=["all_cpus", "one_cpu"])
+@pytest.mark.parametrize("cpus", [None, 1, 3], ids=["all_cpus", "one_cpu", "three_cpus"])
 @pytest.mark.parametrize("seed, nodes, gang_min, gang_max", [
     (1, 7, 1, 3),    # odd node count: the oversized gang is 4 of 7
     (7, 16, 2, 5),
     (23, 9, 4, 4),   # a single gang size
     (42, 12, 1, 6),
 ])
-def test_taxonomy_suite_rows_equal_a_serial_loop(monkeypatch, one_cpu, seed, nodes,
+def test_taxonomy_suite_rows_equal_a_serial_loop(monkeypatch, cpus, seed, nodes,
                                                  gang_min, gang_max):
     cfg = default_config(TAXONOMY, seed=seed)
     cfg.taxonomy_nodes, cfg.gang_min, cfg.gang_max = nodes, gang_min, gang_max
@@ -286,14 +286,20 @@ def test_taxonomy_suite_rows_equal_a_serial_loop(monkeypatch, one_cpu, seed, nod
     get_context = multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: pools.append(method) or get_context(method))
-    parallel = len(os.sched_getaffinity(0)) > 1 and not one_cpu
-    if one_cpu:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda process: started.append(process) or start(process))
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    # this process runs one share, and a worker each other one
+    workers = min(len(os.sched_getaffinity(0)), 4 * (gang_max - gang_min + 1) + 1) - 1
     with deadline(60):
         rows = run_taxonomy_suite(cfg).taxonomy_rows
     assert rows == serial_taxonomy_rows(cfg)
-    # one usable CPU runs the cases in this process and creates no pool
-    assert pools == (["fork"] if parallel else [])
+    # one usable CPU runs the cases in this process and forks nothing
+    assert pools == (["fork"] if workers else [])
+    assert len(started) == workers
     assert multiprocessing.active_children() == []
 
 
@@ -317,6 +323,49 @@ def test_taxonomy_case_error_is_raised_and_reported(monkeypatch, tmp_path, capsy
     with deadline(60):
         assert cli.main(["run", "--config", str(config)]) == 2
     assert "error: shared_state refused" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+# small_taxonomy's cases are the four modes x gangs 1-4, then the hoarding
+# case; on two CPUs this process runs the even-numbered ones, the worker the
+# odd-numbered ones
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("failing", [
+    # (mode, gang): case 5 in the worker's share, then case 12 in this one's
+    ((hiersched.MONOLITHIC_PARTITION, 2), (hiersched.SHARED_STATE, 1)),
+    # case 4 in this process's share, then case 13 in the worker's
+    ((hiersched.MONOLITHIC_PARTITION, 1), (hiersched.SHARED_STATE, 2)),
+], ids=["first_in_the_worker", "first_in_this_process"])
+def test_taxonomy_raises_the_first_failing_case_in_case_order(monkeypatch, cpus, failing):
+    run_taxonomy = orchestrator.run_taxonomy
+
+    def refuse(mode, workload, *args, **kwargs):
+        gang = workload[0].request.nodes
+        if (mode, gang) in failing:
+            raise ValueError(f"{mode} refused gang {gang}")
+        return run_taxonomy(mode, workload, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_taxonomy", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    (mode, gang), _ = failing
+    with deadline(60), pytest.raises(ValueError, match=f"^{mode} refused gang {gang}$"):
+        run_taxonomy_suite(small_taxonomy())
+    assert multiprocessing.active_children() == []
+
+
+def test_taxonomy_raises_when_a_worker_process_dies(monkeypatch):
+    run_taxonomy, test_pid = orchestrator.run_taxonomy, os.getpid()
+
+    def die_in_a_worker(*args, **kwargs):
+        if os.getpid() != test_pid:
+            os._exit(3)
+        return run_taxonomy(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_taxonomy", die_in_a_worker)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with deadline(60), pytest.raises(ScenarioError,
+                                     match="^taxonomy worker process exited with code 3$"):
+        run_taxonomy_suite(small_taxonomy())
     assert multiprocessing.active_children() == []
 
 
